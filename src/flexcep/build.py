@@ -25,7 +25,7 @@ Formulation notes that matter when reading the rows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .canonical import (
     CanonicalModel,
     Coord,
     ModelBuilder,
+    QuadTerm,
     VariableIndex,
     render_name,
 )
@@ -447,19 +448,56 @@ def build_scenario_subproblem(inst: PlanningInstance,
     ``sigma[c,w] = e_c - (f_c.x + h_c.y_w)``; the objective is
     ``C_inv + C_op_w + sum_c lam_c sigma_c`` plus, when requested, the weight
     term ``w.x`` and the proximal penalty ``sum_i rho_i/2 (x_i - anchor_i)^2``.
-    The scenario probability is *not* applied here.
+    The scenario probability is *not* applied here. The objective terms that
+    depend on ``spec`` are written by :func:`price_scenario_subproblem`, which
+    also re-prices a built model for another spec of the same scenario.
     """
     _require_valid(inst)
     try:
         scen = inst.scenario(spec.scenario)
     except KeyError:
         raise BuildError(f"unknown scenario id '{spec.scenario}'") from None
-    handles = enumerate_expectation_constraints(inst)
-    by_handle = {h.handle: h for h in handles}
-    for handle in spec.lam:
-        if handle not in by_handle:
-            raise BuildError(f"multiplier for unknown constraint handle '{handle}'")
 
+    info = first_stage_info(inst)
+    mb = ModelBuilder(name=f"{inst.name}-{spec.mode}-{scen.id}")
+    coords: list[Coord] = []
+    cols = _add_first_stage(mb, inst, info, coords)
+    annual = inst.annualization_days * inst.period_length_h
+    _add_scenario_block(mb, inst, scen, coords, cols, cost_scale=annual)
+    _add_mandate_rows(mb, inst, cols)
+
+    if spec.mode != EF_SLICE:
+        for c_spec in enumerate_expectation_constraints(inst):
+            fs_terms, scen_terms, rhs = expectation_terms(inst, c_spec)
+            coord = ("sigma", c_spec.handle, scen.id)
+            col = mb.add_var(render_name(coord), lb=-INF, ub=INF)
+            cols[coord] = col
+            coords.append(coord)
+            terms = [(col, 1.0)]
+            terms.extend((cols[c], v) for c, v in fs_terms)
+            terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
+            mb.add_row(f"sig[{c_spec.handle},{scen.id}]", terms, EQ, rhs)
+
+    index = VariableIndex(coords=tuple(coords))
+    return price_scenario_subproblem(inst, mb.freeze(), index, spec), index
+
+
+def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
+                              index: VariableIndex, spec: SubproblemSpec) -> CanonicalModel:
+    """``model`` with the objective terms of ``spec``; rows and bounds are shared.
+
+    ``model`` and ``index`` come from :func:`build_scenario_subproblem` for
+    ``spec.scenario`` in a mode with the same slack columns (LR and PHA share
+    them). Operation costs are kept. First-stage costs become the unit costs
+    plus ``spec.w``, slack costs become ``spec.lam``, and in PHA mode the
+    proximal terms replace any earlier ones. Pricing overwrites rather than
+    adds, so re-pricing a priced model equals pricing its first build.
+    """
+    handles = enumerate_expectation_constraints(inst)
+    known = {h.handle for h in handles}
+    for handle in spec.lam:
+        if handle not in known:
+            raise BuildError(f"multiplier for unknown constraint handle '{handle}'")
     info = first_stage_info(inst)
     fs_index = info.index_of()
     for coord in spec.w:
@@ -471,33 +509,32 @@ def build_scenario_subproblem(inst: PlanningInstance,
             raise BuildError(f"PHA mode needs rho > 0 for every first-stage coordinate; "
                              f"missing or nonpositive for {missing[0]!r}")
 
-    mb = ModelBuilder(name=f"{inst.name}-{spec.mode}-{scen.id}")
-    coords: list[Coord] = []
-    cols = _add_first_stage(mb, inst, info, coords)
-    annual = inst.annualization_days * inst.period_length_h
-    _add_scenario_block(mb, inst, scen, coords, cols, cost_scale=annual)
-    _add_mandate_rows(mb, inst, cols)
+    sigma = tuple(("sigma", h.handle, spec.scenario) for h in handles) \
+        if spec.mode != EF_SLICE else ()
+    n = len(index)
+    last_block = index.coords[n - len(sigma) - 1]
+    if (n != model.num_vars or index.coords[n - len(sigma):] != sigma
+            or last_block[0] == "sigma" or last_block[-1] != spec.scenario):
+        raise BuildError(f"model is not a '{spec.mode}' subproblem of scenario "
+                         f"'{spec.scenario}'")
 
-    if spec.mode != EF_SLICE:
-        for c_spec in handles:
-            fs_terms, scen_terms, rhs = expectation_terms(inst, c_spec)
-            coord = ("sigma", c_spec.handle, scen.id)
-            col = mb.add_var(render_name(coord), lb=-INF, ub=INF,
-                             obj=float(spec.lam.get(c_spec.handle, 0.0)))
-            cols[coord] = col
-            coords.append(coord)
-            terms = [(col, 1.0)]
-            terms.extend((cols[c], v) for c, v in fs_terms)
-            terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
-            mb.add_row(f"sig[{c_spec.handle},{scen.id}]", terms, EQ, rhs)
-
+    fs_cols = [index.column(c) for c in info.coords]
+    weights = np.zeros(len(info.coords))
     for coord, weight in spec.w.items():
-        mb.add_obj(cols[coord], float(weight))
+        weights[fs_index[coord]] = float(weight)
+    obj = model.obj.copy()
+    obj[fs_cols] = info.unit_cost + weights
+    if sigma:
+        obj[n - len(sigma):] = [float(spec.lam.get(h.handle, 0.0)) for h in handles]
+
+    quad: list[QuadTerm] = []
     if spec.mode == PHA:
-        for coord in info.coords:
+        for col, coord in zip(fs_cols, info.coords):
             anchor = spec.anchor.get(coord)
             if anchor is None:
                 raise BuildError(f"PHA mode needs an anchor value for {coord!r}")
-            mb.add_quad(cols[coord], float(spec.rho[coord]) / 2.0, float(anchor))
+            quad.append(QuadTerm(col=col, coef=float(spec.rho[coord]) / 2.0,
+                                 anchor=float(anchor)))
 
-    return mb.freeze(), VariableIndex(coords=tuple(coords))
+    priced = model.with_objective(obj, model.obj_offset, tuple(quad))
+    return replace(priced, name=f"{inst.name}-{spec.mode}-{spec.scenario}")

@@ -357,23 +357,5 @@ def objective_value(model: CanonicalModel, x: np.ndarray) -> float:
     return val
 
 
-def constraint_violation(model: CanonicalModel, x: np.ndarray) -> float:
-    """Worst absolute constraint/bound violation of ``x``; 0 means feasible."""
-    worst = 0.0
-    ax = model.matrix() @ x
-    for i in range(model.num_rows):
-        resid = ax[i] - model.row_rhs[i]
-        sense = model.row_sense[i]
-        if sense == LE:
-            worst = max(worst, resid)
-        elif sense == GE:
-            worst = max(worst, -resid)
-        else:
-            worst = max(worst, abs(resid))
-    worst = max(worst, float(np.max(model.var_lb - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - model.var_ub, initial=0.0)))
-    return worst
-
-
 def sense_str(sense: int) -> str:
     return _SENSE_STR[int(sense)]

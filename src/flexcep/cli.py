@@ -46,21 +46,25 @@ class RunManifest:
     timing: bool = False
 
 
-def cmd_validate(instance_path: str, out=sys.stdout) -> int:
-    """Exit 0 iff the file parses and validates; violations print one per line."""
+def _load_instance(instance_path: str, out):
+    """``(instance, EXIT_OK)``, or ``(None, exit code)`` after printing why not."""
     try:
-        storage.load_instance(instance_path)
+        return storage.load_instance(instance_path), EXIT_OK
     except storage.InstanceValidationError as exc:
         for v in exc.violations:
             print(v, file=out)
-        return EXIT_INVALID
+        return None, EXIT_INVALID
     except storage.InstanceFormatError as exc:
         print(exc, file=out)
-        return EXIT_INVALID
+        return None, EXIT_INVALID
     except OSError as exc:
         print(f"cannot read '{instance_path}': {exc}", file=out)
-        return EXIT_IO
-    return EXIT_OK
+        return None, EXIT_IO
+
+
+def cmd_validate(instance_path: str, out=sys.stdout) -> int:
+    """Exit 0 iff the file parses and validates; violations print one per line."""
+    return _load_instance(instance_path, out)[1]
 
 
 def _print_summary(report: SolveReport, out) -> None:
@@ -82,18 +86,9 @@ def _print_summary(report: SolveReport, out) -> None:
 
 def cmd_solve(manifest: RunManifest, out=sys.stdout) -> int:
     """Solve per the manifest, write the report set, print a summary."""
-    try:
-        inst = storage.load_instance(manifest.instance_path)
-    except storage.InstanceValidationError as exc:
-        for v in exc.violations:
-            print(v, file=out)
-        return EXIT_INVALID
-    except storage.InstanceFormatError as exc:
-        print(exc, file=out)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"cannot read '{manifest.instance_path}': {exc}", file=out)
-        return EXIT_IO
+    inst, code = _load_instance(manifest.instance_path, out)
+    if inst is None:
+        return code
 
     solver = dataclasses.replace(manifest.solver, seed=manifest.seed)
     try:
@@ -190,18 +185,9 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
     warning, not an error.
     """
     solver = solver or SolverConfig()
-    try:
-        inst = storage.load_instance(instance_path)
-    except storage.InstanceValidationError as exc:
-        for v in exc.violations:
-            print(v, file=out)
-        return EXIT_INVALID
-    except storage.InstanceFormatError as exc:
-        print(exc, file=out)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"cannot read '{instance_path}': {exc}", file=out)
-        return EXIT_IO
+    inst, code = _load_instance(instance_path, out)
+    if inst is None:
+        return code
     if load_tech not in inst.load_ids:
         print(f"unknown load tech '{load_tech}'", file=out)
         return EXIT_INVALID
@@ -234,7 +220,6 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
         emi_s = storage.fmt_num(emissions) if emissions is not None else "n/a"
         print(f"{label:<16} {cost_s:>16} {emi_s:>14}  {summary}", file=out)
 
-    warned = False
     for i in range(len(results)):
         for j in range(len(results)):
             if i == j:
@@ -252,10 +237,9 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
             if order == 1 and ci < cj - 1e-6:
                 print(f"warning: '{lj}' relaxes '{li}' but costs more "
                       f"({storage.fmt_num(cj)} > {storage.fmt_num(ci)})", file=out)
-                warned = True
     if any(cost is None for _, _, cost, _, _ in results):
         return EXIT_NO_INCUMBENT
-    return EXIT_OK if not warned else EXIT_OK
+    return EXIT_OK
 
 
 def _with_tiers(inst, load_tech: str, tiers: TierSpec):

@@ -7,6 +7,12 @@ step ``lam_c = max(0, lam_c + beta_c * sigma_bar_c)`` on the expectation
 multipliers. The first iteration solves without weight and proximal terms,
 which also yields the initial Lagrangian lower bound for free.
 
+Every model is assembled once per run. Each scenario's Lagrangian model is
+built before the first iteration; every hedging and lower-bound solve then
+re-prices it (``lam``, ``w`` and the proximal anchor) without touching its
+rows. The extensive form is built at the first candidate evaluation, and
+later evaluations only re-fix or re-bound its first-stage columns.
+
 Bounds are tracked throughout: lower bounds come from probability-weighted
 Lagrangian subproblem optima at the current (lam, w) -- valid whenever
 ``lam >= 0`` and ``sum_w pi_w w_w = 0`` -- and upper bounds from evaluating
@@ -33,6 +39,7 @@ from .build import (
     build_extensive_form,
     build_scenario_subproblem,
     first_stage_info,
+    price_scenario_subproblem,
 )
 from .canonical import (
     EQ,
@@ -212,11 +219,21 @@ def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_scenarios(inst, specs: Sequence[SubproblemSpec], solver: SolverConfig,
-                     workers: int, relax: bool = False):
-    """Build and solve one subproblem per spec; deterministic result order."""
+def _scenario_bases(inst: PlanningInstance) -> dict[str, tuple]:
+    """One Lagrangian model per scenario, built once and re-priced per solve."""
+    return {s.id: build_scenario_subproblem(inst, SubproblemSpec(scenario=s.id, mode=LR))
+            for s in inst.scenarios}
+
+
+def _solve_scenarios(inst, bases: Mapping[str, tuple], specs: Sequence[SubproblemSpec],
+                     solver: SolverConfig, workers: int, relax: bool = False):
+    """Re-price each spec's scenario base and solve it; deterministic result order.
+
+    Returns ``(index, result)`` per spec.
+    """
     def run_one(spec: SubproblemSpec):
-        model, index = build_scenario_subproblem(inst, spec)
+        base, index = bases[spec.scenario]
+        model = price_scenario_subproblem(inst, base, index, spec)
         if relax:
             model = relax_integrality(model)
         res = solve(model, solver)
@@ -226,7 +243,7 @@ def _solve_scenarios(inst, specs: Sequence[SubproblemSpec], solver: SolverConfig
                 "should always be feasible, so the instance or model is inconsistent")
         if res.status not in (OPTIMAL, FEASIBLE_WITH_GAP):
             raise PHAError(f"scenario subproblem '{spec.scenario}' failed: {res.status}")
-        return model, index, res
+        return index, res
 
     if workers > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -257,12 +274,15 @@ def _sigma_values(handles, index: VariableIndex, x: np.ndarray, scen_id: str) ->
 def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
                            w: Mapping[str, Mapping[Coord, float]],
                            solver: SolverConfig | None = None,
-                           workers: int = 1, relax: bool = False) -> float:
+                           workers: int = 1, relax: bool = False,
+                           bases: Mapping[str, tuple] | None = None) -> float:
     """Valid lower bound on the extensive form from dualized multipliers.
 
     Solves every scenario's Lagrangian subproblem (no proximal term) and
     returns the probability-weighted sum of their proven optima. Requires
     ``lam >= 0`` elementwise and probability-weighted weights summing to zero.
+    ``bases`` maps scenario ids to built subproblems (as ``run_pha`` keeps
+    them); when omitted they are built here.
     """
     solver = solver or SolverConfig()
     for handle, val in lam.items():
@@ -279,9 +299,11 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
         raise ValueError(f"weights are not balanced: max |sum pi*w| = {worst!r}")
     specs = [SubproblemSpec(scenario=s.id, mode=LR, lam=dict(lam), w=dict(w.get(s.id, {})))
              for s in inst.scenarios]
-    solved = _solve_scenarios(inst, specs, solver, workers, relax=relax)
+    if bases is None:
+        bases = _scenario_bases(inst)
+    solved = _solve_scenarios(inst, bases, specs, solver, workers, relax=relax)
     total = 0.0
-    for scen, (_, _, res) in zip(inst.scenarios, solved):
+    for scen, (_, res) in zip(inst.scenarios, solved):
         total += scen.probability * _proven_lower(res)
     return total
 
@@ -520,19 +542,21 @@ def fix_and_iterate_upper_bound(inst: PlanningInstance, x_hat: Mapping[Coord, fl
 
 def exact_candidate_evaluation(inst: PlanningInstance, x_hat: Mapping[Coord, float],
                                solver: SolverConfig | None = None,
-                               bands: Mapping[Coord, tuple[float, float]] | None = None):
+                               bands: Mapping[Coord, tuple[float, float]] | None = None,
+                               ef: tuple | None = None):
     """Certify a candidate on the joint fixed-first-stage LP (hard expectations).
 
     Every first-stage coordinate is pinned to its ``x_hat`` value except those
     listed in ``bands``, which are boxed to the given interval instead (a
     trust region, typically the scenario disagreement band around the
     consensus). Either way the LP is a restriction of the extensive form, so
-    its optimum is a valid upper bound. Returns ``(objective, index, primal)``
-    or None when no feasible completion exists.
+    its optimum is a valid upper bound. ``ef`` is a ``build_extensive_form``
+    result to re-bound; when omitted it is built here. Returns
+    ``(objective, index, primal)`` or None when no feasible completion exists.
     """
     solver = solver or SolverConfig()
     bands = bands or {}
-    model, index = build_extensive_form(inst)
+    model, index = ef if ef is not None else build_extensive_form(inst)
     assign = {index.column(c): float(v) for c, v in x_hat.items() if c not in bands}
     lp = fix_variables(relax_integrality(model), assign)
     if bands:
@@ -575,13 +599,15 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     state.lam = {h.handle: max(0.0, float(cfg.lambda0.get(h.handle, 0.0))) for h in handles}
     state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
     rho_map = {c: float(rho[i]) for i, c in enumerate(info.coords)}
+    bases = _scenario_bases(inst)  # before any worker thread starts
+    ef = None  # built at the first candidate evaluation, then only re-bounded
 
     trace: list[TraceRow] = []
     incumbent_eval = None  # (upper, x_hat, values or (index, x))
     t_start = time.perf_counter()
 
     def attempt_incumbent(iteration: int) -> None:
-        nonlocal incumbent_eval
+        nonlocal incumbent_eval, ef
         x_hat = round_and_repair(inst, info, state.x_bar, cfg.round_threshold,
                                  keep_fractional=cfg.relax_integrality)
         try:
@@ -602,7 +628,9 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
                              for s in inst.scenarios)
                 center = float(state.x_bar[i])
                 bands[coord] = (center - spread, center + spread)
-            exact = exact_candidate_evaluation(inst, x_hat, solver, bands=bands)
+            if ef is None:
+                ef = build_extensive_form(inst)
+            exact = exact_candidate_evaluation(inst, x_hat, solver, bands=bands, ef=ef)
             if exact is None:
                 upper = None
                 payload = None
@@ -630,13 +658,13 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
                 scenario=s.id, mode=PHA, lam=state.lam,
                 w={c: float(state.w[s.id][i]) for i, c in enumerate(info.coords)},
                 anchor=anchor, rho=rho_map) for s in inst.scenarios]
-        solved = _solve_scenarios(inst, specs, sub_solver, cfg.workers,
+        solved = _solve_scenarios(inst, bases, specs, sub_solver, cfg.workers,
                                   relax=cfg.relax_integrality)
 
         sigma_bar = {h.handle: 0.0 for h in handles}
         lb_candidate = 0.0
         expected_cost = 0.0
-        for scen, (model, index, res) in zip(inst.scenarios, solved):
+        for scen, (index, res) in zip(inst.scenarios, solved):
             xv = _first_stage_vector(info, index, res.x)
             state.x[scen.id] = xv
             for handle, val in _sigma_values(handles, index, res.x, scen.id).items():
@@ -668,7 +696,7 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
             w_maps = {s.id: {c: float(state.w[s.id][i]) for i, c in enumerate(info.coords)}
                       for s in inst.scenarios}
             lb = lagrangian_lower_bound(inst, state.lam, w_maps, solver, cfg.workers,
-                                        relax=cfg.relax_integrality)
+                                        relax=cfg.relax_integrality, bases=bases)
             state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
 
         metric = consensus_metric(state)

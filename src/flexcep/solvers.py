@@ -38,7 +38,6 @@ from .canonical import (
     OPTIMAL,
     UNBOUNDED,
     CanonicalModel,
-    ModelBuilder,
     ModelError,
     SolveResult,
     objective_value,
@@ -115,33 +114,73 @@ def expand_quadratic(model: CanonicalModel, segments: int = 8) -> CanonicalModel
     (exact integer lattices for small integer ranges), so the approximation is
     tight where the term is near its minimum. It underestimates the true
     quadratic everywhere, is exact at the tangent points, and requires the
-    column's box to be finite.
+    column's box to be finite. The model's own columns and rows are kept as
+    they are; the new ones are appended to its arrays, so the work is
+    proportional to the number of cuts.
     """
     if not model.quad:
         return model
-    mb = ModelBuilder(name=model.name)
-    for i in range(model.num_vars):
-        mb.add_var(model.var_names[i], lb=float(model.var_lb[i]), ub=float(model.var_ub[i]),
-                   integer=bool(model.var_integer[i]), obj=float(model.obj[i]))
-    mb.add_obj_offset(model.obj_offset)
-    for i in range(model.num_rows):
-        mb.add_row(model.row_names[i], model.row_coeffs(i),
-                   int(model.row_sense[i]), float(model.row_rhs[i]))
+    n = model.num_vars
+    cut_term: list[int] = []  # quad term of each cut row
+    cut_slope: list[float] = []
+    cut_rhs: list[float] = []
+    cut_names: list[str] = []
     for j, term in enumerate(model.quad):
         lo, hi = float(model.var_lb[term.col]), float(model.var_ub[term.col])
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ModelError(
                 f"quadratic term on unbounded column '{model.var_names[term.col]}' "
                 "cannot be linearized")
-        z = mb.add_var(f"qz{j}__", lb=0.0, ub=INF, obj=term.coef)
         points = _tangent_points(lo, hi, term.anchor, segments,
                                  bool(model.var_integer[term.col]))
-        for n, p in enumerate(points):
-            slope = 2.0 * (p - term.anchor)
+        for k, p in enumerate(points):
             # z >= (x-a)^2 linearized at x=p: z - slope*x >= a^2 - p^2
-            mb.add_row(f"qcut{j}_{n}__", [(z, 1.0), (term.col, -slope)],
-                       GE, term.anchor * term.anchor - p * p)
-    return mb.freeze()
+            cut_term.append(j)
+            cut_slope.append(2.0 * (p - term.anchor))
+            cut_rhs.append(term.anchor * term.anchor - p * p)
+            cut_names.append(f"qcut{j}_{k}__")
+
+    # each cut row holds (x, -slope) then (z, 1); a zero slope drops the x entry
+    terms = np.array(cut_term, dtype=np.int64)
+    slope = np.array(cut_slope, dtype=float)
+    has_x = slope != 0.0
+    x_cols = np.array([t.col for t in model.quad], dtype=np.int64)[terms]
+    length = 1 + has_x.astype(np.int64)
+    start = int(model.a_indptr[-1])
+    ends = start + np.cumsum(length)
+    z_pos = ends - 1
+    x_pos = (z_pos - 1)[has_x]
+    cut_indices = np.empty(int(length.sum()), dtype=np.int64)
+    cut_data = np.empty(cut_indices.size, dtype=float)
+    cut_indices[z_pos - start] = n + terms
+    cut_data[z_pos - start] = 1.0
+    cut_indices[x_pos - start] = x_cols[has_x]
+    cut_data[x_pos - start] = -slope[has_x]
+
+    n_quad = len(model.quad)
+    expanded = CanonicalModel(
+        var_lb=_frozen_concat(model.var_lb, np.zeros(n_quad)),
+        var_ub=_frozen_concat(model.var_ub, np.full(n_quad, INF)),
+        var_integer=_frozen_concat(model.var_integer, np.zeros(n_quad, dtype=bool)),
+        var_names=model.var_names + tuple(f"qz{j}__" for j in range(n_quad)),
+        row_names=model.row_names + tuple(cut_names),
+        a_indptr=_frozen_concat(model.a_indptr, ends),
+        a_indices=_frozen_concat(model.a_indices, cut_indices),
+        a_data=_frozen_concat(model.a_data, cut_data),
+        row_sense=_frozen_concat(model.row_sense, np.full(len(cut_rhs), GE, dtype=np.int8)),
+        row_rhs=_frozen_concat(model.row_rhs, np.array(cut_rhs, dtype=float)),
+        obj=_frozen_concat(model.obj, np.array([t.coef for t in model.quad], dtype=float)),
+        obj_offset=float(model.obj_offset),
+        name=model.name,
+    )
+    expanded.check()
+    return expanded
+
+
+def _frozen_concat(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    arr = np.concatenate([head, tail]).astype(tail.dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,23 @@
-"""Shared physical-solution invariant checks, recomputed from raw primals.
+"""Shared test checks: model equality, and physical-solution invariants.
 
-These deliberately re-derive every quantity from the instance data rather
-than reusing the builder's rows, so they catch formulation bugs.
+The invariants deliberately re-derive every quantity from the instance data
+rather than reusing the builder's rows, so they catch formulation bugs.
 """
+
+import dataclasses
+
+import numpy as np
+
+
+def assert_same_model(got, want):
+    """Field by field; arrays must match in dtype and value and be read-only."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert not a.flags.writeable, f.name
+        else:
+            assert a == b, f.name
 
 
 def check_solution_invariants(inst, index, x, balance_tol=1e-6, cyclic_tol=1e-6,

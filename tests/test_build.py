@@ -13,9 +13,11 @@ from flexcep.build import (
     build_extensive_form,
     build_scenario_subproblem,
     first_stage_info,
+    price_scenario_subproblem,
 )
 from flexcep.canonical import (
     ModelBuilder,
+    QuadTerm,
     fix_variables,
     objective_value,
 )
@@ -31,7 +33,11 @@ from flexcep.oracle import generate, g1_variant
 from flexcep.report import extract_first_stage
 from flexcep.solvers import solve
 
-from invariants import check_solution_invariants, check_expectation_rows
+from invariants import (
+    assert_same_model,
+    check_expectation_rows,
+    check_solution_invariants,
+)
 
 
 def expected_column_count(inst):
@@ -220,3 +226,84 @@ class TestSubproblems:
             res = solve(model, solver_cfg)
             total += scen.probability * res.objective
         assert total <= g1_ef_solution.objective + 1e-6
+
+
+def _priced_spec(inst, scen_id, mode, seed):
+    """A spec with nonzero multipliers, weights and in-box anchors."""
+    rng = np.random.default_rng(seed)
+    info = first_stage_info(inst)
+    handles = enumerate_expectation_constraints(inst)
+    lam = {h.handle: float(rng.uniform(0.0, 5e3)) for h in handles}
+    w = {c: float(rng.normal(0.0, 1e3)) for c in info.coords}
+    if mode == LR:
+        return SubproblemSpec(scenario=scen_id, mode=LR, lam=lam, w=w)
+    anchor = {c: float(rng.uniform(info.lb[i], info.ub[i]))
+              for i, c in enumerate(info.coords)}
+    rho = {c: float(rng.uniform(1.0, 50.0)) for c in info.coords}
+    return SubproblemSpec(scenario=scen_id, mode=PHA, lam=lam, w=w, anchor=anchor, rho=rho)
+
+
+class TestRepricing:
+    @pytest.mark.parametrize("gen", ["G1", "G2"])
+    @pytest.mark.parametrize("mode", [LR, PHA])
+    def test_repriced_base_equals_fresh_build(self, gen, mode):
+        inst = generate(gen, 1)
+        info = first_stage_info(inst)
+        handles = enumerate_expectation_constraints(inst)
+        for n, scen in enumerate(inst.scenarios):
+            base, index = build_scenario_subproblem(inst, SubproblemSpec(scenario=scen.id))
+            spec = _priced_spec(inst, scen.id, mode, seed=n)
+            fresh, fresh_index = build_scenario_subproblem(inst, spec)
+            assert fresh_index.coords == index.coords
+            repriced = price_scenario_subproblem(inst, base, index, spec)
+            assert_same_model(repriced, fresh)
+            # pricing overwrites: re-pricing a priced model equals pricing the base
+            other = _priced_spec(inst, scen.id, PHA, seed=100 + n)
+            twice = price_scenario_subproblem(
+                inst, price_scenario_subproblem(inst, base, index, other), index, spec)
+            assert_same_model(twice, fresh)
+
+            # the written terms, read off the spec
+            fs = [index.column(c) for c in info.coords]
+            assert np.array_equal(fresh.obj[fs], info.unit_cost + np.array(
+                [spec.w[c] for c in info.coords]))
+            assert [fresh.obj[index.column(("sigma", h.handle, scen.id))]
+                    for h in handles] == [spec.lam[h.handle] for h in handles]
+            rest = np.ones(base.num_vars, dtype=bool)
+            rest[fs] = False
+            rest[index.columns_of_kind("sigma")] = False
+            assert np.array_equal(fresh.obj[rest], base.obj[rest])
+            expected_quad = () if mode == LR else tuple(
+                QuadTerm(col=col, coef=spec.rho[c] / 2.0, anchor=spec.anchor[c])
+                for col, c in zip(fs, info.coords))
+            assert fresh.quad == expected_quad
+            assert fresh.name == f"{inst.name}-{mode}-{scen.id}"
+            assert repriced.a_data is base.a_data  # rows are shared, not copied
+
+    def test_spec_errors_raise_on_the_repricing_path(self, g1):
+        base, index = build_scenario_subproblem(g1, SubproblemSpec(scenario="s1"))
+        info = first_stage_info(g1)
+        rho = {c: 1.0 for c in info.coords}
+        anchor = {c: 0.0 for c in info.coords}
+        bad = [
+            ("handle", SubproblemSpec(scenario="s1", lam={"bogus": 1.0})),
+            ("coordinate", SubproblemSpec(scenario="s1", w={("xG", "nope", "gas"): 1.0})),
+            ("rho", SubproblemSpec(scenario="s1", mode=PHA, anchor=anchor,
+                                   rho={**rho, info.coords[0]: 0.0})),
+            ("rho", SubproblemSpec(scenario="s1", mode=PHA, anchor=anchor, rho={})),
+            ("anchor", SubproblemSpec(scenario="s1", mode=PHA, rho=rho,
+                                      anchor={info.coords[0]: 0.0})),
+        ]
+        for match, spec in bad:
+            with pytest.raises(BuildError, match=match):
+                price_scenario_subproblem(g1, base, index, spec)
+            with pytest.raises(BuildError, match=match):
+                build_scenario_subproblem(g1, spec)
+
+    def test_model_of_another_scenario_or_mode_rejected(self, g1):
+        base, index = build_scenario_subproblem(g1, SubproblemSpec(scenario="s1"))
+        with pytest.raises(BuildError, match="not a 'lr' subproblem of scenario 's2'"):
+            price_scenario_subproblem(g1, base, index, SubproblemSpec(scenario="s2"))
+        with pytest.raises(BuildError, match="ef_slice"):
+            price_scenario_subproblem(g1, base, index,
+                                      SubproblemSpec(scenario="s1", mode=EF_SLICE))

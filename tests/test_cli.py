@@ -179,6 +179,20 @@ class TestCompareFlex:
         assert cmd_compare_flexibility(g1_path, "nope", [("a", INFLEXIBLE)],
                                        out=out) == EXIT_INVALID
 
+    def test_unreadable_instance_reported_like_the_other_commands(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        malformed = tmp_path / "bad.json"
+        malformed.write_text("{not json")
+        for path, code in ((missing, EXIT_IO), (str(malformed), EXIT_INVALID)):
+            outs = [io.StringIO() for _ in range(3)]
+            assert cmd_compare_flexibility(path, "dac", [("a", INFLEXIBLE)],
+                                           out=outs[0]) == code
+            assert cmd_validate(path, out=outs[1]) == code
+            assert cmd_solve(RunManifest(instance_path=path, method="ef",
+                                         out_dir=str(tmp_path / "out")),
+                             out=outs[2]) == code
+            assert outs[0].getvalue() == outs[1].getvalue() == outs[2].getvalue() != ""
+
 
 class TestMainEntry:
     def test_validate_subcommand(self, g1_path):

@@ -1,9 +1,15 @@
 import dataclasses
+import filecmp
+import io
+import os
 
 import numpy as np
 import pytest
 
+import flexcep.pha as pha_module
+from flexcep import storage
 from flexcep.build import first_stage_info
+from flexcep.cli import RunManifest, cmd_solve
 from flexcep.core import FULL_FLEX, enumerate_expectation_constraints
 from flexcep.oracle import brute_force_optimum, g1_variant, generate
 from flexcep.pha import (
@@ -265,3 +271,42 @@ class TestRunPha:
         lows = [r.lower for r in state.bounds_history if r.lower is not None]
         trace_lows = [t for t in lows]
         assert trace_lows == sorted(trace_lows)
+
+
+class TestBuildOnce:
+    """Each model is assembled once per run and re-priced or re-bounded after."""
+
+    def _counted_run(self, monkeypatch, path, out_dir, workers):
+        counts = {"build_scenario_subproblem": 0, "build_extensive_form": 0,
+                  "exact_candidate_evaluation": 0}
+        for name in counts:
+            original = getattr(pha_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pha_module, name, counting)
+        cfg = PHAConfig(rho_scale=0.1, beta_scale=0.1, max_iterations=6,
+                        gap_threshold=1e-9, workers=workers)
+        code = cmd_solve(RunManifest(instance_path=path, method="pha", out_dir=out_dir,
+                                     pha=cfg), out=io.StringIO())
+        monkeypatch.undo()
+        return code, counts
+
+    def test_g2_builds_each_model_once_serial_and_pooled(self, monkeypatch, tmp_path):
+        inst = generate("G2", 1)
+        path = str(tmp_path / "g2.json")
+        storage.save_instance(inst, path)
+        dirs = {}
+        for workers in (1, 2):
+            dirs[workers] = str(tmp_path / f"w{workers}")
+            code, counts = self._counted_run(monkeypatch, path, dirs[workers], workers)
+            assert code in (0, 3)
+            assert counts["build_scenario_subproblem"] == len(inst.scenarios)
+            assert counts["build_extensive_form"] <= 1
+            # iterations 5 and 6 both evaluate a candidate on the one EF
+            assert counts["exact_candidate_evaluation"] == 2
+        names = sorted(os.listdir(dirs[1]))
+        assert names == sorted(os.listdir(dirs[2])) and names
+        match, mismatch, errors = filecmp.cmpfiles(dirs[1], dirs[2], names, shallow=False)
+        assert mismatch == [] and errors == []

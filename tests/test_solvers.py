@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexcep.canonical import (
+    EQ,
     GE,
     INF,
+    LE,
     ModelBuilder,
     ModelError,
     objective_value,
@@ -13,11 +17,14 @@ from flexcep.solvers import (
     BackendError,
     BackendUnavailableError,
     SolverConfig,
+    _tangent_points,
     dual_objective,
     expand_quadratic,
     solve,
     solve_lp_with_duals,
 )
+
+from invariants import assert_same_model
 
 BACKENDS = ["inproc", "subprocess"]
 
@@ -153,3 +160,66 @@ class TestSubprocessProtocol:
             SolverConfig(time_limit_s=0.0)
         with pytest.raises(ValueError):
             SolverConfig(mip_gap=1.0)
+
+
+def _reference_expand(model, segments):
+    """``expand_quadratic`` rebuilt row by row through ModelBuilder."""
+    mb = ModelBuilder(name=model.name)
+    for i in range(model.num_vars):
+        mb.add_var(model.var_names[i], lb=float(model.var_lb[i]), ub=float(model.var_ub[i]),
+                   integer=bool(model.var_integer[i]), obj=float(model.obj[i]))
+    mb.add_obj_offset(model.obj_offset)
+    for i in range(model.num_rows):
+        mb.add_row(model.row_names[i], model.row_coeffs(i),
+                   int(model.row_sense[i]), float(model.row_rhs[i]))
+    for j, term in enumerate(model.quad):
+        lo, hi = float(model.var_lb[term.col]), float(model.var_ub[term.col])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ModelError("unbounded")
+        z = mb.add_var(f"qz{j}__", lb=0.0, ub=INF, obj=term.coef)
+        points = _tangent_points(lo, hi, term.anchor, segments,
+                                 bool(model.var_integer[term.col]))
+        for n, p in enumerate(points):
+            slope = 2.0 * (p - term.anchor)
+            mb.add_row(f"qcut{j}_{n}__", [(z, 1.0), (term.col, -slope)],
+                       GE, term.anchor * term.anchor - p * p)
+    return mb.freeze()
+
+
+@st.composite
+def _quadratic_models(draw):
+    """Small models mixing integer lattices, collapsed boxes, anchors on and off
+    the tangent grid and, now and then, an unbounded quadratic column."""
+    mb = ModelBuilder(name="prop")
+    n = draw(st.integers(1, 4))
+    for i in range(n):
+        lo = draw(st.integers(-5, 5))
+        width = draw(st.sampled_from([0, 0, 1, 2, 3, 7, 12, 30]))
+        hi = INF if draw(st.integers(0, 15)) == 0 else float(lo + width)
+        mb.add_var(f"x{i}", lb=float(lo), ub=hi, integer=draw(st.booleans()),
+                   obj=draw(st.sampled_from([0.0, 1.0, -2.5])))
+    coef = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0])
+    for r in range(draw(st.integers(0, 3))):
+        mb.add_row(f"r{r}", [(c, draw(coef)) for c in range(n)],
+                   draw(st.sampled_from([LE, EQ, GE])), draw(st.sampled_from([0.0, 4.0, -1.5])))
+    mb.add_obj_offset(draw(st.sampled_from([0.0, 7.25])))
+    for _ in range(draw(st.integers(1, 4))):
+        col = draw(st.integers(0, n - 1))
+        anchor = draw(st.one_of(
+            st.integers(-8, 40).map(float),
+            st.floats(-8.0, 40.0, allow_nan=False)))
+        mb.add_quad(col, draw(st.sampled_from([0.05, 1.0, 60.0])), anchor)
+    return mb.freeze()
+
+
+class TestExpandQuadraticProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(model=_quadratic_models(), segments=st.integers(1, 16))
+    def test_matches_row_by_row_reference(self, model, segments):
+        try:
+            reference = _reference_expand(model, segments)
+        except ModelError:
+            with pytest.raises(ModelError, match="unbounded"):
+                expand_quadratic(model, segments)
+            return
+        assert_same_model(expand_quadratic(model, segments), reference)
