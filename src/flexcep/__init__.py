@@ -37,13 +37,12 @@ from .build import (
     build_scenario_subproblem,
     first_stage_info,
 )
-from .solvers import SolverConfig, solve, solve_lp_with_duals
+from .solvers import SolverConfig, solve
 from .pha import (
     BoundsRecord,
     PHAConfig,
     PHAState,
     consensus_metric,
-    fix_and_iterate_upper_bound,
     lagrangian_lower_bound,
     run_pha,
 )

@@ -274,9 +274,6 @@ class SolveResult:
     objective: float | None = None
     x: np.ndarray | None = None
     mip_gap: float | None = None
-    duals: np.ndarray | None = None  # per row, LP solves only
-    reduced_lb: np.ndarray | None = None  # multipliers of active lower bounds
-    reduced_ub: np.ndarray | None = None  # multipliers of active upper bounds
     wall_time_s: float = 0.0
     message: str = ""
 

@@ -13,6 +13,7 @@ Exit codes: 0 solved/converged (or valid), 1 invalid instance, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -62,6 +63,32 @@ def _load_instance(instance_path: str, out):
         return None, EXIT_IO
 
 
+@contextlib.contextmanager
+def _solver_output_to_stderr():
+    """Point fd 1 at fd 2 while solvers run, then restore it.
+
+    The HiGHS library inside scipy can print straight to file descriptor 1,
+    past ``sys.stdout``; while this is active such lines land on stderr and
+    cannot mix with the summary that scripts read from stdout.
+    """
+    saved = None
+    try:
+        saved = os.dup(1)
+        sys.stdout.flush()
+        os.dup2(2, 1)
+    except OSError:  # stdout or stderr is closed: leave the descriptors alone
+        if saved is not None:
+            os.close(saved)
+            saved = None
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.stdout.flush()
+            os.dup2(saved, 1)
+            os.close(saved)
+
+
 def cmd_validate(instance_path: str, out=sys.stdout) -> int:
     """Exit 0 iff the file parses and validates; violations print one per line."""
     return _load_instance(instance_path, out)[1]
@@ -90,15 +117,16 @@ def cmd_solve(manifest: RunManifest, out=sys.stdout) -> int:
     if inst is None:
         return code
 
+    if manifest.method not in ("ef", "pha"):
+        print(f"unknown method '{manifest.method}'", file=out)
+        return EXIT_INVALID
     solver = dataclasses.replace(manifest.solver, seed=manifest.seed)
     try:
-        if manifest.method == "ef":
-            report, code = _solve_ef(inst, solver)
-        elif manifest.method == "pha":
-            report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing)
-        else:
-            print(f"unknown method '{manifest.method}'", file=out)
-            return EXIT_INVALID
+        with _solver_output_to_stderr():
+            if manifest.method == "ef":
+                report, code = _solve_ef(inst, solver)
+            else:
+                report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing)
     except BackendError as exc:
         print(f"solver backend failure: {exc}", file=out)
         return EXIT_BACKEND
@@ -193,26 +221,27 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
         return EXIT_INVALID
 
     results = []
-    for label, tiers in variants:
-        variant_inst = _with_tiers(inst, load_tech, tiers)
-        bad = validate_instance(variant_inst)
-        if bad:
-            results.append((label, tiers, None, None, f"invalid: {bad[0]}"))
-            continue
-        try:
-            model, index = build_extensive_form(variant_inst)
-            res = solve(model, solver)
-        except BackendError as exc:
-            results.append((label, tiers, None, None, f"backend failure: {exc}"))
-            continue
-        if not res.has_solution:
-            results.append((label, tiers, None, None, res.status))
-            continue
-        report = report_from_solution(variant_inst, index, res.x, method="ef",
-                                      status=res.status, objective=res.objective)
-        emissions = sum(r.lhs for r in report.policies)
-        results.append((label, tiers, res.objective, emissions,
-                        _build_summary(report)))
+    with _solver_output_to_stderr():
+        for label, tiers in variants:
+            variant_inst = _with_tiers(inst, load_tech, tiers)
+            bad = validate_instance(variant_inst)
+            if bad:
+                results.append((label, tiers, None, None, f"invalid: {bad[0]}"))
+                continue
+            try:
+                model, index = build_extensive_form(variant_inst)
+                res = solve(model, solver)
+            except BackendError as exc:
+                results.append((label, tiers, None, None, f"backend failure: {exc}"))
+                continue
+            if not res.has_solution:
+                results.append((label, tiers, None, None, res.status))
+                continue
+            report = report_from_solution(variant_inst, index, res.x, method="ef",
+                                          status=res.status, objective=res.objective)
+            emissions = sum(r.lhs for r in report.policies)
+            results.append((label, tiers, res.objective, emissions,
+                            _build_summary(report)))
 
     print(f"{'variant':<16} {'total_cost':>16} {'emissions':>14}  build_summary", file=out)
     for label, _, cost, emissions, summary in results:

@@ -7,7 +7,8 @@ via the ``FLEXCEP_LP_SOLVER`` environment variable)::
 
 The solution file is plain text: a ``status`` line, ``objective`` and
 optionally ``mip_gap`` lines, a ``columns N`` block of ``name value`` pairs,
-for LPs a ``rows M`` block of ``name dual`` pairs, then ``end``.
+then ``end``. This shim writes no row values; the parser still accepts a
+``rows M`` block of ``name value`` pairs from an external solver and skips it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import argparse
 import sys
 
 from . import lpfile
-from .canonical import OPTIMAL
-from .solvers import SolverConfig, _solve_inproc_lp_duals, _solve_inproc_milp
+from .solvers import SolverConfig, _solve_inproc_milp
 
 
 def _write_solution(path: str, model, res) -> None:
@@ -30,10 +30,6 @@ def _write_solution(path: str, model, res) -> None:
         if res.x is not None:
             fh.write(f"columns {model.num_vars}\n")
             for name, val in zip(model.var_names, res.x):
-                fh.write(f"{name} {float(val)!r}\n")
-        if res.duals is not None:
-            fh.write(f"rows {model.num_rows}\n")
-            for name, val in zip(model.row_names, res.duals):
                 fh.write(f"{name} {float(val)!r}\n")
         fh.write("end\n")
 
@@ -51,15 +47,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"flexcep-lpsolve: cannot read model: {exc}", file=sys.stderr)
         return 2
     cfg = SolverConfig(time_limit_s=args.time_limit, mip_gap=args.mip_gap)
-    if model.is_mip:
-        res = _solve_inproc_milp(model, cfg)
-    else:
-        res = _solve_inproc_lp_duals(model, cfg)
-        if res.status != OPTIMAL:
-            # fall back so infeasible/unbounded LPs still report consistently
-            res = _solve_inproc_milp(model, cfg)
     # objectives from the solve include the model's constant offset already
-    _write_solution(args.sol_path, model, res)
+    _write_solution(args.sol_path, model, _solve_inproc_milp(model, cfg))
     return 0
 
 

@@ -42,13 +42,10 @@ from .build import (
     price_scenario_subproblem,
 )
 from .canonical import (
-    EQ,
     FEASIBLE_WITH_GAP,
     INFEASIBLE,
-    LE,
     OPTIMAL,
     Coord,
-    ModelBuilder,
     VariableIndex,
     fix_variables,
     relax_integrality,
@@ -61,19 +58,7 @@ from .core import (
     enumerate_expectation_constraints,
     validate_instance,
 )
-from .report import (
-    SolveReport,
-    TraceRow,
-    expected_operation_cost,
-    investment_cost,
-    merge_costs,
-    operation_cost as operation_cost_of,
-    buildout_rows,
-    reliability_rows,
-    policy_rows,
-    sigma_bar_of_solution,
-    report_from_solution,
-)
+from .report import SolveReport, TraceRow, report_from_solution
 from .solvers import SolverConfig, solve
 
 NO_INCUMBENT = "no_feasible_incumbent"
@@ -97,12 +82,9 @@ class PHAConfig:
     eps_sigma: float = 1e-4  # expected-slack violation tolerance
     gap_threshold: float = 1e-3  # relative bound gap stop
     incumbent_schedule: tuple[int, ...] = _DEFAULT_SCHEDULE
-    k_fix: int = 50  # extra multiplier iterations with the first stage fixed
     round_threshold: float = 0.5  # binary rounding threshold for candidates
     lb_interval: int = 1  # Lagrangian bound cadence (iterations)
     workers: int = 1  # scenario solves run serially unless > 1
-    exact_incumbent_eval: bool = True  # certify incumbents on the joint fixed LP
-    fix_beta_decay: bool = True  # harmonic step decay inside fix-and-iterate
     relax_integrality: bool = False  # drop integrality everywhere (convex mode)
     beta_decay_after: int | None = None  # 1/k decay of beta past this iteration
     pwl_segments: int = 16  # proximal linearization fidelity for subproblem solves
@@ -113,8 +95,6 @@ class PHAConfig:
             raise ValueError("rho_scale and beta_scale must be > 0")
         if min(self.eps_consensus, self.eps_sigma, self.gap_threshold) <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.k_fix < 1:
-            raise ValueError("k_fix must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -149,10 +129,8 @@ class PHAState:
     sigma_bar: dict[str, float] = field(default_factory=dict)
     best_lower: float | None = None
     best_upper: float | None = None
-    best_x_hat: dict | None = None
     bounds_history: list[BoundsRecord] = field(default_factory=list)
     metric_history: list[float] = field(default_factory=list)
-    expected_cost_history: list[float] = field(default_factory=list)
     termination: str = ""
 
 
@@ -386,158 +364,8 @@ def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
 
 
 # ---------------------------------------------------------------------------
-# Fix-and-iterate upper bounding
+# Candidate evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixAndIterateResult:
-    accepted: bool
-    upper_bound: float | None
-    sigma_bar: dict[str, float]
-    lam: dict[str, float]
-    iterations: int
-    lam_step_norms: tuple[float, ...]  # max |lam_{j+1} - lam_j| per iteration
-    scenario_values: dict | None  # scen_id -> (VariableIndex, primal vector)
-
-
-def _recombine_iterates(inst, handles, iterates, probabilities):
-    """Best convex recombination of stored per-scenario LP solutions.
-
-    Solves a tiny master LP choosing one convex combination per scenario so
-    that every expected slack is <= 0 at minimum multiplier-free cost. Each
-    scenario's combination stays feasible for that scenario (its feasible set
-    is convex), so a feasible master yields exactly feasible expected slacks.
-    Returns ``(blend weights per scenario, objective)`` or None.
-    """
-    mb = ModelBuilder(name="fix-iterate-master")
-    theta = {}
-    n_iter = len(iterates)
-    for scen_id in probabilities:
-        for j in range(n_iter):
-            theta[scen_id, j] = mb.add_var(
-                f"th[{scen_id},{j}]", lb=0.0, ub=1.0,
-                obj=probabilities[scen_id] * iterates[j]["op_cost"][scen_id])
-    for scen_id in probabilities:
-        mb.add_row(f"mix[{scen_id}]", [(theta[scen_id, j], 1.0) for j in range(n_iter)],
-                   EQ, 1.0)
-    for h in handles:
-        coeffs = []
-        for scen_id, pi in probabilities.items():
-            for j in range(n_iter):
-                coeffs.append((theta[scen_id, j],
-                               pi * iterates[j]["sigma"][scen_id][h.handle]))
-        mb.add_row(f"exp[{h.handle}]", coeffs, LE, 0.0)
-    res = solve(mb.freeze(), SolverConfig(time_limit_s=60.0))
-    if res.status != OPTIMAL:
-        return None
-    weights = {scen_id: np.array([res.x[theta[scen_id, j]] for j in range(n_iter)])
-               for scen_id in probabilities}
-    return weights, float(res.objective)
-
-
-def fix_and_iterate_upper_bound(inst: PlanningInstance, x_hat: Mapping[Coord, float],
-                                lam_start: Mapping[str, float], cfg: PHAConfig,
-                                solver: SolverConfig | None = None) -> FixAndIterateResult:
-    """Evaluate a first-stage candidate by per-scenario LPs with multiplier updates.
-
-    All first-stage variables are fixed (integers are snapped), then ``k_fix``
-    rounds of scenario LP solves update ``lam`` by projected subgradient steps
-    (harmonically decayed when configured). The candidate is accepted when the
-    best observed expected-slack violation is within ``eps_sigma``; the
-    reported bound is investment plus expected operation cost at those primal
-    solutions, with the multiplier penalty excluded.
-    """
-    solver = solver or SolverConfig()
-    info = first_stage_info(inst)
-    check_first_stage_candidate(inst, info, x_hat,
-                                require_integral=not cfg.relax_integrality)
-    handles = enumerate_expectation_constraints(inst)
-    beta = _beta_scales(cfg, inst)
-    lam = {h.handle: max(0.0, float(lam_start.get(h.handle, 0.0))) for h in handles}
-
-    # one LP template per scenario with first stage pinned; objectives get the
-    # current multipliers swapped in each round
-    templates = []
-    for scen in inst.scenarios:
-        model, index = build_scenario_subproblem(
-            inst, SubproblemSpec(scenario=scen.id, mode=LR, lam={}))
-        assign = {index.column(c): float(x_hat[c]) for c in info.coords}
-        lp = fix_variables(relax_integrality(model), assign)
-        sigma_cols = {h.handle: index.column(("sigma", h.handle, scen.id)) for h in handles}
-        templates.append((scen, lp, index, sigma_cols))
-
-    probabilities = {s.id: s.probability for s in inst.scenarios}
-    best_viol = math.inf
-    best_payload = None
-    iterates: list[dict] = []
-    step_norms: list[float] = []
-    iterations = 0
-    for j in range(cfg.k_fix):
-        iterations = j + 1
-        sigma_acc = {h.handle: 0.0 for h in handles}
-        values = {}
-        record = {"sigma": {}, "op_cost": {}, "x": {}}
-        for scen, lp, index, sigma_cols in templates:
-            obj = lp.obj.copy()
-            for handle, col in sigma_cols.items():
-                obj[col] = lam[handle]
-            res = solve(lp.with_objective(obj, lp.obj_offset), solver)
-            if res.status != OPTIMAL:
-                raise PHAError(
-                    f"fixed-stage LP for scenario '{scen.id}' ended '{res.status}'")
-            values[scen.id] = (index, res.x)
-            sigma = {handle: float(res.x[col]) for handle, col in sigma_cols.items()}
-            for handle, val in sigma.items():
-                sigma_acc[handle] += scen.probability * val
-            reader = lambda coord, idx=index, xx=res.x: float(xx[idx.column(coord)])
-            record["sigma"][scen.id] = sigma
-            record["op_cost"][scen.id] = operation_cost_of(inst, scen.id, reader).total
-            record["x"][scen.id] = res.x
-        iterates.append(record)
-        viol = sigma_violation(sigma_acc)
-        if viol < best_viol:
-            best_viol = viol
-            best_payload = (dict(sigma_acc), dict(lam), values)
-        step = 1.0 / (1.0 + j) if cfg.fix_beta_decay else 1.0
-        new_lam = {h: max(0.0, lam[h] + step * beta[h] * sigma_acc[h]) for h in lam}
-        step_norms.append(max((abs(new_lam[h] - lam[h]) for h in lam), default=0.0))
-        stable = step_norms[-1] == 0.0
-        lam = new_lam
-        if stable and viol <= 0.0:
-            break
-
-    invest = investment_cost(inst, x_hat).total
-    # a convex recombination of the collected solutions usually reaches exact
-    # expected-slack feasibility and the tightest cost the iterates support
-    master = _recombine_iterates(inst, handles, iterates, probabilities)
-    if master is not None:
-        weights, op_cost = master
-        blend_values = {}
-        sigma_blend = {h.handle: 0.0 for h in handles}
-        for scen, lp, index, sigma_cols in templates:
-            xs = [it["x"][scen.id] for it in iterates]
-            blended = sum(wj * xv for wj, xv in zip(weights[scen.id], xs))
-            blend_values[scen.id] = (index, blended)
-            for handle, col in sigma_cols.items():
-                sigma_blend[handle] += scen.probability * float(blended[col])
-        return FixAndIterateResult(
-            accepted=True, upper_bound=invest + op_cost, sigma_bar=sigma_blend,
-            lam=dict(lam), iterations=iterations, lam_step_norms=tuple(step_norms),
-            scenario_values=blend_values)
-
-    sigma_best, lam_best, values_best = best_payload
-    accepted = best_viol <= cfg.eps_sigma
-    upper = None
-    if accepted:
-        reader = lambda scen_id: (lambda coord: float(
-            values_best[scen_id][1][values_best[scen_id][0].column(coord)]))
-        upper = invest + expected_operation_cost(inst, reader).total
-    return FixAndIterateResult(accepted=accepted, upper_bound=upper,
-                               sigma_bar=sigma_best, lam=lam_best,
-                               iterations=iterations,
-                               lam_step_norms=tuple(step_norms),
-                               scenario_values=values_best)
 
 
 def exact_candidate_evaluation(inst: PlanningInstance, x_hat: Mapping[Coord, float],
@@ -603,11 +431,11 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     ef = None  # built at the first candidate evaluation, then only re-bounded
 
     trace: list[TraceRow] = []
-    incumbent_eval = None  # (upper, x_hat, values or (index, x))
+    incumbent = None  # (objective, index, x) of the best evaluated candidate
     t_start = time.perf_counter()
 
     def attempt_incumbent(iteration: int) -> None:
-        nonlocal incumbent_eval, ef
+        nonlocal incumbent, ef
         x_hat = round_and_repair(inst, info, state.x_bar, cfg.round_threshold,
                                  keep_fractional=cfg.relax_integrality)
         try:
@@ -615,36 +443,25 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
                                         require_integral=not cfg.relax_integrality)
         except PHAError:
             return
-        if cfg.exact_incumbent_eval:
-            # continuous coordinates keep a trust region spanning the current
-            # scenario disagreement, so near-consensus residue cannot push the
-            # evaluation over a feasibility cliff; the LP stays a restriction
-            # of the extensive form, hence a valid upper bound
-            bands = {}
-            for i, coord in enumerate(info.coords):
-                if info.integer[i] and not cfg.relax_integrality:
-                    continue
-                spread = max(abs(float(state.x[s.id][i]) - float(state.x_bar[i]))
-                             for s in inst.scenarios)
-                center = float(state.x_bar[i])
-                bands[coord] = (center - spread, center + spread)
-            if ef is None:
-                ef = build_extensive_form(inst)
-            exact = exact_candidate_evaluation(inst, x_hat, solver, bands=bands, ef=ef)
-            if exact is None:
-                upper = None
-                payload = None
-            else:
-                upper = exact[0]
-                payload = ("exact", x_hat, exact)
-        else:
-            fix_res = fix_and_iterate_upper_bound(inst, x_hat, state.lam, cfg, solver)
-            upper = fix_res.upper_bound if fix_res.accepted else None
-            payload = ("decomposed", x_hat, fix_res)
+        # continuous coordinates keep a trust region spanning the current
+        # scenario disagreement, so near-consensus residue cannot push the
+        # evaluation over a feasibility cliff; the LP stays a restriction
+        # of the extensive form, hence a valid upper bound
+        bands = {}
+        for i, coord in enumerate(info.coords):
+            if info.integer[i] and not cfg.relax_integrality:
+                continue
+            spread = max(abs(float(state.x[s.id][i]) - float(state.x_bar[i]))
+                         for s in inst.scenarios)
+            center = float(state.x_bar[i])
+            bands[coord] = (center - spread, center + spread)
+        if ef is None:
+            ef = build_extensive_form(inst)
+        evaluated = exact_candidate_evaluation(inst, x_hat, solver, bands=bands, ef=ef)
+        upper = evaluated[0] if evaluated is not None else None
         if upper is not None and (state.best_upper is None or upper < state.best_upper):
             state.best_upper = upper
-            state.best_x_hat = dict(x_hat)
-            incumbent_eval = payload
+            incumbent = evaluated
         state.bounds_history.append(BoundsRecord.make(iteration, state.best_lower, upper))
 
     termination = ""
@@ -663,7 +480,6 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
         sigma_bar = {h.handle: 0.0 for h in handles}
         lb_candidate = 0.0
-        expected_cost = 0.0
         for scen, (index, res) in zip(inst.scenarios, solved):
             xv = _first_stage_vector(info, index, res.x)
             state.x[scen.id] = xv
@@ -671,13 +487,6 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
                 sigma_bar[handle] += scen.probability * val
             if k == 0:
                 lb_candidate += scen.probability * _proven_lower(res)
-            x_first = {c: float(xv[i]) for i, c in enumerate(info.coords)}
-            reader = lambda _sid, idx=index, xx=res.x: (
-                lambda coord: float(xx[idx.column(coord)]))
-            cost = merge_costs(investment_cost(inst, x_first),
-                               operation_cost_of(inst, scen.id, reader(scen.id)))
-            expected_cost += scen.probability * cost.total
-        state.expected_cost_history.append(expected_cost)
         state.x_bar = sum(probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
         for s in inst.scenarios:
             state.w[s.id] = state.w[s.id] + rho * (state.x[s.id] - state.x_bar)
@@ -724,7 +533,7 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         termination = "max_iterations"
     state.termination = termination
 
-    report = _assemble_report(inst, state, incumbent_eval, termination, trace)
+    report = _assemble_report(inst, state, incumbent, termination, trace)
     return report, state
 
 
@@ -735,43 +544,20 @@ def _assert_weight_balance(state: PHAState) -> None:
         raise PHAError("weight balance sum_w pi_w w_w = 0 violated; engine bug")
 
 
-def _assemble_report(inst, state: PHAState, incumbent_eval, termination,
+def _assemble_report(inst, state: PHAState, incumbent, termination,
                      trace) -> SolveReport:
-    gap = None
-    if state.best_lower is not None and state.best_upper is not None:
-        gap = (state.best_upper - state.best_lower) / max(abs(state.best_upper), 1.0)
-    if incumbent_eval is None:
+    if incumbent is None:
         return SolveReport(
             instance_name=inst.name, method="pha", status=NO_INCUMBENT,
             objective=None, lower_bound=state.best_lower, upper_bound=None,
             gap=None, termination=termination, costs=None,
             trace=tuple(trace), sigma_bar=dict(state.sigma_bar))
-    kind, x_hat, payload = incumbent_eval
-    if kind == "exact":
-        _, index, x = payload
-        report = report_from_solution(
-            inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,
-            objective=state.best_upper, lower_bound=state.best_lower,
-            upper_bound=state.best_upper, gap=gap, termination=termination,
-            trace=trace)
-        return report
-    fix_res: FixAndIterateResult = payload
-    values = fix_res.scenario_values
-
-    def reader(scen_id):
-        index, x = values[scen_id]
-        return lambda coord: float(x[index.column(coord)])
-
-    costs = merge_costs(investment_cost(inst, x_hat),
-                        expected_operation_cost(inst, reader))
-    return SolveReport(
-        instance_name=inst.name, method="pha", status=FEASIBLE_WITH_GAP,
+    gap = None
+    if state.best_lower is not None:
+        gap = (state.best_upper - state.best_lower) / max(abs(state.best_upper), 1.0)
+    _, index, x = incumbent
+    return report_from_solution(
+        inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,
         objective=state.best_upper, lower_bound=state.best_lower,
         upper_bound=state.best_upper, gap=gap, termination=termination,
-        costs=costs,
-        buildout=buildout_rows(inst, x_hat),
-        reliability=reliability_rows(inst, x_hat, reader),
-        policies=policy_rows(inst, x_hat, reader),
-        trace=tuple(trace),
-        sigma_bar=sigma_bar_of_solution(inst, x_hat, reader),
-    )
+        trace=trace)

@@ -15,6 +15,7 @@ against the original model so it is exact for the returned point.
 
 from __future__ import annotations
 
+import itertools
 import os
 import shlex
 import subprocess
@@ -24,8 +25,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .canonical import (
     EQ,
@@ -71,7 +71,6 @@ class SolverConfig:
     backend: str = INPROC
     time_limit_s: float = 300.0
     mip_gap: float = 0.0
-    threads: int = 1  # accepted for config compatibility; scipy solves single-threaded
     seed: int = 0
     solver_bin: str | None = None
     pwl_segments: int = 8
@@ -229,59 +228,6 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
                        wall_time_s=wall, message=res.message)
 
 
-def _solve_inproc_lp_duals(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
-    t0 = time.perf_counter()
-    n = model.num_vars
-    eq_rows = [i for i in range(model.num_rows) if model.row_sense[i] == EQ]
-    ineq_rows = [i for i in range(model.num_rows) if model.row_sense[i] != EQ]
-    mat = model.matrix()
-
-    def take(rows, flip_ge):
-        if not rows:
-            return None, None
-        sub = mat[rows]
-        rhs = model.row_rhs[rows]
-        if flip_ge:
-            signs = np.where(model.row_sense[rows] == GE, -1.0, 1.0)
-            sub = sparse.diags(signs) @ sub
-            rhs = signs * rhs
-        return sparse.csr_matrix(sub), rhs
-
-    a_ub, b_ub = take(ineq_rows, flip_ge=True)
-    a_eq, b_eq = take(eq_rows, flip_ge=False)
-    bounds = [(lb if lb != -INF else None, ub if ub != INF else None)
-              for lb, ub in zip(model.var_lb, model.var_ub)]
-    res = linprog(c=model.obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs",
-                  options={"time_limit": cfg.time_limit_s, "presolve": True})
-    wall = time.perf_counter() - t0
-    if res.status == 2:
-        return SolveResult(status=INFEASIBLE, wall_time_s=wall, message=res.message)
-    if res.status == 3:
-        return SolveResult(status=UNBOUNDED, wall_time_s=wall, message=res.message)
-    if res.status != 0:
-        raise BackendCrashError(f"scipy.linprog failed: {res.message}")
-    duals = np.zeros(model.num_rows)
-    if ineq_rows:
-        marg = np.asarray(res.ineqlin.marginals, dtype=float)
-        for pos, i in enumerate(ineq_rows):
-            duals[i] = -marg[pos] if model.row_sense[i] == GE else marg[pos]
-    if eq_rows:
-        marg = np.asarray(res.eqlin.marginals, dtype=float)
-        for pos, i in enumerate(eq_rows):
-            duals[i] = marg[pos]
-    return SolveResult(
-        status=OPTIMAL,
-        objective=float(res.fun) + model.obj_offset,
-        x=np.asarray(res.x, dtype=float),
-        duals=duals,
-        reduced_lb=np.asarray(res.lower.marginals, dtype=float),
-        reduced_ub=np.asarray(res.upper.marginals, dtype=float),
-        wall_time_s=wall,
-        message=res.message,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subprocess backend
 # ---------------------------------------------------------------------------
@@ -325,8 +271,8 @@ def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
         except OSError as exc:
             raise BackendCrashError(f"solver wrote no solution file: {exc}") from exc
     wall = time.perf_counter() - t0
-    status, objective, gap, col_values, row_duals = parsed
-    x = duals = None
+    status, objective, gap, col_values = parsed
+    x = None
     if col_values is not None:
         name_to_col = {name: i for i, name in enumerate(model.var_names)}
         x = np.zeros(model.num_vars)
@@ -334,23 +280,25 @@ def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
             if name not in name_to_col:
                 raise BackendCrashError(f"solution references unknown column '{name}'")
             x[name_to_col[name]] = val
-    if row_duals is not None:
-        name_to_row = {name: i for i, name in enumerate(model.row_names)}
-        duals = np.zeros(model.num_rows)
-        for name, val in row_duals.items():
-            if name not in name_to_row:
-                raise BackendCrashError(f"solution references unknown row '{name}'")
-            duals[name_to_row[name]] = val
     return SolveResult(status=status, objective=objective, x=x, mip_gap=gap,
-                       duals=duals, wall_time_s=wall)
+                       wall_time_s=wall)
+
+
+def _block(lines, count: int) -> list[str]:
+    block = list(itertools.islice(lines, count))
+    if len(block) < count:
+        raise BackendCrashError("solution file ends inside a block")
+    return block
 
 
 def _parse_solution_file(text: str):
+    """``(status, objective, mip_gap, {column: value} or None)`` of a solution
+    file. A ``rows M`` block, which an external solver may still write, is
+    skipped whole so that none of its lines is read as a key."""
     status = None
     objective = None
     gap = None
     col_values = None
-    row_duals = None
     lines = iter(text.splitlines())
     for line in lines:
         parts = line.split()
@@ -365,14 +313,11 @@ def _parse_solution_file(text: str):
             gap = float(parts[1])
         elif key == "columns":
             col_values = {}
-            for _ in range(int(parts[1])):
-                name, val = next(lines).split()
+            for row in _block(lines, int(parts[1])):
+                name, val = row.split()
                 col_values[name] = float(val)
         elif key == "rows":
-            row_duals = {}
-            for _ in range(int(parts[1])):
-                name, val = next(lines).split()
-                row_duals[name] = float(val)
+            _block(lines, int(parts[1]))
         elif key == "end":
             break
     if status is None:
@@ -380,7 +325,7 @@ def _parse_solution_file(text: str):
     known = {OPTIMAL, FEASIBLE_WITH_GAP, INFEASIBLE, UNBOUNDED, LIMIT_REACHED}
     if status not in known:
         raise BackendCrashError(f"solution file has unknown status '{status}'")
-    return status, objective, gap, col_values, row_duals
+    return status, objective, gap, col_values
 
 
 # ---------------------------------------------------------------------------
@@ -405,67 +350,5 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None) -> SolveResult
         raise BackendUnavailableError(f"unknown backend '{cfg.backend}'")
     if model.quad and res.x is not None:
         x = res.x[: model.num_vars].copy()
-        res = replace(res, x=x, objective=objective_value(model, x), duals=None,
-                      reduced_lb=None, reduced_ub=None)
+        res = replace(res, x=x, objective=objective_value(model, x))
     return res
-
-
-def solve_lp_with_duals(model: CanonicalModel, cfg: SolverConfig | None = None,
-                        verify: bool = True) -> SolveResult:
-    """Solve a pure LP and return row duals (objective sensitivities to rhs).
-
-    Raises ModelError when integer columns are present. With ``verify=True``
-    an optimal solution is checked for complementary slackness within 1e-5.
-    """
-    cfg = cfg or SolverConfig()
-    model.check()
-    if model.var_integer.any():
-        raise ModelError("dual values are defined for LPs only; relax integrality first")
-    if model.quad:
-        raise ModelError("dual solves support linear objectives only")
-    if cfg.backend == SUBPROCESS:
-        res = _solve_subprocess(model, cfg)
-        if res.status == OPTIMAL and res.duals is None:
-            raise BackendCrashError("subprocess solver returned no duals for an LP")
-    else:
-        res = _solve_inproc_lp_duals(model, cfg)
-    if verify and res.status == OPTIMAL:
-        verify_complementary_slackness(model, res)
-    return res
-
-
-def verify_complementary_slackness(model: CanonicalModel, res: SolveResult,
-                                   tol: float = 1e-5) -> None:
-    """Raise BackendError unless duals pass a complementary slackness check."""
-    if res.x is None or res.duals is None:
-        raise BackendError("verification needs both a primal and dual solution")
-    ax = model.matrix() @ res.x
-    for i in range(model.num_rows):
-        sense = int(model.row_sense[i])
-        if sense == EQ:
-            continue
-        slack = model.row_rhs[i] - ax[i] if sense == LE else ax[i] - model.row_rhs[i]
-        scale = 1.0 + abs(float(model.row_rhs[i]))
-        if abs(res.duals[i]) * max(slack, 0.0) > tol * scale * (1.0 + abs(res.duals[i])):
-            raise BackendError(
-                f"complementary slackness violated on row '{model.row_names[i]}': "
-                f"dual={res.duals[i]!r} slack={slack!r}")
-        # duals of <= rows must not tighten the objective upward and vice versa
-        if sense == LE and res.duals[i] > tol:
-            raise BackendError(f"row '{model.row_names[i]}' has a positive dual on <=")
-        if sense == GE and res.duals[i] < -tol:
-            raise BackendError(f"row '{model.row_names[i]}' has a negative dual on >=")
-
-
-def dual_objective(model: CanonicalModel, res: SolveResult) -> float:
-    """Dual objective value implied by the returned multipliers."""
-    if res.duals is None:
-        raise BackendError("no duals available")
-    val = float(res.duals @ model.row_rhs) + model.obj_offset
-    if res.reduced_lb is not None:
-        lb = np.where(np.isfinite(model.var_lb), model.var_lb, 0.0)
-        val += float(res.reduced_lb @ lb)
-    if res.reduced_ub is not None:
-        ub = np.where(np.isfinite(model.var_ub), model.var_ub, 0.0)
-        val += float(res.reduced_ub @ ub)
-    return val

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -218,3 +219,42 @@ class TestMainEntry:
                      "--out", str(tmp_path / "x"),
                      "--solver", "subprocess", "--solver-bin", "/bin/false"])
         assert code == 5
+
+
+class TestSolverOutputKeptOffStdout:
+    """Lines a solver library prints straight to fd 1 go to stderr, so stdout
+    holds only the summary."""
+
+    NOISE = b"solver library noise on fd 1\n"
+
+    def _noisy(self, monkeypatch, name):
+        import flexcep.cli as cli_module
+        original = getattr(cli_module, name)
+
+        def noisy(*args, **kwargs):
+            os.write(1, self.NOISE)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli_module, name, noisy)
+
+    def _assert_kept_apart(self, capfd, first_word):
+        os.write(1, b"after\n")  # fd 1 is stdout again once the command returns
+        captured = capfd.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith(first_word)
+        assert lines[-1] == "after"
+        assert self.NOISE.decode().strip() not in captured.out
+        assert self.NOISE.decode() in captured.err
+
+    def test_solve(self, g1_path, tmp_path, monkeypatch, capfd):
+        self._noisy(monkeypatch, "run_pha")
+        manifest = RunManifest(instance_path=g1_path, method="pha",
+                               out_dir=str(tmp_path / "o"),
+                               pha=PHAConfig(max_iterations=2))
+        assert cmd_solve(manifest, out=sys.stdout) in (EXIT_OK, 3)
+        self._assert_kept_apart(capfd, "instance:")
+
+    def test_compare_flex(self, g1_path, monkeypatch, capfd):
+        self._noisy(monkeypatch, "solve")
+        assert cmd_compare_flexibility(g1_path, "dac", [("midflex", DAC_MID_FLEX)],
+                                       out=sys.stdout) == EXIT_OK
+        self._assert_kept_apart(capfd, "variant")

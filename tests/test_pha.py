@@ -10,15 +10,16 @@ import flexcep.pha as pha_module
 from flexcep import storage
 from flexcep.build import first_stage_info
 from flexcep.cli import RunManifest, cmd_solve
-from flexcep.core import FULL_FLEX, enumerate_expectation_constraints
+from flexcep.core import enumerate_expectation_constraints
 from flexcep.oracle import brute_force_optimum, g1_variant, generate
 from flexcep.pha import (
     NO_INCUMBENT,
     PHAConfig,
     PHAError,
     PHAState,
+    check_first_stage_candidate,
     consensus_metric,
-    fix_and_iterate_upper_bound,
+    exact_candidate_evaluation,
     lagrangian_lower_bound,
     run_pha,
     round_and_repair,
@@ -162,21 +163,18 @@ class TestRoundAndRepair:
         assert round_and_repair(g1, info, x_bar)[("xL", "L12")] == 1.0
 
 
-class TestFixAndIterate:
+class TestExactCandidateEvaluation:
     def test_oracle_first_stage_reproduces_optimum(self, g1, g1_oracle, solver_cfg):
-        cfg = PHAConfig()
-        res = fix_and_iterate_upper_bound(g1, g1_oracle.assignment, {}, cfg, solver_cfg)
-        assert res.accepted
-        assert res.upper_bound == pytest.approx(g1_oracle.objective, rel=1e-4)
-        assert res.upper_bound >= g1_oracle.objective - 1e-6 * g1_oracle.objective
-        assert sigma_violation(res.sigma_bar) <= cfg.eps_sigma
+        check_first_stage_candidate(g1, first_stage_info(g1), g1_oracle.assignment)
+        objective, _, _ = exact_candidate_evaluation(g1, g1_oracle.assignment, solver_cfg)
+        assert objective == pytest.approx(g1_oracle.objective, rel=1e-9)
 
     def test_infeasible_candidate_rejected_before_solving(self):
         inst = generate("G2", 1)
         info = first_stage_info(inst)
         x_hat = {c: 0.0 for c in info.coords}  # violates the datacenter mandate
         with pytest.raises(PHAError, match="mandate"):
-            fix_and_iterate_upper_bound(inst, x_hat, {}, PHAConfig())
+            check_first_stage_candidate(inst, info, x_hat)
 
     def test_mandate_minimum_build_yields_large_bound(self, solver_cfg):
         # mandate satisfied with bare-bones generation: feasible but expensive
@@ -186,36 +184,14 @@ class TestFixAndIterate:
         x_hat = {c: 0.0 for c in info.coords}
         x_hat[("xD", "B1", "datacenter")] = 1.0
         x_hat[("xG", "B1", "gas")] = 2.0  # enough committed power for the tranches
-        res = fix_and_iterate_upper_bound(inst, x_hat, {}, PHAConfig(), solver_cfg)
-        assert res.accepted
-        assert res.upper_bound >= oracle.objective - 1e-6
-        assert res.upper_bound > 2.0 * oracle.objective  # shed-heavy plan
+        check_first_stage_candidate(inst, info, x_hat)
+        objective, _, _ = exact_candidate_evaluation(inst, x_hat, solver_cfg)
+        assert objective >= oracle.objective - 1e-6
+        assert objective > 2.0 * oracle.objective  # shed-heavy plan
 
-    def test_full_flex_no_policies_one_pass(self, solver_cfg):
-        base = g1_variant(1, tiers=FULL_FLEX)
-        inst = dataclasses.replace(base, expectation_policies=())
-        info = first_stage_info(inst)
-        x_hat = {c: float(info.ub[i]) if c[0] != "xL" else 1.0
-                 for i, c in enumerate(info.coords)}
-        res = fix_and_iterate_upper_bound(inst, x_hat, {}, PHAConfig(k_fix=50),
-                                          solver_cfg)
-        assert res.accepted
-        assert res.iterations == 1  # nothing to iterate: multipliers stay at zero
-        assert all(v == 0.0 for v in res.lam.values())
-
-    def test_lambda_stabilizes_on_flexible_lps(self, solver_cfg):
-        # phi = 0 tranches never bind, so projected updates go quiet immediately
-        base = g1_variant(2, tiers=FULL_FLEX)
-        inst = dataclasses.replace(base, expectation_policies=())
-        info = first_stage_info(inst)
-        x_hat = {c: float(info.ub[i]) if c[0] != "xL" else 1.0
-                 for i, c in enumerate(info.coords)}
-        handles = enumerate_expectation_constraints(inst)
-        lam0 = {handles[0].handle: 5000.0}
-        res = fix_and_iterate_upper_bound(inst, x_hat, lam0, PHAConfig(k_fix=50),
-                                          solver_cfg)
-        assert res.iterations <= 50
-        assert res.lam_step_norms[-1] < 1e-4
+    def test_unreachable_policy_has_no_bound(self, g1_oracle, solver_cfg):
+        inst = g1_variant(1, policy_threshold=-2000.0)
+        assert exact_candidate_evaluation(inst, g1_oracle.assignment, solver_cfg) is None
 
 
 class TestRunPha:

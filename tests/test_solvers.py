@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +13,16 @@ from flexcep.canonical import (
     ModelBuilder,
     ModelError,
     objective_value,
-    relax_integrality,
 )
 from flexcep.solvers import (
+    BackendCrashError,
     BackendError,
     BackendUnavailableError,
     SolverConfig,
+    _parse_solution_file,
     _tangent_points,
-    dual_objective,
     expand_quadratic,
     solve,
-    solve_lp_with_duals,
 )
 
 from invariants import assert_same_model
@@ -70,36 +71,6 @@ def test_backends_agree_across_fixture_suite():
         b = solve(model, SolverConfig(backend="subprocess"))
         assert a.status == b.status == "optimal"
         assert b.objective == pytest.approx(a.objective, rel=1e-5)
-
-
-class TestDuals:
-    def test_simple_dual_is_one(self):
-        res = solve_lp_with_duals(_min_x_geq(3.0))
-        assert res.duals[0] == pytest.approx(1.0, abs=1e-7)
-
-    def test_degenerate_duplicate_rows_verify(self):
-        mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=100.0, obj=1.0)
-        mb.add_row("a", [(x, 1.0)], GE, 3.0)
-        mb.add_row("b", [(x, 1.0)], GE, 3.0)
-        res = solve_lp_with_duals(mb.freeze(), verify=True)
-        assert res.status == "optimal"
-        assert res.duals.sum() == pytest.approx(1.0, abs=1e-6)
-
-    def test_strong_duality_on_g1_relaxation(self, g1_ef):
-        model, _ = g1_ef
-        lp = relax_integrality(model)
-        res = solve_lp_with_duals(lp)
-        assert dual_objective(lp, res) == pytest.approx(res.objective, rel=1e-6)
-
-    def test_integer_columns_rejected(self, g1_ef):
-        model, _ = g1_ef
-        with pytest.raises(ModelError, match="relax"):
-            solve_lp_with_duals(model)
-
-    def test_subprocess_backend_returns_duals(self):
-        res = solve_lp_with_duals(_min_x_geq(3.0), SolverConfig(backend="subprocess"))
-        assert res.duals[0] == pytest.approx(1.0, abs=1e-7)
 
 
 class TestQuadratic:
@@ -154,6 +125,26 @@ class TestSubprocessProtocol:
         cfg = SolverConfig(backend="subprocess", solver_bin="/bin/false")
         with pytest.raises(BackendError, match="exit"):
             solve(model, cfg)
+
+    def test_rows_block_is_skipped_not_read_as_keys(self, tmp_path):
+        # an external solver may still write row values; a row named 'status'
+        # must not overwrite the status line
+        script = tmp_path / "solver.py"
+        script.write_text(
+            "import sys\n"
+            "with open(sys.argv[2], 'w') as fh:\n"
+            "    fh.write('status optimal\\nobjective 3.0\\ncolumns 1\\nx 3.0\\n'\n"
+            "             'rows 2\\nfloor 1.0\\nstatus 1.0\\nend\\n')\n")
+        cfg = SolverConfig(backend="subprocess", solver_bin=f"{sys.executable} {script}")
+        res = solve(_min_x_geq(3.0), cfg)
+        assert res.status == "optimal"
+        assert res.objective == 3.0
+        assert res.x.tolist() == [3.0]
+
+    def test_truncated_block_is_a_crash(self):
+        for block in ("columns 2\nx 3.0\n", "rows 2\nfloor 1.0\n"):
+            with pytest.raises(BackendCrashError, match="ends inside"):
+                _parse_solution_file("status optimal\n" + block)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
