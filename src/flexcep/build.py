@@ -65,7 +65,6 @@ class InvalidInstanceError(BuildError):
         super().__init__(f"instance is invalid: {lines}{more}")
 
 
-EF_SLICE = "ef_slice"
 LR = "lr"
 PHA = "pha"
 
@@ -91,13 +90,11 @@ class SubproblemSpec:
         object.__setattr__(self, "w", dict(self.w))
         object.__setattr__(self, "anchor", dict(self.anchor))
         object.__setattr__(self, "rho", dict(self.rho))
-        if self.mode not in (EF_SLICE, LR, PHA):
+        if self.mode not in (LR, PHA):
             raise BuildError(f"unknown subproblem mode '{self.mode}'")
         for handle, lam in self.lam.items():
             if lam < 0:
                 raise BuildError(f"multiplier for '{handle}' must be >= 0, got {lam!r}")
-        if self.mode == EF_SLICE and (self.lam or self.w or self.rho):
-            raise BuildError("ef_slice subproblems carry no multipliers or weights")
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +463,16 @@ def build_scenario_subproblem(inst: PlanningInstance,
     _add_scenario_block(mb, inst, scen, coords, cols, cost_scale=annual)
     _add_mandate_rows(mb, inst, cols)
 
-    if spec.mode != EF_SLICE:
-        for c_spec in enumerate_expectation_constraints(inst):
-            fs_terms, scen_terms, rhs = expectation_terms(inst, c_spec)
-            coord = ("sigma", c_spec.handle, scen.id)
-            col = mb.add_var(render_name(coord), lb=-INF, ub=INF)
-            cols[coord] = col
-            coords.append(coord)
-            terms = [(col, 1.0)]
-            terms.extend((cols[c], v) for c, v in fs_terms)
-            terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
-            mb.add_row(f"sig[{c_spec.handle},{scen.id}]", terms, EQ, rhs)
+    for c_spec in enumerate_expectation_constraints(inst):
+        fs_terms, scen_terms, rhs = expectation_terms(inst, c_spec)
+        coord = ("sigma", c_spec.handle, scen.id)
+        col = mb.add_var(render_name(coord), lb=-INF, ub=INF)
+        cols[coord] = col
+        coords.append(coord)
+        terms = [(col, 1.0)]
+        terms.extend((cols[c], v) for c, v in fs_terms)
+        terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
+        mb.add_row(f"sig[{c_spec.handle},{scen.id}]", terms, EQ, rhs)
 
     index = VariableIndex(coords=tuple(coords))
     return price_scenario_subproblem(inst, mb.freeze(), index, spec), index
@@ -487,8 +483,8 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
     """``model`` with the objective terms of ``spec``; rows and bounds are shared.
 
     ``model`` and ``index`` come from :func:`build_scenario_subproblem` for
-    ``spec.scenario`` in a mode with the same slack columns (LR and PHA share
-    them). Operation costs are kept. First-stage costs become the unit costs
+    ``spec.scenario`` (LR and PHA models share their rows and slack
+    columns). Operation costs are kept. First-stage costs become the unit costs
     plus ``spec.w``, slack costs become ``spec.lam``, and in PHA mode the
     proximal terms replace any earlier ones. Pricing overwrites rather than
     adds, so re-pricing a priced model equals pricing its first build.
@@ -509,8 +505,7 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
             raise BuildError(f"PHA mode needs rho > 0 for every first-stage coordinate; "
                              f"missing or nonpositive for {missing[0]!r}")
 
-    sigma = tuple(("sigma", h.handle, spec.scenario) for h in handles) \
-        if spec.mode != EF_SLICE else ()
+    sigma = tuple(("sigma", h.handle, spec.scenario) for h in handles)
     n = len(index)
     last_block = index.coords[n - len(sigma) - 1]
     if (n != model.num_vars or index.coords[n - len(sigma):] != sigma
@@ -524,8 +519,7 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
         weights[fs_index[coord]] = float(weight)
     obj = model.obj.copy()
     obj[fs_cols] = info.unit_cost + weights
-    if sigma:
-        obj[n - len(sigma):] = [float(spec.lam.get(h.handle, 0.0)) for h in handles]
+    obj[n - len(sigma):] = [float(spec.lam.get(h.handle, 0.0)) for h in handles]
 
     quad: list[QuadTerm] = []
     if spec.mode == PHA:

@@ -23,7 +23,6 @@ from scipy import sparse
 INF = float("inf")
 
 LE, EQ, GE = -1, 0, 1
-_SENSE_STR = {LE: "<=", EQ: "=", GE: ">="}
 
 INTEGRAL_TOL = 1e-6
 
@@ -67,10 +66,6 @@ class CanonicalModel:
     @property
     def num_rows(self) -> int:
         return int(self.row_rhs.shape[0])
-
-    @property
-    def is_mip(self) -> bool:
-        return bool(self.var_integer.any())
 
     def matrix(self) -> sparse.csr_matrix:
         return sparse.csr_matrix(
@@ -352,7 +347,3 @@ def objective_value(model: CanonicalModel, x: np.ndarray) -> float:
         dx = x[term.col] - term.anchor
         val += term.coef * dx * dx
     return val
-
-
-def sense_str(sense: int) -> str:
-    return _SENSE_STR[int(sense)]

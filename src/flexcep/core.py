@@ -285,12 +285,6 @@ class PlanningInstance:
     def bus(self, bus_id: str) -> Bus:
         return _by_id(self.buses, bus_id)
 
-    def gen_tech(self, tech_id: str) -> GenTech:
-        return _by_id(self.gen_techs, tech_id)
-
-    def storage_tech(self, tech_id: str) -> StorageTech:
-        return _by_id(self.storage_techs, tech_id)
-
     def load_tech(self, tech_id: str) -> LargeLoadTech:
         return _by_id(self.load_techs, tech_id)
 
@@ -301,9 +295,6 @@ class PlanningInstance:
     def reference_bus(self) -> str:
         """Angle reference: the lowest-ordered bus id."""
         return min(self.bus_ids)
-
-    def existing_branches(self) -> tuple[Branch, ...]:
-        return tuple(l for l in self.branches if not l.is_candidate)
 
     def candidate_branches(self) -> tuple[Branch, ...]:
         return tuple(l for l in self.branches if l.is_candidate)

@@ -70,33 +70,39 @@ class PHAError(RuntimeError):
     """Engine failure: infeasible subproblem, solver failure, bad candidate."""
 
 
+# Stop tests and candidate rounding, fixed for every run.
+EPS_CONSENSUS = 1e-3  # MW-scaled consensus metric tolerance
+EPS_SIGMA = 1e-4  # expected-slack violation tolerance
+ROUND_THRESHOLD = 0.5  # binary rounding threshold for candidates
+
+
 @dataclass(frozen=True)
 class PHAConfig:
     """Tunables of the hedging loop; defaults are cost-scaled heuristics."""
 
     rho_scale: float = 1.0  # proximal weight = rho_scale * unit fixed cost
     beta_scale: float = 0.1  # multiplier step = beta_scale * price/sigma scale
-    lambda0: Mapping[str, float] = field(default_factory=dict)
     max_iterations: int = 100
-    eps_consensus: float = 1e-3  # MW-scaled consensus metric tolerance
-    eps_sigma: float = 1e-4  # expected-slack violation tolerance
     gap_threshold: float = 1e-3  # relative bound gap stop
     incumbent_schedule: tuple[int, ...] = _DEFAULT_SCHEDULE
-    round_threshold: float = 0.5  # binary rounding threshold for candidates
-    lb_interval: int = 1  # Lagrangian bound cadence (iterations)
     workers: int = 1  # scenario solves run serially unless > 1
     relax_integrality: bool = False  # drop integrality everywhere (convex mode)
     beta_decay_after: int | None = None  # 1/k decay of beta past this iteration
-    pwl_segments: int = 16  # proximal linearization fidelity for subproblem solves
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", dict(self.lambda0))
         if self.rho_scale <= 0 or self.beta_scale <= 0:
             raise ValueError("rho_scale and beta_scale must be > 0")
-        if min(self.eps_consensus, self.eps_sigma, self.gap_threshold) <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.gap_threshold <= 0:
+            raise ValueError("gap_threshold must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+
+
+def _relative_gap(lower: float | None, upper: float | None) -> float | None:
+    """``(upper - lower) / max(|upper|, 1)``, or None while either bound is missing."""
+    if lower is None or upper is None:
+        return None
+    return (upper - lower) / max(abs(upper), 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,10 +114,8 @@ class BoundsRecord:
 
     @staticmethod
     def make(iteration: int, lower: float | None, upper: float | None) -> "BoundsRecord":
-        gap = None
-        if lower is not None and upper is not None:
-            gap = (upper - lower) / max(abs(upper), 1.0)
-        return BoundsRecord(iteration=iteration, lower=lower, upper=upper, gap=gap)
+        return BoundsRecord(iteration=iteration, lower=lower, upper=upper,
+                            gap=_relative_gap(lower, upper))
 
 
 @dataclass
@@ -204,17 +208,14 @@ def _scenario_bases(inst: PlanningInstance) -> dict[str, tuple]:
 
 
 def _solve_scenarios(inst, bases: Mapping[str, tuple], specs: Sequence[SubproblemSpec],
-                     solver: SolverConfig, workers: int, relax: bool = False):
+                     solver: SolverConfig, workers: int):
     """Re-price each spec's scenario base and solve it; deterministic result order.
 
     Returns ``(index, result)`` per spec.
     """
     def run_one(spec: SubproblemSpec):
         base, index = bases[spec.scenario]
-        model = price_scenario_subproblem(inst, base, index, spec)
-        if relax:
-            model = relax_integrality(model)
-        res = solve(model, solver)
+        res = solve(price_scenario_subproblem(inst, base, index, spec), solver)
         if res.status == INFEASIBLE:
             raise PHAError(
                 f"scenario subproblem '{spec.scenario}' is infeasible; the relaxation "
@@ -252,7 +253,7 @@ def _sigma_values(handles, index: VariableIndex, x: np.ndarray, scen_id: str) ->
 def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
                            w: Mapping[str, Mapping[Coord, float]],
                            solver: SolverConfig | None = None,
-                           workers: int = 1, relax: bool = False,
+                           workers: int = 1,
                            bases: Mapping[str, tuple] | None = None) -> float:
     """Valid lower bound on the extensive form from dualized multipliers.
 
@@ -260,7 +261,7 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     returns the probability-weighted sum of their proven optima. Requires
     ``lam >= 0`` elementwise and probability-weighted weights summing to zero.
     ``bases`` maps scenario ids to built subproblems (as ``run_pha`` keeps
-    them); when omitted they are built here.
+    them, relaxed in convex mode); when omitted they are built here.
     """
     solver = solver or SolverConfig()
     for handle, val in lam.items():
@@ -279,7 +280,7 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
              for s in inst.scenarios]
     if bases is None:
         bases = _scenario_bases(inst)
-    solved = _solve_scenarios(inst, bases, specs, solver, workers, relax=relax)
+    solved = _solve_scenarios(inst, bases, specs, solver, workers)
     total = 0.0
     for scen, (_, res) in zip(inst.scenarios, solved):
         total += scen.probability * _proven_lower(res)
@@ -291,22 +292,23 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
 # ---------------------------------------------------------------------------
 
 
-def round_and_repair(inst: PlanningInstance, info: FirstStageInfo, x_bar: np.ndarray,
-                     threshold: float = 0.5, keep_fractional: bool = False) -> dict[Coord, float]:
+def round_and_repair(inst: PlanningInstance, info: FirstStageInfo,
+                     x_bar: np.ndarray) -> dict[Coord, float]:
     """Deterministic first-stage candidate from a consensus vector.
 
     Integer coordinates are rounded to the nearest unit (binaries thresholded),
     everything is clipped into its box, and mandates are repaired by raising
     the cheapest sites first (ties broken by bus order) or, for equality
-    mandates, trimming the most recently raised sites. With ``keep_fractional``
-    (convex mode) no rounding happens.
+    mandates, trimming the most recently raised sites. Repairs move integer
+    coordinates by whole units only; coordinates that ``info`` marks
+    continuous (all of them in convex mode) are neither rounded nor floored.
     """
     x_hat: dict[Coord, float] = {}
     for i, coord in enumerate(info.coords):
         v = float(x_bar[i])
-        if info.integer[i] and not keep_fractional:
+        if info.integer[i]:
             if info.ub[i] <= 1.0:
-                v = 1.0 if v >= threshold else 0.0
+                v = 1.0 if v >= ROUND_THRESHOLD else 0.0
             else:
                 v = math.floor(v + 0.5)
         v = min(max(v, float(info.lb[i])), float(info.ub[i]))
@@ -323,7 +325,7 @@ def round_and_repair(inst: PlanningInstance, info: FirstStageInfo, x_bar: np.nda
             coord = order[pos]
             room = float(info.ub[fs_index[coord]]) - x_hat[coord]
             add = min(room, d.mandate.min_units - total)
-            if not keep_fractional:
+            if info.integer[fs_index[coord]]:
                 add = math.floor(add + 1e-9) if add >= 1.0 else 0.0
             x_hat[coord] += add
             total += add
@@ -333,7 +335,7 @@ def round_and_repair(inst: PlanningInstance, info: FirstStageInfo, x_bar: np.nda
                 if total <= d.mandate.min_units + 1e-9:
                     break
                 trim = min(x_hat[coord], total - d.mandate.min_units)
-                if not keep_fractional:
+                if info.integer[fs_index[coord]]:
                     trim = math.floor(trim + 1e-9)
                 x_hat[coord] -= trim
                 total -= trim
@@ -341,9 +343,11 @@ def round_and_repair(inst: PlanningInstance, info: FirstStageInfo, x_bar: np.nda
 
 
 def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
-                                x_hat: Mapping[Coord, float],
-                                require_integral: bool = True) -> None:
-    """Raise PHAError unless the candidate satisfies first-stage-only constraints."""
+                                x_hat: Mapping[Coord, float]) -> None:
+    """Raise PHAError unless the candidate satisfies first-stage-only constraints.
+
+    Integrality is required where ``info`` marks a coordinate integer.
+    """
     fs_index = info.index_of()
     for coord in info.coords:
         if coord not in x_hat:
@@ -352,7 +356,7 @@ def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
         v = float(x_hat[coord])
         if v < info.lb[i] - 1e-6 or v > info.ub[i] + 1e-6:
             raise PHAError(f"candidate value {v!r} for {coord!r} violates its bounds")
-        if require_integral and info.integer[i] and abs(v - round(v)) > 1e-6:
+        if info.integer[i] and abs(v - round(v)) > 1e-6:
             raise PHAError(f"candidate value {v!r} for {coord!r} must be integral")
     for d in inst.load_techs:
         if d.mandate is None:
@@ -412,22 +416,29 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     """
     cfg = cfg or PHAConfig()
     solver = solver or SolverConfig()
-    sub_solver = replace(solver, pwl_segments=cfg.pwl_segments)
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)
 
     info = first_stage_info(inst)
+    bases = _scenario_bases(inst)  # before any worker thread starts
+    if cfg.relax_integrality:
+        # convex mode is decided here once: everything below reads
+        # ``info.integer`` or the models' own integrality flags
+        continuous = np.zeros_like(info.integer)
+        continuous.setflags(write=False)
+        info = replace(info, integer=continuous)
+        bases = {sid: (relax_integrality(model), index)
+                 for sid, (model, index) in bases.items()}
     handles = enumerate_expectation_constraints(inst)
     rho = _rho_vector(cfg, info)
     beta = _beta_scales(cfg, inst)
     probabilities = {s.id: s.probability for s in inst.scenarios}
     state = PHAState(coords=info.coords, mw_scale=info.mw_scale.copy(),
                      probabilities=probabilities)
-    state.lam = {h.handle: max(0.0, float(cfg.lambda0.get(h.handle, 0.0))) for h in handles}
+    state.lam = {h.handle: 0.0 for h in handles}
     state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
     rho_map = {c: float(rho[i]) for i, c in enumerate(info.coords)}
-    bases = _scenario_bases(inst)  # before any worker thread starts
     ef = None  # built at the first candidate evaluation, then only re-bounded
 
     trace: list[TraceRow] = []
@@ -436,11 +447,9 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
     def attempt_incumbent(iteration: int) -> None:
         nonlocal incumbent, ef
-        x_hat = round_and_repair(inst, info, state.x_bar, cfg.round_threshold,
-                                 keep_fractional=cfg.relax_integrality)
+        x_hat = round_and_repair(inst, info, state.x_bar)
         try:
-            check_first_stage_candidate(inst, info, x_hat,
-                                        require_integral=not cfg.relax_integrality)
+            check_first_stage_candidate(inst, info, x_hat)
         except PHAError:
             return
         # continuous coordinates keep a trust region spanning the current
@@ -449,7 +458,7 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         # of the extensive form, hence a valid upper bound
         bands = {}
         for i, coord in enumerate(info.coords):
-            if info.integer[i] and not cfg.relax_integrality:
+            if info.integer[i]:
                 continue
             spread = max(abs(float(state.x[s.id][i]) - float(state.x_bar[i]))
                          for s in inst.scenarios)
@@ -475,8 +484,7 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
                 scenario=s.id, mode=PHA, lam=state.lam,
                 w={c: float(state.w[s.id][i]) for i, c in enumerate(info.coords)},
                 anchor=anchor, rho=rho_map) for s in inst.scenarios]
-        solved = _solve_scenarios(inst, bases, specs, sub_solver, cfg.workers,
-                                  relax=cfg.relax_integrality)
+        solved = _solve_scenarios(inst, bases, specs, solver, cfg.workers)
 
         sigma_bar = {h.handle: 0.0 for h in handles}
         lb_candidate = 0.0
@@ -501,23 +509,21 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
         if k == 0:
             state.best_lower = lb_candidate
-        elif cfg.lb_interval > 0 and (k + 1) % cfg.lb_interval == 0:
+        else:
             w_maps = {s.id: {c: float(state.w[s.id][i]) for i, c in enumerate(info.coords)}
                       for s in inst.scenarios}
             lb = lagrangian_lower_bound(inst, state.lam, w_maps, solver, cfg.workers,
-                                        relax=cfg.relax_integrality, bases=bases)
+                                        bases=bases)
             state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
 
         metric = consensus_metric(state)
         state.metric_history.append(metric)
         viol = sigma_violation(sigma_bar)
 
-        converged = metric < cfg.eps_consensus and viol < cfg.eps_sigma
+        converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
         if (k + 1) in cfg.incumbent_schedule or converged or k + 1 == cfg.max_iterations:
             attempt_incumbent(k + 1)
-        gap = None
-        if state.best_lower is not None and state.best_upper is not None:
-            gap = (state.best_upper - state.best_lower) / max(abs(state.best_upper), 1.0)
+        gap = _relative_gap(state.best_lower, state.best_upper)
         trace.append(TraceRow(
             iteration=k + 1, consensus=metric, sigma_violation=viol,
             lower_bound=state.best_lower, upper_bound=state.best_upper,
@@ -552,12 +558,10 @@ def _assemble_report(inst, state: PHAState, incumbent, termination,
             objective=None, lower_bound=state.best_lower, upper_bound=None,
             gap=None, termination=termination, costs=None,
             trace=tuple(trace), sigma_bar=dict(state.sigma_bar))
-    gap = None
-    if state.best_lower is not None:
-        gap = (state.best_upper - state.best_lower) / max(abs(state.best_upper), 1.0)
     _, index, x = incumbent
     return report_from_solution(
         inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,
         objective=state.best_upper, lower_bound=state.best_lower,
-        upper_bound=state.best_upper, gap=gap, termination=termination,
+        upper_bound=state.best_upper,
+        gap=_relative_gap(state.best_lower, state.best_upper), termination=termination,
         trace=trace)

@@ -7,7 +7,7 @@ consistency check on the optimization layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -146,29 +146,16 @@ def operation_cost(inst: PlanningInstance, scen_id: str, value) -> CostBreakdown
                          op_storage=scale * sto, op_load=scale * load)
 
 
-def expected_operation_cost(inst: PlanningInstance, value_of_scenario) -> CostBreakdown:
+def expected_operation_cost(inst: PlanningInstance, value) -> CostBreakdown:
     """Probability-weighted sum of per-scenario operation costs."""
     acc = {"op_shedding": 0.0, "op_generation": 0.0, "op_storage": 0.0, "op_load": 0.0}
     for scen in inst.scenarios:
-        c = operation_cost(inst, scen.id, value_of_scenario(scen.id))
+        c = operation_cost(inst, scen.id, value)
         acc["op_shedding"] += scen.probability * c.op_shedding
         acc["op_generation"] += scen.probability * c.op_generation
         acc["op_storage"] += scen.probability * c.op_storage
         acc["op_load"] += scen.probability * c.op_load
     return CostBreakdown(**acc)
-
-
-def merge_costs(invest: CostBreakdown, op: CostBreakdown) -> CostBreakdown:
-    return CostBreakdown(
-        invest_transmission=invest.invest_transmission,
-        invest_generation=invest.invest_generation,
-        invest_storage=invest.invest_storage,
-        invest_load=invest.invest_load,
-        op_shedding=op.op_shedding,
-        op_generation=op.op_generation,
-        op_storage=op.op_storage,
-        op_load=op.op_load,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +188,7 @@ def buildout_rows(inst: PlanningInstance, x_first: Mapping) -> tuple[BuildoutRow
 
 
 def reliability_rows(inst: PlanningInstance, x_first: Mapping,
-                     value_of_scenario) -> tuple[ReliabilityRow, ...]:
+                     value) -> tuple[ReliabilityRow, ...]:
     """Achieved vs required expected capacity factor per built tranche.
 
     The achieved factor is the probability-weighted served energy divided by
@@ -222,9 +209,8 @@ def reliability_rows(inst: PlanningInstance, x_first: Mapping,
                 cap_energy = width * d.unit_size_mw * tau * T * units
                 served = 0.0
                 for scen in inst.scenarios:
-                    val = value_of_scenario(scen.id)
                     served += scen.probability * sum(
-                        tau * val(("pDK", b.id, d.id, k, t, scen.id)) for t in range(T))
+                        tau * value(("pDK", b.id, d.id, k, t, scen.id)) for t in range(T))
                 achieved = served / cap_energy if cap_energy > 1e-12 else 1.0
                 rows.append(ReliabilityRow(bus=b.id, tech=d.id, tier=k,
                                            required_phi=d.tiers.phi[k - 1],
@@ -233,7 +219,7 @@ def reliability_rows(inst: PlanningInstance, x_first: Mapping,
 
 
 def policy_rows(inst: PlanningInstance, x_first: Mapping,
-                value_of_scenario) -> tuple[PolicyRow, ...]:
+                value) -> tuple[PolicyRow, ...]:
     """Expected-output policy totals in their original <= orientation."""
     rows: list[PolicyRow] = []
     for spec in inst.expectation_policies:
@@ -241,23 +227,21 @@ def policy_rows(inst: PlanningInstance, x_first: Mapping,
         # expectation_terms yields the negated >= form; undo the negation here
         lhs = -sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
         for scen in inst.scenarios:
-            val = value_of_scenario(scen.id)
-            lhs += -scen.probability * sum(v * val(c) for c, v in scen_terms(scen.id))
+            lhs += -scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
         rows.append(PolicyRow(handle=spec.handle, lhs=lhs, threshold=spec.threshold,
                               sigma_bar=lhs - spec.threshold))
     return tuple(rows)
 
 
 def sigma_bar_of_solution(inst: PlanningInstance, x_first: Mapping,
-                          value_of_scenario) -> dict[str, float]:
+                          value) -> dict[str, float]:
     """Expected slack per expectation handle; positive means violated."""
     out: dict[str, float] = {}
     for spec in enumerate_expectation_constraints(inst):
         fs_terms, scen_terms, rhs = expectation_terms(inst, spec)
         lhs = sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
         for scen in inst.scenarios:
-            val = value_of_scenario(scen.id)
-            lhs += scen.probability * sum(v * val(c) for c, v in scen_terms(scen.id))
+            lhs += scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
         out[spec.handle] = rhs - lhs
     return out
 
@@ -270,13 +254,11 @@ def extract_first_stage(index: VariableIndex, x: np.ndarray) -> dict:
     return out
 
 
-def scenario_value_reader(index: VariableIndex, x: np.ndarray):
-    """Returns ``reader(scen_id)`` giving ``value(coord)`` over one primal vector."""
-    def reader(_scen_id: str):
-        def value(coord) -> float:
-            return float(x[index.column(coord)])
-        return value
-    return reader
+def value_reader(index: VariableIndex, x: np.ndarray):
+    """``value(coord)``: the primal value of a coordinate in ``x``."""
+    def value(coord) -> float:
+        return float(x[index.column(coord)])
+    return value
 
 
 def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.ndarray,
@@ -288,9 +270,11 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
                          trace: Sequence[TraceRow] = ()) -> SolveReport:
     """Assemble the full report for a solved model's primal vector."""
     x_first = extract_first_stage(index, x)
-    reader = scenario_value_reader(index, x)
-    costs = merge_costs(investment_cost(inst, x_first),
-                        expected_operation_cost(inst, reader))
+    value = value_reader(index, x)
+    op = expected_operation_cost(inst, value)
+    costs = replace(investment_cost(inst, x_first), op_shedding=op.op_shedding,
+                    op_generation=op.op_generation, op_storage=op.op_storage,
+                    op_load=op.op_load)
     return SolveReport(
         instance_name=inst.name,
         method=method,
@@ -302,8 +286,8 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
         termination=termination,
         costs=costs,
         buildout=buildout_rows(inst, x_first),
-        reliability=reliability_rows(inst, x_first, reader),
-        policies=policy_rows(inst, x_first, reader),
+        reliability=reliability_rows(inst, x_first, value),
+        policies=policy_rows(inst, x_first, value),
         trace=tuple(trace),
-        sigma_bar=sigma_bar_of_solution(inst, x_first, reader),
+        sigma_bar=sigma_bar_of_solution(inst, x_first, value),
     )

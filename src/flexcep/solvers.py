@@ -9,7 +9,7 @@ defaults to this package's own ``flexcep-lpsolve`` shim (run as
 
 Diagonal quadratic objective terms are linearized here: backends receive a
 piecewise-linear outer approximation (tangent cuts on an epigraph variable,
-``pwl_segments`` per term), and the reported objective is always re-evaluated
+``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
 """
 
@@ -49,6 +49,8 @@ SUBPROCESS = "subprocess"
 
 SOLVER_BIN_ENV = "FLEXCEP_LP_SOLVER"
 
+PWL_SEGMENTS = 16  # proximal linearization fidelity of every quadratic solve
+
 
 class BackendError(RuntimeError):
     """Base class for solver backend failures."""
@@ -73,7 +75,6 @@ class SolverConfig:
     mip_gap: float = 0.0
     seed: int = 0
     solver_bin: str | None = None
-    pwl_segments: int = 8
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -105,7 +106,7 @@ def _tangent_points(lo: float, hi: float, anchor: float, segments: int,
     return sorted(pts)
 
 
-def expand_quadratic(model: CanonicalModel, segments: int = 8) -> CanonicalModel:
+def expand_quadratic(model: CanonicalModel, segments: int = PWL_SEGMENTS) -> CanonicalModel:
     """Outer-approximate each ``coef*(x-a)^2`` term with tangent cuts.
 
     Adds one epigraph column per term plus one cut row per tangent point.
@@ -341,7 +342,7 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None) -> SolveResult
     """
     cfg = cfg or SolverConfig()
     model.check()
-    solved = expand_quadratic(model, cfg.pwl_segments) if model.quad else model
+    solved = expand_quadratic(model, PWL_SEGMENTS) if model.quad else model
     if cfg.backend == INPROC:
         res = _solve_inproc_milp(solved, cfg)
     elif cfg.backend == SUBPROCESS:

@@ -88,11 +88,10 @@ def check_solution_invariants(inst, index, x, balance_tol=1e-6, cyclic_tol=1e-6,
 
 def check_expectation_rows(inst, index, x, tol=1e-6):
     """Assert every tier-reliability and policy expectation holds at the primal."""
-    from flexcep.report import extract_first_stage, scenario_value_reader, \
-        sigma_bar_of_solution
+    from flexcep.report import extract_first_stage, sigma_bar_of_solution, value_reader
 
     x_first = extract_first_stage(index, x)
-    sig = sigma_bar_of_solution(inst, x_first, scenario_value_reader(index, x))
+    sig = sigma_bar_of_solution(inst, x_first, value_reader(index, x))
     worst = max(sig.values(), default=0.0)
     assert worst <= tol, f"expectation constraint violated by {worst!r}"
     return sig

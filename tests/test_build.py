@@ -7,7 +7,6 @@ from flexcep.build import (
     LR,
     PHA,
     BuildError,
-    EF_SLICE,
     InvalidInstanceError,
     SubproblemSpec,
     build_extensive_form,
@@ -54,7 +53,7 @@ def expected_column_count(inst):
 def expected_ef_row_count(inst):
     B, G = len(inst.buses), len(inst.gen_techs)
     S = len(inst.storage_techs)
-    Le = len(inst.existing_branches())
+    Le = sum(1 for l in inst.branches if not l.is_candidate)
     Lc = len(inst.candidate_branches())
     T, W = inst.num_periods, len(inst.scenarios)
     sum_k = sum(len(d.tiers) for d in inst.load_techs)
@@ -165,11 +164,6 @@ class TestSubproblems:
         assert len(sig_cols) == len(handles) == 7
         for h in handles:
             assert ("sigma", h.handle, "s1") in index
-
-    def test_ef_slice_has_no_sigma(self, g1):
-        model, index = build_scenario_subproblem(
-            g1, SubproblemSpec(scenario="s1", mode=EF_SLICE))
-        assert index.columns_of_kind("sigma") == []
 
     def test_zero_multiplier_sum_matches_ef_without_expectations(
             self, g1, g1_ef, g1_ef_solution, solver_cfg):
@@ -304,6 +298,3 @@ class TestRepricing:
         base, index = build_scenario_subproblem(g1, SubproblemSpec(scenario="s1"))
         with pytest.raises(BuildError, match="not a 'lr' subproblem of scenario 's2'"):
             price_scenario_subproblem(g1, base, index, SubproblemSpec(scenario="s2"))
-        with pytest.raises(BuildError, match="ef_slice"):
-            price_scenario_subproblem(g1, base, index,
-                                      SubproblemSpec(scenario="s1", mode=EF_SLICE))

@@ -84,7 +84,7 @@ class TestFixRelax:
         fs_cols = index.columns_of_kind("xL", "xG", "xS", "xD")
         assign = {c: float(g1_ef_solution.x[c]) for c in fs_cols}
         lp = relax_integrality(fix_variables(model, assign))
-        assert not lp.is_mip
+        assert not lp.var_integer.any()
         res = solve(lp)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(g1_ef_solution.objective, rel=1e-7)

@@ -1,7 +1,11 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and every
+top-level function and class is referenced somewhere in the package.
 
-A deletion that leaves an import behind shows up here; ``__init__.py`` is
-skipped because its imports are the package's re-exports.
+A deletion that leaves an import or a helper behind shows up here;
+``__init__.py`` is skipped as a module under check because its imports are
+the package's re-exports. Names it exports, ``main`` (entry points) and
+``oracle.py`` (the test oracle and fixture generator) are public surface
+without callers inside the package and are exempt from the reference check.
 """
 
 import ast
@@ -26,6 +30,38 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def unreferenced_definitions(sources: dict[str, str], checked: set[str],
+                             exempt: set[str]) -> list[str]:
+    """``module.name`` of top-level functions and classes of the ``checked``
+    modules that no module in ``sources`` reads.
+
+    A name counts as read when some module loads it as a name or an
+    attribute; its own ``def``/``class`` statement does not count.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module in sorted(checked):
+        for node in trees[module].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in exempt and node.name not in read):
+                unread.append(f"{module}.{node.name}")
+    return unread
+
+
+def exported_names() -> set[str]:
+    """Names that ``__init__.py`` imports, i.e. the package's public surface."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
 def test_checker_flags_only_unread_names():
     source = ("from __future__ import annotations\n"
               "import os, os.path as osp\n"
@@ -35,6 +71,26 @@ def test_checker_flags_only_unread_names():
     assert unused_imports(source) == ["os", "osp", "to_text"]
 
 
+def test_definition_checker_counts_names_and_attributes_only():
+    sources = {
+        "a": ("def used():\n    pass\n"
+              "def via_attr():\n    pass\n"
+              "def only_defined():\n    only_defined_inner = 1\n"
+              "class Exported:\n    pass\n"
+              "class Orphan:\n    def used(self):\n        pass\n"),
+        "b": "import a\nused()\na.via_attr()\n",
+    }
+    assert unreferenced_definitions(sources, {"a", "b"}, {"Exported"}) == [
+        "a.only_defined", "a.Orphan"]
+    assert unreferenced_definitions(sources, {"b"}, set()) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    checked = {p.stem for p in MODULES if p.name != "oracle.py"}
+    assert unreferenced_definitions(sources, checked, exported_names() | {"main"}) == []

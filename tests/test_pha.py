@@ -162,6 +162,30 @@ class TestRoundAndRepair:
         x_bar[li] = 0.51
         assert round_and_repair(g1, info, x_bar)[("xL", "L12")] == 1.0
 
+    def test_relaxed_info_keeps_fractions_and_repairs_without_flooring(self):
+        # convex mode marks every coordinate continuous: nothing is rounded,
+        # the equality mandate (1 datacenter) is met by fractional moves
+        inst = generate("G2", 1)
+        info = first_stage_info(inst)
+        relaxed = dataclasses.replace(info, integer=np.zeros_like(info.integer))
+        for b1, b2, want_b1, want_b2 in ((0.0, 0.4, 0.6, 0.4),   # raised
+                                         (0.7, 0.7, 0.7, 0.3)):  # trimmed
+            x_bar = np.zeros(len(info.coords))
+            x_bar[info.coords.index(("xL", "L12"))] = 0.49
+            x_bar[info.coords.index(("xD", "B1", "datacenter"))] = b1
+            x_bar[info.coords.index(("xD", "B2", "datacenter"))] = b2
+            x_hat = round_and_repair(inst, relaxed, x_bar)
+            assert x_hat[("xL", "L12")] == 0.49
+            assert x_hat[("xD", "B1", "datacenter")] == pytest.approx(want_b1)
+            assert x_hat[("xD", "B2", "datacenter")] == pytest.approx(want_b2)
+            check_first_stage_candidate(inst, relaxed, x_hat)
+            with pytest.raises(PHAError, match="integral"):
+                check_first_stage_candidate(inst, info, x_hat)
+            rounded = round_and_repair(inst, info, x_bar)
+            assert rounded[("xL", "L12")] == 0.0
+            assert rounded[("xD", "B1", "datacenter")] + \
+                rounded[("xD", "B2", "datacenter")] == 1.0
+
 
 class TestExactCandidateEvaluation:
     def test_oracle_first_stage_reproduces_optimum(self, g1, g1_oracle, solver_cfg):
@@ -222,6 +246,25 @@ class TestRunPha:
         _, state = run_pha(g1, cfg, solver_cfg)
         assert state.metric_history[-1] < state.metric_history[0]
         assert min(state.metric_history) < 0.5 * state.metric_history[0]
+
+    @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
+    def test_integrality_of_every_solve_follows_the_mode(self, g1, solver_cfg,
+                                                          monkeypatch, relax):
+        seen = []
+        original = pha_module.solve
+
+        def recording(model, cfg=None):
+            seen.append((model.name, bool(model.var_integer.any())))
+            return original(model, cfg)
+        monkeypatch.setattr(pha_module, "solve", recording)
+        cfg = PHAConfig(max_iterations=3, gap_threshold=1e-9, relax_integrality=relax)
+        run_pha(g1, cfg, solver_cfg)
+        # iteration 1, then a hedging and a lower-bound sweep in iterations 2
+        # and 3, then the candidate LP of the last iteration
+        subproblems = [mip for name, mip in seen if not name.endswith("-ef")]
+        assert len(subproblems) == 5 * len(g1.scenarios)
+        assert set(subproblems) == {not relax}
+        assert [mip for name, mip in seen if name.endswith("-ef")] == [False]
 
     def test_thread_pool_matches_serial(self, g1, solver_cfg):
         serial, s1 = run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9),

@@ -85,7 +85,7 @@ class TestQuadratic:
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=100.0, obj=1.0)
         mb.add_quad(x, 50.0, anchor=40.0)
-        res = solve(mb.freeze(), SolverConfig(pwl_segments=16))
+        res = solve(mb.freeze(), SolverConfig())
         assert res.status == "optimal"
         # true minimizer of x + 50 (x-40)^2 is 39.99
         assert res.x[0] == pytest.approx(39.99, abs=0.2)
