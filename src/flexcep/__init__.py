@@ -32,14 +32,12 @@ from .canonical import (
     relax_integrality,
 )
 from .build import (
-    SubproblemSpec,
     build_extensive_form,
     build_scenario_subproblem,
     first_stage_info,
 )
 from .solvers import SolverConfig, solve
 from .pha import (
-    BoundsRecord,
     PHAConfig,
     PHAState,
     consensus_metric,

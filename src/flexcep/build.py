@@ -1,10 +1,13 @@
 """Builders translating a planning instance into solver-ready models.
 
-Three products share one formulation core: the extensive-form MILP over all
-scenarios (expectation constraints kept hard), the per-scenario Lagrangian
-subproblem (expectation constraints replaced by priced slack variables), and
-the progressive-hedging subproblem (Lagrangian subproblem plus weight and
-proximal terms on the first stage).
+Two builders share one formulation core. :func:`build_extensive_form` is the
+MILP over all scenarios with the expectation constraints kept hard.
+:func:`build_scenario_subproblem` is one scenario's Lagrangian model: the
+expectation constraints become slack columns, priced at zero when built.
+:func:`price_scenario_subproblem` is the one place that writes prices into a
+scenario model: multipliers on the slacks, weights on the first stage and,
+for progressive hedging, a proximal term. Its vectors follow the coordinate
+order of :func:`first_stage_info`.
 
 Formulation notes that matter when reading the rows:
 
@@ -25,8 +28,8 @@ Formulation notes that matter when reading the rows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -46,55 +49,15 @@ from .core import (
     EXPECTED_OUTPUT,
     TIER_RELIABILITY,
     ExpectationConstraintSpec,
+    InvalidInstanceError,
     PlanningInstance,
-    Violation,
     enumerate_expectation_constraints,
     validate_instance,
 )
 
 
 class BuildError(ValueError):
-    """Raised for invalid build requests (bad instance, bad subproblem spec)."""
-
-
-class InvalidInstanceError(BuildError):
-    def __init__(self, violations: Sequence[Violation]):
-        self.violations = tuple(violations)
-        lines = "; ".join(str(v) for v in self.violations[:5])
-        more = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
-        super().__init__(f"instance is invalid: {lines}{more}")
-
-
-LR = "lr"
-PHA = "pha"
-
-
-@dataclass(frozen=True)
-class SubproblemSpec:
-    """What to build for one scenario.
-
-    ``lam`` maps expectation-constraint handles to multipliers (>= 0).
-    ``w``/``anchor``/``rho`` are keyed by first-stage coordinate; ``w`` terms
-    are added whenever given, the proximal term only in PHA mode.
-    """
-
-    scenario: str
-    mode: str = LR
-    lam: Mapping[str, float] = field(default_factory=dict)
-    w: Mapping[Coord, float] = field(default_factory=dict)
-    anchor: Mapping[Coord, float] = field(default_factory=dict)
-    rho: Mapping[Coord, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", dict(self.lam))
-        object.__setattr__(self, "w", dict(self.w))
-        object.__setattr__(self, "anchor", dict(self.anchor))
-        object.__setattr__(self, "rho", dict(self.rho))
-        if self.mode not in (LR, PHA):
-            raise BuildError(f"unknown subproblem mode '{self.mode}'")
-        for handle, lam in self.lam.items():
-            if lam < 0:
-                raise BuildError(f"multiplier for '{handle}' must be >= 0, got {lam!r}")
+    """Raised for invalid build or pricing requests."""
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +401,24 @@ def build_extensive_form(inst: PlanningInstance) -> tuple[CanonicalModel, Variab
 
 
 def build_scenario_subproblem(inst: PlanningInstance,
-                              spec: SubproblemSpec) -> tuple[CanonicalModel, VariableIndex]:
-    """One scenario's model with first-stage copies and dualized expectations.
+                              scenario_id: str) -> tuple[CanonicalModel, VariableIndex]:
+    """One scenario's Lagrangian model with first-stage copies and slack columns.
 
     The slack column for handle ``c`` is defined by the equality
     ``sigma[c,w] = e_c - (f_c.x + h_c.y_w)``; the objective is
-    ``C_inv + C_op_w + sum_c lam_c sigma_c`` plus, when requested, the weight
-    term ``w.x`` and the proximal penalty ``sum_i rho_i/2 (x_i - anchor_i)^2``.
-    The scenario probability is *not* applied here. The objective terms that
-    depend on ``spec`` are written by :func:`price_scenario_subproblem`, which
-    also re-prices a built model for another spec of the same scenario.
+    ``C_inv + C_op_w``, with every slack priced at zero, so the model is named
+    ``<instance>-lr-<scenario>``. The scenario probability is *not* applied
+    here. :func:`price_scenario_subproblem` writes multipliers, weights and
+    the proximal term.
     """
     _require_valid(inst)
     try:
-        scen = inst.scenario(spec.scenario)
+        scen = inst.scenario(scenario_id)
     except KeyError:
-        raise BuildError(f"unknown scenario id '{spec.scenario}'") from None
+        raise BuildError(f"unknown scenario id '{scenario_id}'") from None
 
     info = first_stage_info(inst)
-    mb = ModelBuilder(name=f"{inst.name}-{spec.mode}-{scen.id}")
+    mb = ModelBuilder(name=f"{inst.name}-lr-{scen.id}")
     coords: list[Coord] = []
     cols = _add_first_stage(mb, inst, info, coords)
     annual = inst.annualization_days * inst.period_length_h
@@ -474,61 +436,62 @@ def build_scenario_subproblem(inst: PlanningInstance,
         terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
         mb.add_row(f"sig[{c_spec.handle},{scen.id}]", terms, EQ, rhs)
 
-    index = VariableIndex(coords=tuple(coords))
-    return price_scenario_subproblem(inst, mb.freeze(), index, spec), index
+    return mb.freeze(), VariableIndex(coords=tuple(coords))
 
 
 def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
-                              index: VariableIndex, spec: SubproblemSpec) -> CanonicalModel:
-    """``model`` with the objective terms of ``spec``; rows and bounds are shared.
+                              index: VariableIndex, lam: Mapping[str, float],
+                              w: np.ndarray | None = None,
+                              anchor: np.ndarray | None = None,
+                              rho: np.ndarray | None = None) -> CanonicalModel:
+    """``model`` with new prices; rows, bounds and operation costs are shared.
 
-    ``model`` and ``index`` come from :func:`build_scenario_subproblem` for
-    ``spec.scenario`` (LR and PHA models share their rows and slack
-    columns). Operation costs are kept. First-stage costs become the unit costs
-    plus ``spec.w``, slack costs become ``spec.lam``, and in PHA mode the
-    proximal terms replace any earlier ones. Pricing overwrites rather than
-    adds, so re-pricing a priced model equals pricing its first build.
+    ``model`` and ``index`` come from :func:`build_scenario_subproblem`; the
+    scenario is read from ``index``. ``lam`` maps expectation handles to
+    multipliers (>= 0, missing ones are 0) and becomes the slack costs. ``w``,
+    ``anchor`` and ``rho`` are vectors in ``first_stage_info(inst).coords``
+    order: first-stage costs become unit cost plus ``w`` (no ``w`` means zero
+    weights), and when ``anchor`` and ``rho`` are both given the proximal
+    terms ``rho_i/2 (x_i - anchor_i)^2`` are added and the model is named
+    ``-pha-``, else ``-lr-``. Pricing overwrites rather than adds, so
+    re-pricing a priced model equals pricing the base.
     """
     handles = enumerate_expectation_constraints(inst)
     known = {h.handle for h in handles}
-    for handle in spec.lam:
+    for handle, val in lam.items():
         if handle not in known:
             raise BuildError(f"multiplier for unknown constraint handle '{handle}'")
+        if val < 0:
+            raise BuildError(f"multiplier for '{handle}' must be >= 0, got {val!r}")
     info = first_stage_info(inst)
-    fs_index = info.index_of()
-    for coord in spec.w:
-        if coord not in fs_index:
-            raise BuildError(f"weight on unknown first-stage coordinate {coord!r}")
-    if spec.mode == PHA:
-        missing = [c for c in info.coords if c not in spec.rho or spec.rho[c] <= 0]
-        if missing:
-            raise BuildError(f"PHA mode needs rho > 0 for every first-stage coordinate; "
-                             f"missing or nonpositive for {missing[0]!r}")
+    n_fs = len(info.coords)
+    for label, vec in (("w", w), ("anchor", anchor), ("rho", rho)):
+        if vec is not None and np.shape(vec) != (n_fs,):
+            raise BuildError(f"{label} must have one entry per first-stage coordinate "
+                             f"({n_fs}), got shape {np.shape(vec)}")
+    if (anchor is None) != (rho is None):
+        raise BuildError("the proximal term needs both an anchor and rho")
+    if rho is not None and not np.all(np.asarray(rho) > 0):
+        raise BuildError("rho must be > 0 for every first-stage coordinate")
 
-    sigma = tuple(("sigma", h.handle, spec.scenario) for h in handles)
     n = len(index)
-    last_block = index.coords[n - len(sigma) - 1]
+    last_block = index.coords[n - len(handles) - 1]
+    scenario = last_block[-1]
+    sigma = tuple(("sigma", h.handle, scenario) for h in handles)
     if (n != model.num_vars or index.coords[n - len(sigma):] != sigma
-            or last_block[0] == "sigma" or last_block[-1] != spec.scenario):
-        raise BuildError(f"model is not a '{spec.mode}' subproblem of scenario "
-                         f"'{spec.scenario}'")
+            or last_block[0] == "sigma" or index.coords[n_fs][-1] != scenario):
+        raise BuildError(f"model is not a scenario subproblem of instance '{inst.name}'")
 
     fs_cols = [index.column(c) for c in info.coords]
-    weights = np.zeros(len(info.coords))
-    for coord, weight in spec.w.items():
-        weights[fs_index[coord]] = float(weight)
     obj = model.obj.copy()
-    obj[fs_cols] = info.unit_cost + weights
-    obj[n - len(sigma):] = [float(spec.lam.get(h.handle, 0.0)) for h in handles]
+    obj[fs_cols] = info.unit_cost if w is None else info.unit_cost + w
+    obj[n - len(sigma):] = [float(lam.get(h.handle, 0.0)) for h in handles]
 
-    quad: list[QuadTerm] = []
-    if spec.mode == PHA:
-        for col, coord in zip(fs_cols, info.coords):
-            anchor = spec.anchor.get(coord)
-            if anchor is None:
-                raise BuildError(f"PHA mode needs an anchor value for {coord!r}")
-            quad.append(QuadTerm(col=col, coef=float(spec.rho[coord]) / 2.0,
-                                 anchor=float(anchor)))
-
-    priced = model.with_objective(obj, model.obj_offset, tuple(quad))
-    return replace(priced, name=f"{inst.name}-{spec.mode}-{spec.scenario}")
+    quad: tuple[QuadTerm, ...] = ()
+    mode = "lr"
+    if rho is not None:
+        quad = tuple(QuadTerm(col=col, coef=float(r) / 2.0, anchor=float(a))
+                     for col, r, a in zip(fs_cols, rho, anchor))
+        mode = "pha"
+    priced = model.with_objective(obj, model.obj_offset, quad)
+    return replace(priced, name=f"{inst.name}-{mode}-{scenario}")

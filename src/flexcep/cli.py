@@ -5,9 +5,9 @@ form or the hedging engine and write the report set, and ``compare-flex`` to
 re-solve one instance under alternative flexibility assumptions for a load
 type.
 
-Exit codes: 0 solved/converged (or valid), 1 invalid instance, 2 I/O error,
-3 stopped at a limit with an incumbent, 4 no feasible incumbent/infeasible,
-5 solver backend failure.
+Exit codes: 0 solved/converged (or valid), 1 invalid instance or setting,
+2 I/O error, 3 stopped at a limit with an incumbent, 4 no feasible
+incumbent/infeasible, 5 solver backend failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ import sys
 
 from .build import build_extensive_form
 from .canonical import FEASIBLE_WITH_GAP, INFEASIBLE, LIMIT_REACHED, OPTIMAL
-from .core import FULL_FLEX, INFLEXIBLE, TierSpec, compare_tiers, validate_instance
+from .core import (
+    FULL_FLEX,
+    INFLEXIBLE,
+    InvalidInstanceError,
+    TierSpec,
+    compare_tiers,
+    validate_instance,
+)
 from .pha import NO_INCUMBENT, PHAConfig, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
 from .solvers import BackendError, SolverConfig, solve
@@ -51,7 +58,7 @@ def _load_instance(instance_path: str, out):
     """``(instance, EXIT_OK)``, or ``(None, exit code)`` after printing why not."""
     try:
         return storage.load_instance(instance_path), EXIT_OK
-    except storage.InstanceValidationError as exc:
+    except InvalidInstanceError as exc:
         for v in exc.violations:
             print(v, file=out)
         return None, EXIT_INVALID
@@ -345,24 +352,22 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.instance)
-    if args.command == "solve":
-        manifest = RunManifest(
-            instance_path=args.instance, method=args.method, out_dir=args.out,
-            seed=args.seed, solver=_solver_from_args(args),
-            pha=PHAConfig(rho_scale=args.rho, beta_scale=args.beta,
-                          max_iterations=args.max_iters, gap_threshold=args.pha_gap,
-                          workers=args.workers),
-            timing=args.timing)
-        return cmd_solve(manifest)
-    if args.command == "compare-flex":
-        try:
+    try:  # out-of-range settings and malformed variants
+        solver = _solver_from_args(args)
+        if args.command == "solve":
+            pha = PHAConfig(rho_scale=args.rho, beta_scale=args.beta,
+                            max_iterations=args.max_iters, gap_threshold=args.pha_gap,
+                            workers=args.workers)
+        else:
             variants = [parse_variant(v) for v in args.variant]
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_INVALID
-        return cmd_compare_flexibility(args.instance, args.load_tech, variants,
-                                       _solver_from_args(args))
-    return EXIT_INVALID
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    if args.command == "solve":
+        return cmd_solve(RunManifest(
+            instance_path=args.instance, method=args.method, out_dir=args.out,
+            seed=args.seed, solver=solver, pha=pha, timing=args.timing))
+    return cmd_compare_flexibility(args.instance, args.load_tech, variants, solver)
 
 
 if __name__ == "__main__":

@@ -47,6 +47,16 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
+class InvalidInstanceError(ValueError):
+    """The instance violates structural invariants; ``violations`` has all of them."""
+
+    def __init__(self, violations: Sequence[Violation]):
+        self.violations = tuple(violations)
+        lines = "; ".join(str(v) for v in self.violations[:5])
+        more = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
+        super().__init__(f"instance is invalid: {lines}{more}")
+
+
 @dataclass(frozen=True)
 class TierSpec:
     """Reliability tranches of a large load.

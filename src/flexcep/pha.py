@@ -9,9 +9,12 @@ which also yields the initial Lagrangian lower bound for free.
 
 Every model is assembled once per run. Each scenario's Lagrangian model is
 built before the first iteration; every hedging and lower-bound solve then
-re-prices it (``lam``, ``w`` and the proximal anchor) without touching its
-rows. The extensive form is built at the first candidate evaluation, and
-later evaluations only re-fix or re-bound its first-stage columns.
+re-prices it without touching its rows. The weights ``w``, the consensus
+``x_bar`` (the proximal anchor) and ``rho`` are numpy vectors in
+``first_stage_info(inst).coords`` order from the loop down to the pricing
+call; the multipliers ``lam`` are keyed by expectation handle. The extensive
+form is built at the first candidate evaluation, and later evaluations only
+re-fix or re-bound its first-stage columns.
 
 Bounds are tracked throughout: lower bounds come from probability-weighted
 Lagrangian subproblem optima at the current (lam, w) -- valid whenever
@@ -27,15 +30,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .build import (
-    LR,
-    PHA,
     FirstStageInfo,
-    SubproblemSpec,
     build_extensive_form,
     build_scenario_subproblem,
     first_stage_info,
@@ -51,9 +51,9 @@ from .canonical import (
     relax_integrality,
     restrict_bounds,
 )
-from .build import InvalidInstanceError
 from .core import (
     TIER_RELIABILITY,
+    InvalidInstanceError,
     PlanningInstance,
     enumerate_expectation_constraints,
     validate_instance,
@@ -105,19 +105,6 @@ def _relative_gap(lower: float | None, upper: float | None) -> float | None:
     return (upper - lower) / max(abs(upper), 1.0)
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
-    iteration: int
-    lower: float | None
-    upper: float | None  # None marks "no feasible incumbent"
-    gap: float | None
-
-    @staticmethod
-    def make(iteration: int, lower: float | None, upper: float | None) -> "BoundsRecord":
-        return BoundsRecord(iteration=iteration, lower=lower, upper=upper,
-                            gap=_relative_gap(lower, upper))
-
-
 @dataclass
 class PHAState:
     """Algorithm state; mutated by the engine and returned at the end."""
@@ -133,8 +120,6 @@ class PHAState:
     sigma_bar: dict[str, float] = field(default_factory=dict)
     best_lower: float | None = None
     best_upper: float | None = None
-    bounds_history: list[BoundsRecord] = field(default_factory=list)
-    metric_history: list[float] = field(default_factory=list)
     termination: str = ""
 
 
@@ -203,31 +188,36 @@ def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
 
 def _scenario_bases(inst: PlanningInstance) -> dict[str, tuple]:
     """One Lagrangian model per scenario, built once and re-priced per solve."""
-    return {s.id: build_scenario_subproblem(inst, SubproblemSpec(scenario=s.id, mode=LR))
-            for s in inst.scenarios}
+    return {s.id: build_scenario_subproblem(inst, s.id) for s in inst.scenarios}
 
 
-def _solve_scenarios(inst, bases: Mapping[str, tuple], specs: Sequence[SubproblemSpec],
-                     solver: SolverConfig, workers: int):
-    """Re-price each spec's scenario base and solve it; deterministic result order.
+def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
+                     w: Mapping[str, np.ndarray], solver: SolverConfig, workers: int,
+                     anchor: np.ndarray | None = None, rho: np.ndarray | None = None):
+    """Price every scenario's base and solve it, in scenario order.
 
-    Returns ``(index, result)`` per spec.
+    ``w`` maps scenario ids to weight vectors (a missing scenario has zero
+    weights); ``anchor`` and ``rho``, when given, add the proximal term.
+    Returns ``(index, result)`` per scenario.
     """
-    def run_one(spec: SubproblemSpec):
-        base, index = bases[spec.scenario]
-        res = solve(price_scenario_subproblem(inst, base, index, spec), solver)
+    def run_one(scen_id: str):
+        base, index = bases[scen_id]
+        model = price_scenario_subproblem(inst, base, index, lam, w.get(scen_id),
+                                          anchor, rho)
+        res = solve(model, solver)
         if res.status == INFEASIBLE:
             raise PHAError(
-                f"scenario subproblem '{spec.scenario}' is infeasible; the relaxation "
+                f"scenario subproblem '{scen_id}' is infeasible; the relaxation "
                 "should always be feasible, so the instance or model is inconsistent")
         if res.status not in (OPTIMAL, FEASIBLE_WITH_GAP):
-            raise PHAError(f"scenario subproblem '{spec.scenario}' failed: {res.status}")
+            raise PHAError(f"scenario subproblem '{scen_id}' failed: {res.status}")
         return index, res
 
-    if workers > 1 and len(specs) > 1:
+    ids = [s.id for s in inst.scenarios]
+    if workers > 1 and len(ids) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, specs))
-    return [run_one(s) for s in specs]
+            return list(pool.map(run_one, ids))
+    return [run_one(s) for s in ids]
 
 
 def _proven_lower(res) -> float:
@@ -251,7 +241,7 @@ def _sigma_values(handles, index: VariableIndex, x: np.ndarray, scen_id: str) ->
 
 
 def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
-                           w: Mapping[str, Mapping[Coord, float]],
+                           w: Mapping[str, np.ndarray],
                            solver: SolverConfig | None = None,
                            workers: int = 1,
                            bases: Mapping[str, tuple] | None = None) -> float:
@@ -260,31 +250,37 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     Solves every scenario's Lagrangian subproblem (no proximal term) and
     returns the probability-weighted sum of their proven optima. Requires
     ``lam >= 0`` elementwise and probability-weighted weights summing to zero.
-    ``bases`` maps scenario ids to built subproblems (as ``run_pha`` keeps
-    them, relaxed in convex mode); when omitted they are built here.
+    ``w`` maps scenario ids to weight vectors in ``first_stage_info`` order;
+    a missing scenario has zero weights. ``bases`` maps scenario ids to built
+    subproblems (as ``run_pha`` keeps them, relaxed in convex mode); when
+    omitted they are built here.
     """
     solver = solver or SolverConfig()
     for handle, val in lam.items():
         if val < 0:
             raise ValueError(f"multiplier for '{handle}' must be >= 0")
-    balance: dict[Coord, float] = {}
-    scale = 1.0
-    for scen in inst.scenarios:
-        for coord, val in w.get(scen.id, {}).items():
-            balance[coord] = balance.get(coord, 0.0) + scen.probability * val
-            scale = max(scale, abs(val))
-    worst = max((abs(v) for v in balance.values()), default=0.0)
-    if worst > 1e-8 * scale:
-        raise ValueError(f"weights are not balanced: max |sum pi*w| = {worst!r}")
-    specs = [SubproblemSpec(scenario=s.id, mode=LR, lam=dict(lam), w=dict(w.get(s.id, {})))
-             for s in inst.scenarios]
+    probabilities = {s.id: s.probability for s in inst.scenarios}
+    unknown = sorted(set(w) - set(probabilities))
+    if unknown:
+        raise ValueError(f"weights for unknown scenario '{unknown[0]}'")
+    _check_weight_balance(probabilities, w)
     if bases is None:
         bases = _scenario_bases(inst)
-    solved = _solve_scenarios(inst, bases, specs, solver, workers)
+    solved = _solve_scenarios(inst, bases, lam, w, solver, workers)
     total = 0.0
     for scen, (_, res) in zip(inst.scenarios, solved):
         total += scen.probability * _proven_lower(res)
     return total
+
+
+def _check_weight_balance(probabilities: Mapping[str, float],
+                          w: Mapping[str, np.ndarray]) -> None:
+    """Raise ValueError unless ``sum_w pi_w w_w = 0``, relative to the largest weight."""
+    total = sum(probabilities[s] * np.asarray(v, dtype=float) for s, v in w.items())
+    scale = max([1.0] + [float(np.max(np.abs(v), initial=0.0)) for v in w.values()])
+    worst = float(np.max(np.abs(total), initial=0.0))
+    if worst > 1e-8 * scale:
+        raise ValueError(f"weights are not balanced: max |sum pi*w| = {worst!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +434,13 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
                      probabilities=probabilities)
     state.lam = {h.handle: 0.0 for h in handles}
     state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
-    rho_map = {c: float(rho[i]) for i, c in enumerate(info.coords)}
     ef = None  # built at the first candidate evaluation, then only re-bounded
 
     trace: list[TraceRow] = []
     incumbent = None  # (objective, index, x) of the best evaluated candidate
     t_start = time.perf_counter()
 
-    def attempt_incumbent(iteration: int) -> None:
+    def attempt_incumbent() -> None:
         nonlocal incumbent, ef
         x_hat = round_and_repair(inst, info, state.x_bar)
         try:
@@ -471,20 +466,15 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         if upper is not None and (state.best_upper is None or upper < state.best_upper):
             state.best_upper = upper
             incumbent = evaluated
-        state.bounds_history.append(BoundsRecord.make(iteration, state.best_lower, upper))
 
     termination = ""
     for k in range(cfg.max_iterations):
+        # the first sweep has zero weights and no proximal term: a Lagrangian bound
         if k == 0:
-            specs = [SubproblemSpec(scenario=s.id, mode=LR, lam=state.lam)
-                     for s in inst.scenarios]
+            solved = _solve_scenarios(inst, bases, state.lam, state.w, solver, cfg.workers)
         else:
-            anchor = {c: float(state.x_bar[i]) for i, c in enumerate(info.coords)}
-            specs = [SubproblemSpec(
-                scenario=s.id, mode=PHA, lam=state.lam,
-                w={c: float(state.w[s.id][i]) for i, c in enumerate(info.coords)},
-                anchor=anchor, rho=rho_map) for s in inst.scenarios]
-        solved = _solve_scenarios(inst, bases, specs, solver, cfg.workers)
+            solved = _solve_scenarios(inst, bases, state.lam, state.w, solver, cfg.workers,
+                                      anchor=state.x_bar, rho=rho)
 
         sigma_bar = {h.handle: 0.0 for h in handles}
         lb_candidate = 0.0
@@ -498,7 +488,6 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         state.x_bar = sum(probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
         for s in inst.scenarios:
             state.w[s.id] = state.w[s.id] + rho * (state.x[s.id] - state.x_bar)
-        _assert_weight_balance(state)
         state.sigma_bar = sigma_bar
         decay = 1.0
         if cfg.beta_decay_after is not None and k + 1 > cfg.beta_decay_after:
@@ -510,19 +499,16 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         if k == 0:
             state.best_lower = lb_candidate
         else:
-            w_maps = {s.id: {c: float(state.w[s.id][i]) for i, c in enumerate(info.coords)}
-                      for s in inst.scenarios}
-            lb = lagrangian_lower_bound(inst, state.lam, w_maps, solver, cfg.workers,
+            lb = lagrangian_lower_bound(inst, state.lam, state.w, solver, cfg.workers,
                                         bases=bases)
             state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
 
         metric = consensus_metric(state)
-        state.metric_history.append(metric)
         viol = sigma_violation(sigma_bar)
 
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
         if (k + 1) in cfg.incumbent_schedule or converged or k + 1 == cfg.max_iterations:
-            attempt_incumbent(k + 1)
+            attempt_incumbent()
         gap = _relative_gap(state.best_lower, state.best_upper)
         trace.append(TraceRow(
             iteration=k + 1, consensus=metric, sigma_violation=viol,
@@ -541,13 +527,6 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
     report = _assemble_report(inst, state, incumbent, termination, trace)
     return report, state
-
-
-def _assert_weight_balance(state: PHAState) -> None:
-    total = sum(state.probabilities[s] * state.w[s] for s in state.w)
-    scale = max(1.0, max((float(np.max(np.abs(state.w[s]))) for s in state.w), default=1.0))
-    if float(np.max(np.abs(total))) > 1e-8 * scale:
-        raise PHAError("weight balance sum_w pi_w w_w = 0 violated; engine bug")
 
 
 def _assemble_report(inst, state: PHAState, incumbent, termination,

@@ -26,6 +26,7 @@ from .core import (
     Bus,
     ExpectationConstraintSpec,
     GenTech,
+    InvalidInstanceError,
     LargeLoadTech,
     Mandate,
     PlanningInstance,
@@ -41,14 +42,6 @@ SCHEMA_VERSION = 1
 
 class InstanceFormatError(ValueError):
     """Unparseable or schema-incompatible instance file."""
-
-
-class InstanceValidationError(ValueError):
-    """Parsed instance violates structural invariants (all are aggregated)."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("invalid instance:\n" + "\n".join(str(v) for v in self.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +195,12 @@ def load_instance(path) -> PlanningInstance:
     try:
         inst = instance_from_dict(doc, base_dir=base_dir)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (InstanceFormatError, InstanceValidationError)):
+        if isinstance(exc, (InstanceFormatError, InvalidInstanceError)):
             raise
         raise InstanceFormatError(f"{path}: malformed instance: {exc}") from exc
     violations = validate_instance(inst)
     if violations:
-        raise InstanceValidationError(violations)
+        raise InvalidInstanceError(violations)
     return inst
 
 

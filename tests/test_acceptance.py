@@ -104,8 +104,7 @@ def test_criterion_2(g1, g1_ef_solution, solver):
         lam = {h: float(rng.uniform(0.0, 1e5)) for h in handles}
         raw = {sid: rng.normal(0.0, 2e3, len(info.coords)) for sid in probs}
         mean = sum(probs[sid] * raw[sid] for sid in probs)
-        w = {sid: {c: float(raw[sid][i] - mean[i]) for i, c in enumerate(info.coords)}
-             for sid in probs}
+        w = {sid: raw[sid] - mean for sid in probs}
         lb = lagrangian_lower_bound(g1, lam, w, solver)
         assert lb <= g1_ef_solution.objective + 1e-6, (draw, lb)
 
@@ -137,9 +136,9 @@ def test_criterion_4(milp_pha_runs):
                 max(abs(state.best_upper), 1.0)
             assert report.gap == pytest.approx(expected_gap, rel=1e-12)
         assert report.status in ("feasible_with_gap", NO_INCUMBENT)
-        for record in state.bounds_history:
-            if record.lower is not None and record.upper is not None:
-                assert record.lower <= record.upper + 1e-6
+        for row in report.trace:
+            if row.upper_bound is not None:
+                assert row.lower_bound <= row.upper_bound + 1e-6, (gen, seed, row)
 
 
 @verdict(5, "flexibility monotonicity: inflexible >= mid-flex >= full-flex cost")

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from flexcep.build import (
-    LR,
-    PHA,
     BuildError,
-    InvalidInstanceError,
-    SubproblemSpec,
     build_extensive_form,
     build_scenario_subproblem,
     first_stage_info,
@@ -24,6 +20,7 @@ from flexcep.core import (
     Bus,
     GenTech,
     INFLEXIBLE,
+    InvalidInstanceError,
     PlanningInstance,
     Scenario,
     enumerate_expectation_constraints,
@@ -141,24 +138,36 @@ class TestExtensiveForm:
 class TestSubproblems:
     def test_unknown_scenario_rejected(self, g1):
         with pytest.raises(BuildError, match="scenario"):
-            build_scenario_subproblem(g1, SubproblemSpec(scenario="nope"))
+            build_scenario_subproblem(g1, "nope")
 
     def test_unknown_handle_rejected(self, g1):
+        base, index = build_scenario_subproblem(g1, "s1")
         with pytest.raises(BuildError, match="handle"):
-            build_scenario_subproblem(
-                g1, SubproblemSpec(scenario="s1", lam={"bogus": 1.0}))
+            price_scenario_subproblem(g1, base, index, {"bogus": 1.0})
 
-    def test_negative_multiplier_rejected(self):
+    def test_negative_multiplier_rejected(self, g1):
+        base, index = build_scenario_subproblem(g1, "s1")
+        handle = enumerate_expectation_constraints(g1)[0].handle
         with pytest.raises(BuildError, match=">= 0"):
-            SubproblemSpec(scenario="s1", lam={"h": -1.0})
+            price_scenario_subproblem(g1, base, index, {handle: -1.0})
 
     def test_pha_needs_full_rho_and_anchor(self, g1):
-        with pytest.raises(BuildError, match="rho"):
-            build_scenario_subproblem(
-                g1, SubproblemSpec(scenario="s1", mode=PHA, rho={}))
+        base, index = build_scenario_subproblem(g1, "s1")
+        n = len(first_stage_info(g1).coords)
+        ones = np.ones(n)
+        bad = [
+            ("anchor must have one entry", {"anchor": np.ones(n - 1), "rho": ones}),
+            ("rho must have one entry", {"anchor": ones, "rho": np.ones(n - 1)}),
+            ("rho must have one entry", {"anchor": ones, "rho": np.ones((n, 1))}),
+            ("both an anchor and rho", {"anchor": ones}),
+            ("both an anchor and rho", {"rho": ones}),
+        ]
+        for match, prices in bad:
+            with pytest.raises(BuildError, match=match):
+                price_scenario_subproblem(g1, base, index, {}, **prices)
 
     def test_sigma_columns_follow_handles(self, g1):
-        model, index = build_scenario_subproblem(g1, SubproblemSpec(scenario="s1"))
+        model, index = build_scenario_subproblem(g1, "s1")
         handles = enumerate_expectation_constraints(g1)
         sig_cols = index.columns_of_kind("sigma")
         assert len(sig_cols) == len(handles) == 7
@@ -188,8 +197,7 @@ class TestSubproblems:
 
         total = 0.0
         for scen in g1.scenarios:
-            sub, sub_index = build_scenario_subproblem(
-                g1, SubproblemSpec(scenario=scen.id, mode=LR))
+            sub, sub_index = build_scenario_subproblem(g1, scen.id)
             assign = {sub_index.column(c): v for c, v in x_first.items()}
             fixed = fix_variables(sub, assign)
             sub_res = solve(fixed, solver_cfg)
@@ -198,15 +206,13 @@ class TestSubproblems:
         assert total == pytest.approx(res.objective, rel=1e-7)
 
     def test_proximal_vanishes_at_anchor(self, g1, solver_cfg):
-        lr_model, lr_index = build_scenario_subproblem(
-            g1, SubproblemSpec(scenario="s1", mode=LR))
+        lr_model, lr_index = build_scenario_subproblem(g1, "s1")
         lr_res = solve(lr_model, solver_cfg)
         info = first_stage_info(g1)
-        anchor = {c: float(lr_res.x[lr_index.column(c)]) for c in info.coords}
-        rho = {c: 123.0 for c in info.coords}
-        pha_model, pha_index = build_scenario_subproblem(
-            g1, SubproblemSpec(scenario="s1", mode=PHA, anchor=anchor, rho=rho))
-        assert pha_index.coords == lr_index.coords
+        anchor = np.array([lr_res.x[lr_index.column(c)] for c in info.coords])
+        rho = np.full(len(info.coords), 123.0)
+        pha_model = price_scenario_subproblem(g1, lr_model, lr_index, {},
+                                              anchor=anchor, rho=rho)
         assert objective_value(pha_model, lr_res.x) == pytest.approx(
             objective_value(lr_model, lr_res.x), rel=1e-12)
 
@@ -215,86 +221,92 @@ class TestSubproblems:
         lam = {h.handle: 0.1 for h in enumerate_expectation_constraints(g1)}
         total = 0.0
         for scen in g1.scenarios:
-            model, _ = build_scenario_subproblem(
-                g1, SubproblemSpec(scenario=scen.id, mode=LR, lam=lam))
-            res = solve(model, solver_cfg)
+            base, index = build_scenario_subproblem(g1, scen.id)
+            res = solve(price_scenario_subproblem(g1, base, index, lam), solver_cfg)
             total += scen.probability * res.objective
         assert total <= g1_ef_solution.objective + 1e-6
 
 
-def _priced_spec(inst, scen_id, mode, seed):
-    """A spec with nonzero multipliers, weights and in-box anchors."""
+def _prices(inst, mode, seed):
+    """Nonzero multipliers and weights, plus in-box anchors and rho for "pha"."""
     rng = np.random.default_rng(seed)
     info = first_stage_info(inst)
     handles = enumerate_expectation_constraints(inst)
     lam = {h.handle: float(rng.uniform(0.0, 5e3)) for h in handles}
-    w = {c: float(rng.normal(0.0, 1e3)) for c in info.coords}
-    if mode == LR:
-        return SubproblemSpec(scenario=scen_id, mode=LR, lam=lam, w=w)
-    anchor = {c: float(rng.uniform(info.lb[i], info.ub[i]))
-              for i, c in enumerate(info.coords)}
-    rho = {c: float(rng.uniform(1.0, 50.0)) for c in info.coords}
-    return SubproblemSpec(scenario=scen_id, mode=PHA, lam=lam, w=w, anchor=anchor, rho=rho)
+    prices = {"w": rng.normal(0.0, 1e3, len(info.coords))}
+    if mode == "pha":
+        prices["anchor"] = rng.uniform(info.lb, info.ub)
+        prices["rho"] = rng.uniform(1.0, 50.0, len(info.coords))
+    return lam, prices
 
 
 class TestRepricing:
     @pytest.mark.parametrize("gen", ["G1", "G2"])
-    @pytest.mark.parametrize("mode", [LR, PHA])
-    def test_repriced_base_equals_fresh_build(self, gen, mode):
+    @pytest.mark.parametrize("mode", ["lr", "pha"])
+    def test_written_terms_equal_the_inputs(self, gen, mode):
         inst = generate(gen, 1)
         info = first_stage_info(inst)
         handles = enumerate_expectation_constraints(inst)
         for n, scen in enumerate(inst.scenarios):
-            base, index = build_scenario_subproblem(inst, SubproblemSpec(scenario=scen.id))
-            spec = _priced_spec(inst, scen.id, mode, seed=n)
-            fresh, fresh_index = build_scenario_subproblem(inst, spec)
-            assert fresh_index.coords == index.coords
-            repriced = price_scenario_subproblem(inst, base, index, spec)
-            assert_same_model(repriced, fresh)
-            # pricing overwrites: re-pricing a priced model equals pricing the base
-            other = _priced_spec(inst, scen.id, PHA, seed=100 + n)
-            twice = price_scenario_subproblem(
-                inst, price_scenario_subproblem(inst, base, index, other), index, spec)
-            assert_same_model(twice, fresh)
+            base, index = build_scenario_subproblem(inst, scen.id)
+            assert base.name == f"{inst.name}-lr-{scen.id}" and base.quad == ()
+            lam, prices = _prices(inst, mode, seed=n)
+            priced = price_scenario_subproblem(inst, base, index, lam, **prices)
 
-            # the written terms, read off the spec
             fs = [index.column(c) for c in info.coords]
-            assert np.array_equal(fresh.obj[fs], info.unit_cost + np.array(
-                [spec.w[c] for c in info.coords]))
-            assert [fresh.obj[index.column(("sigma", h.handle, scen.id))]
-                    for h in handles] == [spec.lam[h.handle] for h in handles]
+            assert np.array_equal(priced.obj[fs], info.unit_cost + prices["w"])
+            assert [priced.obj[index.column(("sigma", h.handle, scen.id))]
+                    for h in handles] == [lam[h.handle] for h in handles]
             rest = np.ones(base.num_vars, dtype=bool)
             rest[fs] = False
             rest[index.columns_of_kind("sigma")] = False
-            assert np.array_equal(fresh.obj[rest], base.obj[rest])
-            expected_quad = () if mode == LR else tuple(
-                QuadTerm(col=col, coef=spec.rho[c] / 2.0, anchor=spec.anchor[c])
-                for col, c in zip(fs, info.coords))
-            assert fresh.quad == expected_quad
-            assert fresh.name == f"{inst.name}-{mode}-{scen.id}"
-            assert repriced.a_data is base.a_data  # rows are shared, not copied
+            assert np.array_equal(priced.obj[rest], base.obj[rest])
+            expected_quad = () if mode == "lr" else tuple(
+                QuadTerm(col=col, coef=prices["rho"][i] / 2.0, anchor=prices["anchor"][i])
+                for i, col in enumerate(fs))
+            assert priced.quad == expected_quad
+            assert priced.name == f"{inst.name}-{mode}-{scen.id}"
+            for f in ("var_lb", "var_ub", "var_integer", "a_indptr", "a_indices",
+                      "a_data", "row_sense", "row_rhs"):
+                assert getattr(priced, f) is getattr(base, f), f  # shared, not copied
+
+    @pytest.mark.parametrize("gen", ["G1", "G2"])
+    @pytest.mark.parametrize("mode", ["lr", "pha"])
+    def test_repriced_base_equals_fresh_build(self, gen, mode):
+        # pricing overwrites: a base priced once and then re-priced equals a
+        # fresh build priced once
+        inst = generate(gen, 1)
+        for n, scen in enumerate(inst.scenarios):
+            base, index = build_scenario_subproblem(inst, scen.id)
+            other_lam, other = _prices(inst, "pha", seed=100 + n)
+            priced = price_scenario_subproblem(inst, base, index, other_lam, **other)
+            lam, prices = _prices(inst, mode, seed=n)
+            fresh, fresh_index = build_scenario_subproblem(inst, scen.id)
+            assert fresh_index.coords == index.coords
+            assert_same_model(price_scenario_subproblem(inst, priced, index, lam, **prices),
+                              price_scenario_subproblem(inst, fresh, index, lam, **prices))
+
+    def test_pricing_with_nothing_returns_the_base(self, g1):
+        base, index = build_scenario_subproblem(g1, "s1")
+        assert_same_model(price_scenario_subproblem(g1, base, index, {}), base)
 
     def test_spec_errors_raise_on_the_repricing_path(self, g1):
-        base, index = build_scenario_subproblem(g1, SubproblemSpec(scenario="s1"))
-        info = first_stage_info(g1)
-        rho = {c: 1.0 for c in info.coords}
-        anchor = {c: 0.0 for c in info.coords}
+        base, index = build_scenario_subproblem(g1, "s1")
+        n = len(first_stage_info(g1).coords)
+        ones = np.ones(n)
+        handle = enumerate_expectation_constraints(g1)[0].handle
         bad = [
-            ("handle", SubproblemSpec(scenario="s1", lam={"bogus": 1.0})),
-            ("coordinate", SubproblemSpec(scenario="s1", w={("xG", "nope", "gas"): 1.0})),
-            ("rho", SubproblemSpec(scenario="s1", mode=PHA, anchor=anchor,
-                                   rho={**rho, info.coords[0]: 0.0})),
-            ("rho", SubproblemSpec(scenario="s1", mode=PHA, anchor=anchor, rho={})),
-            ("anchor", SubproblemSpec(scenario="s1", mode=PHA, rho=rho,
-                                      anchor={info.coords[0]: 0.0})),
+            ("handle", {"bogus": 1.0}, {}),
+            (">= 0", {handle: -1.0}, {}),
+            ("w must have one entry", {}, {"w": np.ones(n + 1)}),
+            ("rho must be > 0", {}, {"anchor": ones, "rho": np.r_[0.0, np.ones(n - 1)]}),
+            ("rho must be > 0", {}, {"anchor": ones, "rho": -ones}),
         ]
-        for match, spec in bad:
+        for match, lam, prices in bad:
             with pytest.raises(BuildError, match=match):
-                price_scenario_subproblem(g1, base, index, spec)
-            with pytest.raises(BuildError, match=match):
-                build_scenario_subproblem(g1, spec)
+                price_scenario_subproblem(g1, base, index, lam, **prices)
 
-    def test_model_of_another_scenario_or_mode_rejected(self, g1):
-        base, index = build_scenario_subproblem(g1, SubproblemSpec(scenario="s1"))
-        with pytest.raises(BuildError, match="not a 'lr' subproblem of scenario 's2'"):
-            price_scenario_subproblem(g1, base, index, SubproblemSpec(scenario="s2"))
+    def test_extensive_form_is_not_a_scenario_subproblem(self, g1, g1_ef):
+        model, index = g1_ef
+        with pytest.raises(BuildError, match="not a scenario subproblem"):
+            price_scenario_subproblem(g1, model, index, {})

@@ -2,10 +2,12 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import flexcep
 from flexcep.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -219,6 +221,35 @@ class TestMainEntry:
                      "--out", str(tmp_path / "x"),
                      "--solver", "subprocess", "--solver-bin", "/bin/false"])
         assert code == 5
+
+
+SETTING_ERRORS = [
+    ["solve", "--method", "pha", "--rho", "0"],
+    ["solve", "--method", "pha", "--beta", "0"],
+    ["solve", "--method", "pha", "--max-iters", "0"],
+    ["solve", "--method", "pha", "--pha-gap", "0"],
+    ["solve", "--time-limit", "0"],
+    ["solve", "--gap", "1"],
+    ["compare-flex", "--load-tech", "dac", "--variant", "fullflex", "--time-limit", "0"],
+]
+
+
+class TestSettingErrors:
+    @pytest.mark.parametrize("argv", SETTING_ERRORS, ids=lambda a: "_".join(a[:1] + a[-2:]))
+    def test_out_of_range_setting_exits_invalid_with_one_line(self, g1_path, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        argv = [argv[0], "--instance", g1_path, *argv[1:]]
+        if argv[0] == "solve":
+            argv += ["--out", str(out_dir)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(flexcep.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "flexcep.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert not out_dir.exists()
 
 
 class TestSolverOutputKeptOffStdout:

@@ -82,7 +82,7 @@ class TestSingleScenario:
 
 class TestWeightBalance:
     def test_balance_holds_each_iteration(self, g1, solver_cfg):
-        # the engine asserts internally every iteration; re-check the final state
+        # every lower-bound sweep checks the balance; re-check the final state
         report, state = run_pha(g1, PHAConfig(max_iterations=4, gap_threshold=1e-9),
                                 solver_cfg)
         total = sum(state.probabilities[s] * state.w[s] for s in state.w)
@@ -110,9 +110,14 @@ class TestLagrangianBound:
             lagrangian_lower_bound(g1, {"netzero": -1.0}, {})
 
     def test_unbalanced_weights_rejected(self, g1):
-        info = first_stage_info(g1)
-        w = {"s1": {info.coords[0]: 100.0}, "s2": {info.coords[0]: 100.0}}
+        n = len(first_stage_info(g1).coords)
+        w = {"s1": np.r_[100.0, np.zeros(n - 1)], "s2": np.r_[100.0, np.zeros(n - 1)]}
         with pytest.raises(ValueError, match="balanced"):
+            lagrangian_lower_bound(g1, {}, w)
+
+    def test_weights_for_unknown_scenario_rejected(self, g1):
+        w = {"nope": np.zeros(len(first_stage_info(g1).coords))}
+        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
             lagrangian_lower_bound(g1, {}, w)
 
     def test_random_draw_sweep_stays_below_optimum(self, g1, g1_oracle, solver_cfg):
@@ -124,8 +129,7 @@ class TestLagrangianBound:
             lam = {h: float(rng.uniform(0.0, 5e4)) for h in handles}
             draw = {sid: rng.normal(0.0, 1e3, len(info.coords)) for sid in probs}
             mean = sum(probs[sid] * draw[sid] for sid in probs)
-            w = {sid: {c: float(draw[sid][i] - mean[i])
-                       for i, c in enumerate(info.coords)} for sid in probs}
+            w = {sid: draw[sid] - mean for sid in probs}
             lb = lagrangian_lower_bound(g1, lam, w, solver_cfg)
             assert lb <= g1_oracle.objective + 1e-6
 
@@ -243,9 +247,10 @@ class TestRunPha:
         cfg = PHAConfig(max_iterations=30, gap_threshold=1e-9,
                         relax_integrality=True, beta_scale=0.2,
                         beta_decay_after=10, incumbent_schedule=(30,))
-        _, state = run_pha(g1, cfg, solver_cfg)
-        assert state.metric_history[-1] < state.metric_history[0]
-        assert min(state.metric_history) < 0.5 * state.metric_history[0]
+        report, _ = run_pha(g1, cfg, solver_cfg)
+        history = [row.consensus for row in report.trace]
+        assert history[-1] < history[0]
+        assert min(history) < 0.5 * history[0]
 
     @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
     def test_integrality_of_every_solve_follows_the_mode(self, g1, solver_cfg,
@@ -286,10 +291,10 @@ class TestRunPha:
 
     def test_lower_bound_monotone_in_state(self, g1, solver_cfg):
         cfg = PHAConfig(max_iterations=6, gap_threshold=1e-9)
-        _, state = run_pha(g1, cfg, solver_cfg)
-        lows = [r.lower for r in state.bounds_history if r.lower is not None]
-        trace_lows = [t for t in lows]
-        assert trace_lows == sorted(trace_lows)
+        report, _ = run_pha(g1, cfg, solver_cfg)
+        lows = [row.lower_bound for row in report.trace]
+        assert all(low is not None for low in lows)
+        assert lows == sorted(lows)
 
 
 class TestBuildOnce:

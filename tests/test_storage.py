@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from flexcep.build import build_extensive_form
-from flexcep.core import enumerate_expectation_constraints, validate_instance
+from flexcep.core import (
+    InvalidInstanceError,
+    enumerate_expectation_constraints,
+    validate_instance,
+)
 from flexcep.oracle import g1_variant, generate
 from flexcep.core import INFLEXIBLE
 from flexcep.report import report_from_solution
 from flexcep.solvers import SolverConfig, solve
 from flexcep.storage import (
     InstanceFormatError,
-    InstanceValidationError,
     fmt_num,
     instance_to_dict,
     load_instance,
@@ -87,7 +90,7 @@ class TestInstanceRoundTrip:
         doc["load_techs"][0]["tiers"]["phi"] = [0.5, 1.0, 0.0]
         p = tmp_path / "invalid.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(InstanceValidationError) as err:
+        with pytest.raises(InvalidInstanceError) as err:
             load_instance(p)
         assert len(err.value.violations) >= 2
 
@@ -96,7 +99,7 @@ class TestInstanceRoundTrip:
         doc["scenarios"][0]["demand"]["B1"] = [1.0, 2.0]  # 2 periods instead of 4
         p = tmp_path / "ragged.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises((InstanceFormatError, InstanceValidationError)) as err:
+        with pytest.raises((InstanceFormatError, InvalidInstanceError)) as err:
             load_instance(p)
         assert "demand" in str(err.value)
 
