@@ -9,6 +9,12 @@ scenario model: multipliers on the slacks, weights on the first stage and,
 for progressive hedging, a proximal term. Its vectors follow the coordinate
 order of :func:`first_stage_info`.
 
+Column layout, which readers rely on: every model starts with the
+first-stage columns in ``first_stage_info(inst).coords`` order, so a
+first-stage vector ``v`` lines up with columns ``0..n-1``; each scenario
+subproblem ends with its slack columns in ``enumerate_expectation_constraints``
+order.
+
 Formulation notes that matter when reading the rows:
 
 * Tranche semantics use tier widths: tranche k of a load caps consumption at
@@ -374,7 +380,10 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
 
 
 def build_extensive_form(inst: PlanningInstance) -> tuple[CanonicalModel, VariableIndex]:
-    """The monolithic MILP over all scenarios with hard expectation rows."""
+    """The monolithic MILP over all scenarios with hard expectation rows.
+
+    Its leading columns are the first stage in ``first_stage_info`` order.
+    """
     _require_valid(inst)
     info = first_stage_info(inst)
     mb = ModelBuilder(name=f"{inst.name}-ef")
@@ -408,8 +417,9 @@ def build_scenario_subproblem(inst: PlanningInstance,
     ``sigma[c,w] = e_c - (f_c.x + h_c.y_w)``; the objective is
     ``C_inv + C_op_w``, with every slack priced at zero, so the model is named
     ``<instance>-lr-<scenario>``. The scenario probability is *not* applied
-    here. :func:`price_scenario_subproblem` writes multipliers, weights and
-    the proximal term.
+    here. The first-stage columns lead and the slack columns close the model.
+    :func:`price_scenario_subproblem` writes multipliers, weights and the
+    proximal term.
     """
     _require_valid(inst)
     try:
@@ -454,7 +464,8 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
     weights), and when ``anchor`` and ``rho`` are both given the proximal
     terms ``rho_i/2 (x_i - anchor_i)^2`` are added and the model is named
     ``-pha-``, else ``-lr-``. Pricing overwrites rather than adds, so
-    re-pricing a priced model equals pricing the base.
+    re-pricing a priced model equals pricing the base. A model whose columns
+    do not follow the layout above is rejected.
     """
     handles = enumerate_expectation_constraints(inst)
     known = {h.handle for h in handles}
@@ -478,20 +489,20 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
     last_block = index.coords[n - len(handles) - 1]
     scenario = last_block[-1]
     sigma = tuple(("sigma", h.handle, scenario) for h in handles)
-    if (n != model.num_vars or index.coords[n - len(sigma):] != sigma
+    if (n != model.num_vars or index.coords[:n_fs] != info.coords
+            or index.coords[n - len(sigma):] != sigma
             or last_block[0] == "sigma" or index.coords[n_fs][-1] != scenario):
         raise BuildError(f"model is not a scenario subproblem of instance '{inst.name}'")
 
-    fs_cols = [index.column(c) for c in info.coords]
     obj = model.obj.copy()
-    obj[fs_cols] = info.unit_cost if w is None else info.unit_cost + w
+    obj[:n_fs] = info.unit_cost if w is None else info.unit_cost + w
     obj[n - len(sigma):] = [float(lam.get(h.handle, 0.0)) for h in handles]
 
     quad: tuple[QuadTerm, ...] = ()
     mode = "lr"
     if rho is not None:
         quad = tuple(QuadTerm(col=col, coef=float(r) / 2.0, anchor=float(a))
-                     for col, r, a in zip(fs_cols, rho, anchor))
+                     for col, r, a in zip(range(n_fs), rho, anchor))
         mode = "pha"
     priced = model.with_objective(obj, model.obj_offset, quad)
     return replace(priced, name=f"{inst.name}-{mode}-{scenario}")

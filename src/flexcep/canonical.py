@@ -243,12 +243,6 @@ class VariableIndex:
     def columns_of_kind(self, *kinds: str) -> list[int]:
         return [i for i, c in enumerate(self.coords) if c[0] in kinds]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(render_name(c) for c in self.coords)
-
-    def value(self, x: np.ndarray, coord: Coord) -> float:
-        return float(x[self._by_coord[coord]])
-
 
 # ---------------------------------------------------------------------------
 # Solve result
@@ -269,12 +263,6 @@ class SolveResult:
     objective: float | None = None
     x: np.ndarray | None = None
     mip_gap: float | None = None
-    wall_time_s: float = 0.0
-    message: str = ""
-
-    @property
-    def has_solution(self) -> bool:
-        return self.x is not None and self.status in (OPTIMAL, FEASIBLE_WITH_GAP)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .core import (
     InvalidInstanceError,
     TierSpec,
     compare_tiers,
-    validate_instance,
 )
 from .pha import NO_INCUMBENT, PHAConfig, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
@@ -230,24 +229,19 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
     results = []
     with _solver_output_to_stderr():
         for label, tiers in variants:
-            variant_inst = _with_tiers(inst, load_tech, tiers)
-            bad = validate_instance(variant_inst)
-            if bad:
-                results.append((label, tiers, None, None, f"invalid: {bad[0]}"))
-                continue
             try:
-                model, index = build_extensive_form(variant_inst)
-                res = solve(model, solver)
+                report, _ = _solve_ef(_with_tiers(inst, load_tech, tiers), solver)
+            except InvalidInstanceError as exc:
+                results.append((label, tiers, None, None, f"invalid: {exc.violations[0]}"))
+                continue
             except BackendError as exc:
                 results.append((label, tiers, None, None, f"backend failure: {exc}"))
                 continue
-            if not res.has_solution:
-                results.append((label, tiers, None, None, res.status))
+            if report.objective is None:
+                results.append((label, tiers, None, None, report.status))
                 continue
-            report = report_from_solution(variant_inst, index, res.x, method="ef",
-                                          status=res.status, objective=res.objective)
             emissions = sum(r.lhs for r in report.policies)
-            results.append((label, tiers, res.objective, emissions,
+            results.append((label, tiers, report.objective, emissions,
                             _build_summary(report)))
 
     print(f"{'variant':<16} {'total_cost':>16} {'emissions':>14}  build_summary", file=out)

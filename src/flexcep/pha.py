@@ -10,16 +10,20 @@ which also yields the initial Lagrangian lower bound for free.
 Every model is assembled once per run. Each scenario's Lagrangian model is
 built before the first iteration; every hedging and lower-bound solve then
 re-prices it without touching its rows. The weights ``w``, the consensus
-``x_bar`` (the proximal anchor) and ``rho`` are numpy vectors in
-``first_stage_info(inst).coords`` order from the loop down to the pricing
-call; the multipliers ``lam`` are keyed by expectation handle. The extensive
-form is built at the first candidate evaluation, and later evaluations only
-re-fix or re-bound its first-stage columns.
+``x_bar`` (the proximal anchor), ``rho`` and every candidate are numpy
+vectors in ``first_stage_info(inst).coords`` order, the order of every
+model's leading columns (see :mod:`flexcep.build`): a solution's first stage
+is ``x[:n]`` and its slacks are the tail. The multipliers ``lam`` are keyed
+by expectation handle.
 
 Bounds are tracked throughout: lower bounds come from probability-weighted
 Lagrangian subproblem optima at the current (lam, w) -- valid whenever
-``lam >= 0`` and ``sum_w pi_w w_w = 0`` -- and upper bounds from evaluating
-rounded, repaired consensus candidates. The method is a heuristic on the
+``lam >= 0`` and ``sum_w pi_w w_w = 0`` -- and upper bounds from first-stage
+boxes ``(lo, hi)`` evaluated on the relaxed extensive form, which is built
+once and re-bounded per evaluation. The consensus box pins integer
+coordinates to the rounded, repaired consensus and gives continuous ones
+``x_bar +- max_s |x_s - x_bar|``; it restricts the extensive form, so its LP
+optimum is a valid upper bound. The method is a heuristic on the
 mixed-integer problem; results are always reported as an incumbent with a
 gap, never as proven optimal.
 """
@@ -45,9 +49,6 @@ from .canonical import (
     FEASIBLE_WITH_GAP,
     INFEASIBLE,
     OPTIMAL,
-    Coord,
-    VariableIndex,
-    fix_variables,
     relax_integrality,
     restrict_bounds,
 )
@@ -96,6 +97,8 @@ class PHAConfig:
             raise ValueError("gap_threshold must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 def _relative_gap(lower: float | None, upper: float | None) -> float | None:
@@ -109,7 +112,6 @@ def _relative_gap(lower: float | None, upper: float | None) -> float | None:
 class PHAState:
     """Algorithm state; mutated by the engine and returned at the end."""
 
-    coords: tuple[Coord, ...]
     mw_scale: np.ndarray
     probabilities: dict[str, float]
     iteration: int = 0
@@ -198,7 +200,7 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
 
     ``w`` maps scenario ids to weight vectors (a missing scenario has zero
     weights); ``anchor`` and ``rho``, when given, add the proximal term.
-    Returns ``(index, result)`` per scenario.
+    Returns one solve result per scenario.
     """
     def run_one(scen_id: str):
         base, index = bases[scen_id]
@@ -211,7 +213,7 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
                 "should always be feasible, so the instance or model is inconsistent")
         if res.status not in (OPTIMAL, FEASIBLE_WITH_GAP):
             raise PHAError(f"scenario subproblem '{scen_id}' failed: {res.status}")
-        return index, res
+        return res
 
     ids = [s.id for s in inst.scenarios]
     if workers > 1 and len(ids) > 1:
@@ -225,14 +227,6 @@ def _proven_lower(res) -> float:
     if res.mip_gap:
         return res.objective - abs(res.objective) * res.mip_gap
     return res.objective
-
-
-def _first_stage_vector(info: FirstStageInfo, index: VariableIndex, x: np.ndarray) -> np.ndarray:
-    return np.array([x[index.column(c)] for c in info.coords])
-
-
-def _sigma_values(handles, index: VariableIndex, x: np.ndarray, scen_id: str) -> dict[str, float]:
-    return {h.handle: float(x[index.column(("sigma", h.handle, scen_id))]) for h in handles}
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,7 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
         bases = _scenario_bases(inst)
     solved = _solve_scenarios(inst, bases, lam, w, solver, workers)
     total = 0.0
-    for scen, (_, res) in zip(inst.scenarios, solved):
+    for scen, res in zip(inst.scenarios, solved):
         total += scen.probability * _proven_lower(res)
     return total
 
@@ -289,78 +283,97 @@ def _check_weight_balance(probabilities: Mapping[str, float],
 
 
 def round_and_repair(inst: PlanningInstance, info: FirstStageInfo,
-                     x_bar: np.ndarray) -> dict[Coord, float]:
+                     x_bar: np.ndarray) -> np.ndarray:
     """Deterministic first-stage candidate from a consensus vector.
 
     Integer coordinates are rounded to the nearest unit (binaries thresholded),
     everything is clipped into its box, and mandates are repaired by raising
-    the cheapest sites first (ties broken by bus order) or, for equality
-    mandates, trimming the most recently raised sites. Repairs move integer
-    coordinates by whole units only; coordinates that ``info`` marks
+    sites in bus-id order (all sites of a load tech cost the same) or, for
+    equality mandates, trimming the most recently raised sites. Repairs move
+    integer coordinates by whole units only; coordinates that ``info`` marks
     continuous (all of them in convex mode) are neither rounded nor floored.
+    Both vectors are in ``info.coords`` order.
     """
-    x_hat: dict[Coord, float] = {}
-    for i, coord in enumerate(info.coords):
+    x_hat: list[float] = []
+    for i in range(len(info.coords)):
         v = float(x_bar[i])
         if info.integer[i]:
             if info.ub[i] <= 1.0:
                 v = 1.0 if v >= ROUND_THRESHOLD else 0.0
             else:
                 v = math.floor(v + 0.5)
-        v = min(max(v, float(info.lb[i])), float(info.ub[i]))
-        x_hat[coord] = v
+        x_hat.append(min(max(v, float(info.lb[i])), float(info.ub[i])))
     fs_index = info.index_of()
     for d in inst.load_techs:
         if d.mandate is None:
             continue
-        sites = [("xD", b.id, d.id) for b in inst.buses]
-        total = sum(x_hat[c] for c in sites)
-        order = sorted(sites, key=lambda c: (d.fixed_cost, c[1]))
+        sites = [fs_index[("xD", b.id, d.id)] for b in inst.buses]
+        total = sum(x_hat[i] for i in sites)
+        order = sorted(sites, key=lambda i: info.coords[i][1])
         pos = 0
         while total < d.mandate.min_units - 1e-9 and pos < len(order):
-            coord = order[pos]
-            room = float(info.ub[fs_index[coord]]) - x_hat[coord]
-            add = min(room, d.mandate.min_units - total)
-            if info.integer[fs_index[coord]]:
+            i = order[pos]
+            add = min(float(info.ub[i]) - x_hat[i], d.mandate.min_units - total)
+            if info.integer[i]:
                 add = math.floor(add + 1e-9) if add >= 1.0 else 0.0
-            x_hat[coord] += add
+            x_hat[i] += add
             total += add
             pos += 1
         if d.mandate.equality:
-            for coord in reversed(order):
+            for i in reversed(order):
                 if total <= d.mandate.min_units + 1e-9:
                     break
-                trim = min(x_hat[coord], total - d.mandate.min_units)
-                if info.integer[fs_index[coord]]:
+                trim = min(x_hat[i], total - d.mandate.min_units)
+                if info.integer[i]:
                     trim = math.floor(trim + 1e-9)
-                x_hat[coord] -= trim
+                x_hat[i] -= trim
                 total -= trim
-    return x_hat
+    return np.array(x_hat)
 
 
 def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
-                                x_hat: Mapping[Coord, float]) -> None:
+                                x_hat: np.ndarray) -> None:
     """Raise PHAError unless the candidate satisfies first-stage-only constraints.
 
-    Integrality is required where ``info`` marks a coordinate integer.
+    ``x_hat`` is a vector in ``info.coords`` order. Integrality is required
+    where ``info`` marks a coordinate integer.
     """
-    fs_index = info.index_of()
-    for coord in info.coords:
-        if coord not in x_hat:
-            raise PHAError(f"candidate misses first-stage coordinate {coord!r}")
-        i = fs_index[coord]
-        v = float(x_hat[coord])
+    if np.shape(x_hat) != (len(info.coords),):
+        raise PHAError(f"candidate must have one entry per first-stage coordinate "
+                       f"({len(info.coords)}), got shape {np.shape(x_hat)}")
+    for i, coord in enumerate(info.coords):
+        v = float(x_hat[i])
         if v < info.lb[i] - 1e-6 or v > info.ub[i] + 1e-6:
             raise PHAError(f"candidate value {v!r} for {coord!r} violates its bounds")
         if info.integer[i] and abs(v - round(v)) > 1e-6:
             raise PHAError(f"candidate value {v!r} for {coord!r} must be integral")
+    fs_index = info.index_of()
     for d in inst.load_techs:
         if d.mandate is None:
             continue
-        total = sum(float(x_hat[("xD", b.id, d.id)]) for b in inst.buses)
+        total = sum(float(x_hat[fs_index[("xD", b.id, d.id)]]) for b in inst.buses)
         if total < d.mandate.min_units - 1e-6 or \
                 (d.mandate.equality and abs(total - d.mandate.min_units) > 1e-6):
             raise PHAError(f"candidate violates the mandate on load tech '{d.id}'")
+
+
+def _consensus_box(inst: PlanningInstance, info: FirstStageInfo,
+                   state: PHAState) -> tuple[np.ndarray, np.ndarray] | None:
+    """First-stage box around the consensus, or None if its rounding fails the checks.
+
+    Integer coordinates are pinned to the rounded, repaired consensus.
+    Continuous ones keep a trust region spanning the current scenario
+    disagreement, ``x_bar +- max_s |x_s - x_bar|``, so near-consensus residue
+    cannot push the evaluation over a feasibility cliff.
+    """
+    x_hat = round_and_repair(inst, info, state.x_bar)
+    try:
+        check_first_stage_candidate(inst, info, x_hat)
+    except PHAError:
+        return None
+    spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios], axis=0)
+    return (np.where(info.integer, x_hat, state.x_bar - spread),
+            np.where(info.integer, x_hat, state.x_bar + spread))
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +381,26 @@ def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
 # ---------------------------------------------------------------------------
 
 
-def exact_candidate_evaluation(inst: PlanningInstance, x_hat: Mapping[Coord, float],
+def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.ndarray,
                                solver: SolverConfig | None = None,
-                               bands: Mapping[Coord, tuple[float, float]] | None = None,
                                ef: tuple | None = None):
-    """Certify a candidate on the joint fixed-first-stage LP (hard expectations).
+    """Certify a first-stage box on the relaxed extensive form (hard expectations).
 
-    Every first-stage coordinate is pinned to its ``x_hat`` value except those
-    listed in ``bands``, which are boxed to the given interval instead (a
-    trust region, typically the scenario disagreement band around the
-    consensus). Either way the LP is a restriction of the extensive form, so
-    its optimum is a valid upper bound. ``ef`` is a ``build_extensive_form``
-    result to re-bound; when omitted it is built here. Returns
-    ``(objective, index, primal)`` or None when no feasible completion exists.
+    ``lo`` and ``hi`` are vectors in ``first_stage_info(inst).coords`` order
+    that narrow the extensive form's leading columns; ``lo == hi`` pins a
+    coordinate. With every integer coordinate pinned to an integral value the
+    LP is a restriction of the extensive form, so its optimum is a valid
+    upper bound. ``ef`` is a ``build_extensive_form`` result to re-bound; when
+    omitted it is built here. Returns ``(objective, index, primal)`` or None
+    when no feasible completion exists.
     """
     solver = solver or SolverConfig()
-    bands = bands or {}
+    n = len(first_stage_info(inst).coords)
+    if np.shape(lo) != (n,) or np.shape(hi) != (n,):
+        raise ValueError(f"lo and hi must have one entry per first-stage coordinate "
+                         f"({n}), got shapes {np.shape(lo)} and {np.shape(hi)}")
     model, index = ef if ef is not None else build_extensive_form(inst)
-    assign = {index.column(c): float(v) for c, v in x_hat.items() if c not in bands}
-    lp = fix_variables(relax_integrality(model), assign)
-    if bands:
-        lp = restrict_bounds(lp, {index.column(c): b for c, b in bands.items()})
+    lp = restrict_bounds(relax_integrality(model), dict(enumerate(zip(lo, hi))))
     res = solve(lp, solver)
     if res.status != OPTIMAL:
         return None
@@ -426,46 +438,19 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         info = replace(info, integer=continuous)
         bases = {sid: (relax_integrality(model), index)
                  for sid, (model, index) in bases.items()}
+    n = len(info.coords)
     handles = enumerate_expectation_constraints(inst)
     rho = _rho_vector(cfg, info)
     beta = _beta_scales(cfg, inst)
     probabilities = {s.id: s.probability for s in inst.scenarios}
-    state = PHAState(coords=info.coords, mw_scale=info.mw_scale.copy(),
-                     probabilities=probabilities)
+    state = PHAState(mw_scale=info.mw_scale.copy(), probabilities=probabilities)
     state.lam = {h.handle: 0.0 for h in handles}
-    state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
+    state.w = {s.id: np.zeros(n) for s in inst.scenarios}
     ef = None  # built at the first candidate evaluation, then only re-bounded
 
     trace: list[TraceRow] = []
     incumbent = None  # (objective, index, x) of the best evaluated candidate
     t_start = time.perf_counter()
-
-    def attempt_incumbent() -> None:
-        nonlocal incumbent, ef
-        x_hat = round_and_repair(inst, info, state.x_bar)
-        try:
-            check_first_stage_candidate(inst, info, x_hat)
-        except PHAError:
-            return
-        # continuous coordinates keep a trust region spanning the current
-        # scenario disagreement, so near-consensus residue cannot push the
-        # evaluation over a feasibility cliff; the LP stays a restriction
-        # of the extensive form, hence a valid upper bound
-        bands = {}
-        for i, coord in enumerate(info.coords):
-            if info.integer[i]:
-                continue
-            spread = max(abs(float(state.x[s.id][i]) - float(state.x_bar[i]))
-                         for s in inst.scenarios)
-            center = float(state.x_bar[i])
-            bands[coord] = (center - spread, center + spread)
-        if ef is None:
-            ef = build_extensive_form(inst)
-        evaluated = exact_candidate_evaluation(inst, x_hat, solver, bands=bands, ef=ef)
-        upper = evaluated[0] if evaluated is not None else None
-        if upper is not None and (state.best_upper is None or upper < state.best_upper):
-            state.best_upper = upper
-            incumbent = evaluated
 
     termination = ""
     for k in range(cfg.max_iterations):
@@ -478,11 +463,10 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
         sigma_bar = {h.handle: 0.0 for h in handles}
         lb_candidate = 0.0
-        for scen, (index, res) in zip(inst.scenarios, solved):
-            xv = _first_stage_vector(info, index, res.x)
-            state.x[scen.id] = xv
-            for handle, val in _sigma_values(handles, index, res.x, scen.id).items():
-                sigma_bar[handle] += scen.probability * val
+        for scen, res in zip(inst.scenarios, solved):
+            state.x[scen.id] = res.x[:n].copy()
+            for h, val in zip(handles, res.x[res.x.size - len(handles):]):
+                sigma_bar[h.handle] += scen.probability * float(val)
             if k == 0:
                 lb_candidate += scen.probability * _proven_lower(res)
         state.x_bar = sum(probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
@@ -508,7 +492,14 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
         if (k + 1) in cfg.incumbent_schedule or converged or k + 1 == cfg.max_iterations:
-            attempt_incumbent()
+            box = _consensus_box(inst, info, state)
+            if box is not None:
+                if ef is None:
+                    ef = build_extensive_form(inst)
+                evaluated = exact_candidate_evaluation(inst, *box, solver, ef=ef)
+                if evaluated is not None and (state.best_upper is None
+                                              or evaluated[0] < state.best_upper):
+                    state.best_upper, incumbent = evaluated[0], evaluated
         gap = _relative_gap(state.best_lower, state.best_upper)
         trace.append(TraceRow(
             iteration=k + 1, consensus=metric, sigma_violation=viol,

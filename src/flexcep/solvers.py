@@ -21,7 +21,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -197,7 +196,6 @@ def _row_bounds(model: CanonicalModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
-    t0 = time.perf_counter()
     kwargs = {}
     if model.num_rows:
         lo, hi = _row_bounds(model)
@@ -210,23 +208,21 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
                  "presolve": True},
         **kwargs,
     )
-    wall = time.perf_counter() - t0
     gap = getattr(res, "mip_gap", None)
     if res.status == 0:
         status = OPTIMAL if not gap or gap <= 1e-9 else FEASIBLE_WITH_GAP
     elif res.status == 1:
         status = FEASIBLE_WITH_GAP if res.x is not None else LIMIT_REACHED
     elif res.status == 2:
-        return SolveResult(status=INFEASIBLE, wall_time_s=wall, message=res.message)
+        return SolveResult(status=INFEASIBLE)
     elif res.status == 3:
-        return SolveResult(status=UNBOUNDED, wall_time_s=wall, message=res.message)
+        return SolveResult(status=UNBOUNDED)
     else:
         raise BackendCrashError(f"scipy.milp failed: {res.message}")
     x = np.asarray(res.x, dtype=float) if res.x is not None else None
     objective = float(res.fun) + model.obj_offset if res.fun is not None else None
     return SolveResult(status=status, objective=objective, x=x,
-                       mip_gap=float(gap) if gap is not None else None,
-                       wall_time_s=wall, message=res.message)
+                       mip_gap=float(gap) if gap is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +230,21 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _solver_command(cfg: SolverConfig) -> list[str]:
+def _solver_command(cfg: SolverConfig) -> tuple[list[str], dict[str, str] | None]:
+    """The solver command line and the environment to run it in (None: inherit)."""
     if cfg.solver_bin:
-        return shlex.split(cfg.solver_bin)
-    env = os.environ.get(SOLVER_BIN_ENV)
-    if env:
-        return shlex.split(env)
-    return [sys.executable, "-m", "flexcep.lpsolve"]
+        return shlex.split(cfg.solver_bin), None
+    configured = os.environ.get(SOLVER_BIN_ENV)
+    if configured:
+        return shlex.split(configured), None
+    # the bundled shim imports this package, which need not be installed:
+    # put the directory holding it first on the child's import path
+    parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(p for p in (parent, os.environ.get("PYTHONPATH")) if p)
+    return [sys.executable, "-m", "flexcep.lpsolve"], {**os.environ, "PYTHONPATH": path}
 
 
 def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="flexcep_solve_") as tmp:
         lp_path = os.path.join(tmp, "model.lp")
         sol_path = os.path.join(tmp, "model.sol")
@@ -252,11 +252,11 @@ def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
             lpfile.write_lp_file(model, lp_path)
         except OSError as exc:
             raise ModelWriteError(f"cannot write LP file: {exc}") from exc
-        cmd = _solver_command(cfg) + [lp_path, sol_path,
-                                      "--time-limit", repr(cfg.time_limit_s),
-                                      "--mip-gap", repr(cfg.mip_gap)]
+        cmd, env = _solver_command(cfg)
+        cmd += [lp_path, sol_path, "--time-limit", repr(cfg.time_limit_s),
+                "--mip-gap", repr(cfg.mip_gap)]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
                                   timeout=cfg.time_limit_s * 3 + 60)
         except FileNotFoundError as exc:
             raise BackendUnavailableError(f"solver binary not found: {cmd[0]}") from exc
@@ -271,7 +271,6 @@ def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
                 parsed = _parse_solution_file(fh.read())
         except OSError as exc:
             raise BackendCrashError(f"solver wrote no solution file: {exc}") from exc
-    wall = time.perf_counter() - t0
     status, objective, gap, col_values = parsed
     x = None
     if col_values is not None:
@@ -281,8 +280,7 @@ def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
             if name not in name_to_col:
                 raise BackendCrashError(f"solution references unknown column '{name}'")
             x[name_to_col[name]] = val
-    return SolveResult(status=status, objective=objective, x=x, mip_gap=gap,
-                       wall_time_s=wall)
+    return SolveResult(status=status, objective=objective, x=x, mip_gap=gap)
 
 
 def _block(lines, count: int) -> list[str]:

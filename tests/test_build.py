@@ -227,6 +227,21 @@ class TestSubproblems:
         assert total <= g1_ef_solution.objective + 1e-6
 
 
+class TestColumnLayout:
+    @pytest.mark.parametrize("gen", ["G1", "G2", "G3"])
+    def test_first_stage_leads_and_slacks_close(self, gen):
+        inst = generate(gen, 1)
+        fs = first_stage_info(inst).coords
+        handles = enumerate_expectation_constraints(inst)
+        _, ef_index = build_extensive_form(inst)
+        assert ef_index.coords[:len(fs)] == fs
+        for scen in inst.scenarios:
+            _, index = build_scenario_subproblem(inst, scen.id)
+            assert index.coords[:len(fs)] == fs
+            assert index.coords[len(index) - len(handles):] == tuple(
+                ("sigma", h.handle, scen.id) for h in handles)
+
+
 def _prices(inst, mode, seed):
     """Nonzero multipliers and weights, plus in-box anchors and rho for "pha"."""
     rng = np.random.default_rng(seed)

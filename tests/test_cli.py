@@ -228,6 +228,7 @@ SETTING_ERRORS = [
     ["solve", "--method", "pha", "--beta", "0"],
     ["solve", "--method", "pha", "--max-iters", "0"],
     ["solve", "--method", "pha", "--pha-gap", "0"],
+    ["solve", "--method", "pha", "--workers", "0"],
     ["solve", "--time-limit", "0"],
     ["solve", "--gap", "1"],
     ["compare-flex", "--load-tech", "dac", "--variant", "fullflex", "--time-limit", "0"],

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flexcep.pha as pha_module
 from flexcep import storage
@@ -39,10 +41,8 @@ def _single_scenario_inflexible(seed=1):
 
 class TestConsensusMetric:
     def _state(self, xs, probs, scales=None):
-        coords = tuple(("xS", "B", f"c{i}") for i in range(len(next(iter(xs.values())))))
-        state = PHAState(coords=coords,
-                         mw_scale=np.array(scales or [1.0] * len(coords)),
-                         probabilities=probs)
+        n = len(next(iter(xs.values())))
+        state = PHAState(mw_scale=np.array(scales or [1.0] * n), probabilities=probs)
         state.x = {k: np.asarray(v, dtype=float) for k, v in xs.items()}
         state.x_bar = sum(probs[k] * state.x[k] for k in xs)
         return state
@@ -134,16 +134,20 @@ class TestLagrangianBound:
             assert lb <= g1_oracle.objective + 1e-6
 
 
+def _dc(info, x_hat, bus):
+    return x_hat[info.coords.index(("xD", bus, "datacenter"))]
+
+
 class TestRoundAndRepair:
     def test_rounding_and_mandate_repair(self):
         inst = generate("G2", 1)
         info = first_stage_info(inst)
         x_bar = np.zeros(len(info.coords))
         x_hat = round_and_repair(inst, info, x_bar)
-        dc_total = sum(v for c, v in x_hat.items()
+        dc_total = sum(v for c, v in zip(info.coords, x_hat)
                        if c[0] == "xD" and c[2] == "datacenter")
         assert dc_total == 1.0  # equality mandate restored at the cheapest site
-        assert x_hat[("xD", "B1", "datacenter")] == 1.0
+        assert _dc(info, x_hat, "B1") == 1.0
 
     def test_equality_mandate_trims_excess(self):
         inst = generate("G2", 1)
@@ -153,7 +157,7 @@ class TestRoundAndRepair:
             if c[0] == "xD" and c[2] == "datacenter":
                 x_bar[i] = 1.0  # both sites at 1 violates the equality mandate
         x_hat = round_and_repair(inst, info, x_bar)
-        dc_total = sum(v for c, v in x_hat.items()
+        dc_total = sum(v for c, v in zip(info.coords, x_hat)
                        if c[0] == "xD" and c[2] == "datacenter")
         assert dc_total == 1.0
 
@@ -162,9 +166,9 @@ class TestRoundAndRepair:
         x_bar = np.zeros(len(info.coords))
         li = info.coords.index(("xL", "L12"))
         x_bar[li] = 0.49
-        assert round_and_repair(g1, info, x_bar)[("xL", "L12")] == 0.0
+        assert round_and_repair(g1, info, x_bar)[li] == 0.0
         x_bar[li] = 0.51
-        assert round_and_repair(g1, info, x_bar)[("xL", "L12")] == 1.0
+        assert round_and_repair(g1, info, x_bar)[li] == 1.0
 
     def test_relaxed_info_keeps_fractions_and_repairs_without_flooring(self):
         # convex mode marks every coordinate continuous: nothing is rounded,
@@ -172,35 +176,62 @@ class TestRoundAndRepair:
         inst = generate("G2", 1)
         info = first_stage_info(inst)
         relaxed = dataclasses.replace(info, integer=np.zeros_like(info.integer))
+        li = info.coords.index(("xL", "L12"))
         for b1, b2, want_b1, want_b2 in ((0.0, 0.4, 0.6, 0.4),   # raised
                                          (0.7, 0.7, 0.7, 0.3)):  # trimmed
             x_bar = np.zeros(len(info.coords))
-            x_bar[info.coords.index(("xL", "L12"))] = 0.49
+            x_bar[li] = 0.49
             x_bar[info.coords.index(("xD", "B1", "datacenter"))] = b1
             x_bar[info.coords.index(("xD", "B2", "datacenter"))] = b2
             x_hat = round_and_repair(inst, relaxed, x_bar)
-            assert x_hat[("xL", "L12")] == 0.49
-            assert x_hat[("xD", "B1", "datacenter")] == pytest.approx(want_b1)
-            assert x_hat[("xD", "B2", "datacenter")] == pytest.approx(want_b2)
+            assert x_hat[li] == 0.49
+            assert _dc(info, x_hat, "B1") == pytest.approx(want_b1)
+            assert _dc(info, x_hat, "B2") == pytest.approx(want_b2)
             check_first_stage_candidate(inst, relaxed, x_hat)
             with pytest.raises(PHAError, match="integral"):
                 check_first_stage_candidate(inst, info, x_hat)
             rounded = round_and_repair(inst, info, x_bar)
-            assert rounded[("xL", "L12")] == 0.0
-            assert rounded[("xD", "B1", "datacenter")] + \
-                rounded[("xD", "B2", "datacenter")] == 1.0
+            assert rounded[li] == 0.0
+            assert _dc(info, rounded, "B1") + _dc(info, rounded, "B2") == 1.0
+
+
+_FIXTURE_INSTANCES = {gen: generate(gen, 1) for gen in ("G1", "G2", "G3")}
+
+
+class TestRoundAndRepairProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), gen=st.sampled_from(sorted(_FIXTURE_INSTANCES)),
+           relaxed=st.booleans())
+    def test_repaired_candidate_passes_the_checks(self, data, gen, relaxed):
+        # validation guarantees every mandate fits the build limits, so any
+        # consensus, even one outside the boxes, rounds to a valid candidate
+        inst = _FIXTURE_INSTANCES[gen]
+        info = first_stage_info(inst)
+        if relaxed:
+            info = dataclasses.replace(info, integer=np.zeros_like(info.integer))
+        unit = data.draw(st.lists(st.floats(-0.5, 1.5, allow_nan=False),
+                                  min_size=len(info.coords), max_size=len(info.coords)))
+        x_bar = info.lb + np.array(unit) * np.maximum(info.ub - info.lb, 1.0)
+        x_hat = round_and_repair(inst, info, x_bar)
+        check_first_stage_candidate(inst, info, x_hat)
+
+
+def _vector(info, assignment):
+    return np.array([assignment[c] for c in info.coords])
 
 
 class TestExactCandidateEvaluation:
     def test_oracle_first_stage_reproduces_optimum(self, g1, g1_oracle, solver_cfg):
-        check_first_stage_candidate(g1, first_stage_info(g1), g1_oracle.assignment)
-        objective, _, _ = exact_candidate_evaluation(g1, g1_oracle.assignment, solver_cfg)
+        info = first_stage_info(g1)
+        x_hat = _vector(info, g1_oracle.assignment)
+        check_first_stage_candidate(g1, info, x_hat)
+        objective, _, _ = exact_candidate_evaluation(g1, x_hat, x_hat, solver_cfg)
         assert objective == pytest.approx(g1_oracle.objective, rel=1e-9)
 
     def test_infeasible_candidate_rejected_before_solving(self):
         inst = generate("G2", 1)
         info = first_stage_info(inst)
-        x_hat = {c: 0.0 for c in info.coords}  # violates the datacenter mandate
+        x_hat = np.zeros(len(info.coords))  # violates the datacenter mandate
         with pytest.raises(PHAError, match="mandate"):
             check_first_stage_candidate(inst, info, x_hat)
 
@@ -209,17 +240,28 @@ class TestExactCandidateEvaluation:
         inst = dataclasses.replace(generate("G2", 1), expectation_policies=())
         oracle = brute_force_optimum(inst)
         info = first_stage_info(inst)
-        x_hat = {c: 0.0 for c in info.coords}
-        x_hat[("xD", "B1", "datacenter")] = 1.0
-        x_hat[("xG", "B1", "gas")] = 2.0  # enough committed power for the tranches
+        x_hat = np.zeros(len(info.coords))
+        x_hat[info.coords.index(("xD", "B1", "datacenter"))] = 1.0
+        x_hat[info.coords.index(("xG", "B1", "gas"))] = 2.0  # enough committed power for the tranches
         check_first_stage_candidate(inst, info, x_hat)
-        objective, _, _ = exact_candidate_evaluation(inst, x_hat, solver_cfg)
+        objective, _, _ = exact_candidate_evaluation(inst, x_hat, x_hat, solver_cfg)
         assert objective >= oracle.objective - 1e-6
         assert objective > 2.0 * oracle.objective  # shed-heavy plan
 
     def test_unreachable_policy_has_no_bound(self, g1_oracle, solver_cfg):
         inst = g1_variant(1, policy_threshold=-2000.0)
-        assert exact_candidate_evaluation(inst, g1_oracle.assignment, solver_cfg) is None
+        x_hat = _vector(first_stage_info(inst), g1_oracle.assignment)
+        assert exact_candidate_evaluation(inst, x_hat, x_hat, solver_cfg) is None
+
+    def test_wrong_length_candidate_or_box_rejected(self, g1):
+        info = first_stage_info(g1)
+        short = np.zeros(len(info.coords) - 1)
+        with pytest.raises(PHAError, match="one entry per first-stage coordinate"):
+            check_first_stage_candidate(g1, info, short)
+        full = np.zeros(len(info.coords))
+        for lo, hi in ((short, full), (full, short), (full, full[:, None])):
+            with pytest.raises(ValueError, match="one entry per first-stage coordinate"):
+                exact_candidate_evaluation(g1, lo, hi)
 
 
 class TestRunPha:

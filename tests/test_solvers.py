@@ -120,6 +120,13 @@ class TestSubprocessProtocol:
         with pytest.raises(BackendUnavailableError, match="from-env"):
             solve(_min_x_geq(1.0), SolverConfig(backend="subprocess"))
 
+    def test_bundled_shim_runs_without_pythonpath(self, monkeypatch):
+        # the package need not be installed: the shim finds it anyway
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        res = solve(_min_x_geq(3.0), SolverConfig(backend="subprocess"))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0, abs=1e-8)
+
     def test_crashing_binary_reports_diagnostics(self, g1_ef):
         model, _ = g1_ef
         cfg = SolverConfig(backend="subprocess", solver_bin="/bin/false")
