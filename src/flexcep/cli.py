@@ -111,6 +111,7 @@ def _print_summary(report: SolveReport, out) -> None:
     print(f"objective:   {num(report.objective)}", file=out)
     print(f"bounds:      lower={num(report.lower_bound)} upper={num(report.upper_bound)} "
           f"gap={num(report.gap)}", file=out)
+    print(f"incumbent:   {report.incumbent_source or 'n/a'}", file=out)
     for row in report.policies:
         print(f"policy {row.handle}: lhs={storage.fmt_num(row.lhs)} "
               f"threshold={storage.fmt_num(row.threshold)} "
@@ -159,7 +160,7 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
             lower_bound=res.objective if res.status == OPTIMAL else lower,
             upper_bound=res.objective,
             gap=res.mip_gap if res.status == FEASIBLE_WITH_GAP else 0.0,
-            termination=termination,
+            termination=termination, incumbent_source="extensive form",
             trace=[TraceRow(iteration=0, consensus=0.0, sigma_violation=0.0,
                             lower_bound=res.objective if res.status == OPTIMAL else lower,
                             upper_bound=res.objective)])

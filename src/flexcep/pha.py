@@ -20,10 +20,15 @@ Bounds are tracked throughout: lower bounds come from probability-weighted
 Lagrangian subproblem optima at the current (lam, w) -- valid whenever
 ``lam >= 0`` and ``sum_w pi_w w_w = 0`` -- and upper bounds from first-stage
 boxes ``(lo, hi)`` evaluated on the relaxed extensive form, which is built
-once and re-bounded per evaluation. The consensus box pins integer
-coordinates to the rounded, repaired consensus and gives continuous ones
-``x_bar +- max_s |x_s - x_bar|``; it restricts the extensive form, so its LP
-optimum is a valid upper bound. The method is a heuristic on the
+once and re-bounded per evaluation. Boxes come from two sources. In integer
+mode, every iteration pins each scenario's own first stage, rounded and
+repaired, in scenario order (the inner-bound idea of mpi-sppy's
+``xhatshuffle`` spoke). On the incumbent schedule, at convergence and at the
+last iteration, the consensus box follows: it pins integer coordinates to the
+rounded, repaired consensus and gives continuous ones
+``x_bar +- max_s |x_s - x_bar|``. Each box restricts the extensive form, so
+its LP optimum is a valid upper bound. A box is tried at most once per run,
+and a tie keeps the incumbent found first. The method is a heuristic on the
 mixed-integer problem; results are always reported as an incumbent with a
 gap, never as proven optimal.
 """
@@ -357,23 +362,28 @@ def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
             raise PHAError(f"candidate violates the mandate on load tech '{d.id}'")
 
 
-def _consensus_box(inst: PlanningInstance, info: FirstStageInfo,
-                   state: PHAState) -> tuple[np.ndarray, np.ndarray] | None:
-    """First-stage box around the consensus, or None if its rounding fails the checks.
+def _candidates(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
+                scheduled: bool):
+    """This iteration's candidates as ``(source, x_hat, lo, hi)``, in evaluation order.
 
-    Integer coordinates are pinned to the rounded, repaired consensus.
-    Continuous ones keep a trust region spanning the current scenario
-    disagreement, ``x_bar +- max_s |x_s - x_bar|``, so near-consensus residue
-    cannot push the evaluation over a feasibility cliff.
+    In integer mode every scenario's own first stage, rounded and repaired,
+    is pinned (``lo = hi = x_hat``), in scenario order. When ``scheduled``,
+    the consensus box follows: integer coordinates are pinned to the rounded,
+    repaired consensus ``x_hat``; continuous ones keep a trust region spanning
+    the current scenario disagreement, ``x_bar +- max_s |x_s - x_bar|``, so
+    near-consensus residue cannot push the evaluation over a feasibility
+    cliff. ``x_hat`` is what ``check_first_stage_candidate`` must accept.
     """
-    x_hat = round_and_repair(inst, info, state.x_bar)
-    try:
-        check_first_stage_candidate(inst, info, x_hat)
-    except PHAError:
-        return None
-    spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios], axis=0)
-    return (np.where(info.integer, x_hat, state.x_bar - spread),
-            np.where(info.integer, x_hat, state.x_bar + spread))
+    if info.integer.any():
+        for s in inst.scenarios:
+            x_hat = round_and_repair(inst, info, state.x[s.id])
+            yield f"scenario {s.id}", x_hat, x_hat, x_hat
+    if scheduled:
+        x_hat = round_and_repair(inst, info, state.x_bar)
+        spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios],
+                        axis=0)
+        yield ("consensus", x_hat, np.where(info.integer, x_hat, state.x_bar - spread),
+               np.where(info.integer, x_hat, state.x_bar + spread))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +459,8 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     ef = None  # built at the first candidate evaluation, then only re-bounded
 
     trace: list[TraceRow] = []
-    incumbent = None  # (objective, index, x) of the best evaluated candidate
+    incumbent = None  # (objective, index, x, source) of the best evaluated candidate
+    tried: set[bytes] = set()  # every box seen this run, rejected and infeasible ones too
     t_start = time.perf_counter()
 
     termination = ""
@@ -491,15 +502,24 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
         viol = sigma_violation(sigma_bar)
 
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
-        if (k + 1) in cfg.incumbent_schedule or converged or k + 1 == cfg.max_iterations:
-            box = _consensus_box(inst, info, state)
-            if box is not None:
-                if ef is None:
-                    ef = build_extensive_form(inst)
-                evaluated = exact_candidate_evaluation(inst, *box, solver, ef=ef)
-                if evaluated is not None and (state.best_upper is None
-                                              or evaluated[0] < state.best_upper):
-                    state.best_upper, incumbent = evaluated[0], evaluated
+        scheduled = ((k + 1) in cfg.incumbent_schedule or converged
+                     or k + 1 == cfg.max_iterations)
+        for source, x_hat, lo, hi in _candidates(inst, info, state, scheduled):
+            key = lo.tobytes() + hi.tobytes()
+            if key in tried:
+                continue
+            tried.add(key)
+            try:
+                check_first_stage_candidate(inst, info, x_hat)
+            except PHAError:
+                continue
+            if ef is None:
+                ef = build_extensive_form(inst)
+            evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef)
+            if evaluated is not None and (state.best_upper is None
+                                          or evaluated[0] < state.best_upper):
+                state.best_upper = evaluated[0]
+                incumbent = (*evaluated, f"{source} @ iteration {k + 1}")
         gap = _relative_gap(state.best_lower, state.best_upper)
         trace.append(TraceRow(
             iteration=k + 1, consensus=metric, sigma_violation=viol,
@@ -528,10 +548,10 @@ def _assemble_report(inst, state: PHAState, incumbent, termination,
             objective=None, lower_bound=state.best_lower, upper_bound=None,
             gap=None, termination=termination, costs=None,
             trace=tuple(trace), sigma_bar=dict(state.sigma_bar))
-    _, index, x = incumbent
+    _, index, x, source = incumbent
     return report_from_solution(
         inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,
         objective=state.best_upper, lower_bound=state.best_lower,
         upper_bound=state.best_upper,
         gap=_relative_gap(state.best_lower, state.best_upper), termination=termination,
-        trace=trace)
+        trace=trace, incumbent_source=source)

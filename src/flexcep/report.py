@@ -99,6 +99,7 @@ class SolveReport:
     policies: tuple[PolicyRow, ...] = ()
     trace: tuple[TraceRow, ...] = ()
     sigma_bar: Mapping[str, float] = field(default_factory=dict)
+    incumbent_source: str | None = None  # e.g. "scenario s3 @ iteration 5"
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_bar", dict(self.sigma_bar))
@@ -267,7 +268,8 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
                          upper_bound: float | None = None,
                          gap: float | None = None,
                          termination: str = "",
-                         trace: Sequence[TraceRow] = ()) -> SolveReport:
+                         trace: Sequence[TraceRow] = (),
+                         incumbent_source: str | None = None) -> SolveReport:
     """Assemble the full report for a solved model's primal vector."""
     x_first = extract_first_stage(index, x)
     value = value_reader(index, x)
@@ -290,4 +292,5 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
         policies=policy_rows(inst, x_first, value),
         trace=tuple(trace),
         sigma_bar=sigma_bar_of_solution(inst, x_first, value),
+        incumbent_source=incumbent_source,
     )

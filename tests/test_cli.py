@@ -1,7 +1,9 @@
 import dataclasses
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +67,11 @@ class TestValidate:
         assert "exceeds total buildable" in out.getvalue()
 
 
+def _half_unit(v: float) -> float:
+    """Largest rounding error of ``storage.fmt_num``'s 9 significant digits at ``v``."""
+    return 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 8) if v else 0.0
+
+
 class TestSolve:
     def test_ef_writes_reports_and_matches_costs(self, g1_path, tmp_path):
         out_dir = tmp_path / "run"
@@ -79,7 +86,6 @@ class TestSolve:
         assert objective.split()[-1] == total_line.split(",")[1]
 
     def test_pha_exit_and_trace_consistency(self, g1_path, tmp_path):
-        from flexcep.storage import fmt_num
         out_dir = tmp_path / "pha"
         out = io.StringIO()
         manifest = RunManifest(
@@ -94,11 +100,43 @@ class TestSolve:
         assert len(trace) >= 2
         last = trace[-1].split(",")
         assert last[3] and last[4], "final trace row must carry both bounds"
-        gap = (float(last[4]) - float(last[3])) / max(abs(float(last[4])), 1.0)
-        gap_line = [ln for ln in out.getvalue().splitlines()
-                    if ln.startswith("bounds:")][0]
-        assert f"gap={fmt_num(gap)}" in gap_line
+        bounds = re.fullmatch(r"bounds:\s+lower=(\S+) upper=(\S+) gap=(\S+)", [
+            ln for ln in out.getvalue().splitlines() if ln.startswith("bounds:")][0])
+        assert bounds.group(1, 2) == (last[3], last[4])
+        # both sides round the same unrounded gap to 9 significant digits, so
+        # compare them to the precision the rounded bounds carry
+        lower, upper, gap = (float(v) for v in bounds.groups())
+        recomputed = (upper - lower) / max(abs(upper), 1.0)
+        carried = (_half_unit(lower) + _half_unit(upper)) / max(abs(upper), 1.0) \
+            * (1.0 + abs(recomputed)) + _half_unit(gap)
+        assert abs(gap - recomputed) <= carried <= 1e-8
         assert all(row.split(",")[5] == "0" for row in trace[1:])  # timing off
+
+    def test_summary_names_the_incumbent_source(self, g1_path, tmp_path):
+        summaries = {}
+        for method, cfg in (("ef", PHAConfig()),
+                            ("pha", PHAConfig(max_iterations=3, gap_threshold=1e-9))):
+            out = io.StringIO()
+            manifest = RunManifest(instance_path=g1_path, method=method,
+                                   out_dir=str(tmp_path / method), pha=cfg)
+            assert cmd_solve(manifest, out=out) in (EXIT_OK, 3)
+            lines = out.getvalue().splitlines()
+            assert lines[5].startswith("bounds:")
+            summaries[method] = lines[6]
+        assert summaries["ef"] == "incumbent:   extensive form"
+        assert re.fullmatch(r"incumbent:   (scenario s[12]|consensus) @ iteration [123]",
+                            summaries["pha"])
+
+    def test_no_incumbent_has_no_source(self, tmp_path):
+        from flexcep.oracle import g1_variant
+        p = tmp_path / "hard.json"
+        save_instance(g1_variant(1, policy_threshold=-2000.0), p)
+        out = io.StringIO()
+        manifest = RunManifest(instance_path=str(p), method="pha",
+                               out_dir=str(tmp_path / "out"),
+                               pha=PHAConfig(max_iterations=2, gap_threshold=1e-9))
+        assert cmd_solve(manifest, out=out) == EXIT_NO_INCUMBENT
+        assert "incumbent:   n/a" in out.getvalue().splitlines()
 
     def test_identical_manifests_byte_identical_reports(self, g1_path, tmp_path):
         runs = []

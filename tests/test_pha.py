@@ -28,6 +28,10 @@ from flexcep.pha import (
     sigma_violation,
 )
 
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "fixtures")
+
+
 def _single_scenario_inflexible(seed=1):
     """|Omega| = 1, no policies, inflexible tiers: no cross-scenario coupling."""
     base = g1_variant(seed)
@@ -307,11 +311,12 @@ class TestRunPha:
         cfg = PHAConfig(max_iterations=3, gap_threshold=1e-9, relax_integrality=relax)
         run_pha(g1, cfg, solver_cfg)
         # iteration 1, then a hedging and a lower-bound sweep in iterations 2
-        # and 3, then the candidate LP of the last iteration
+        # and 3; every candidate (the scenarios' own first stages each
+        # iteration in integer mode, the consensus box at the last) is an LP
         subproblems = [mip for name, mip in seen if not name.endswith("-ef")]
         assert len(subproblems) == 5 * len(g1.scenarios)
         assert set(subproblems) == {not relax}
-        assert [mip for name, mip in seen if name.endswith("-ef")] == [False]
+        assert set(mip for name, mip in seen if name.endswith("-ef")) == {False}
 
     def test_thread_pool_matches_serial(self, g1, solver_cfg):
         serial, s1 = run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9),
@@ -339,12 +344,110 @@ class TestRunPha:
         assert lows == sorted(lows)
 
 
+def _record_evaluations(monkeypatch):
+    """Record the next run's candidate evaluations as ``(source, lo, hi, result)``."""
+    sources, calls = {}, []
+    candidates = pha_module._candidates
+    evaluate = pha_module.exact_candidate_evaluation
+
+    def naming(*args):
+        for source, x_hat, lo, hi in candidates(*args):
+            sources.setdefault(lo.tobytes() + hi.tobytes(), source)
+            yield source, x_hat, lo, hi
+
+    def recording(inst, lo, hi, *args, **kwargs):
+        result = evaluate(inst, lo, hi, *args, **kwargs)
+        calls.append((sources[lo.tobytes() + hi.tobytes()], lo, hi, result))
+        return result
+    monkeypatch.setattr(pha_module, "_candidates", naming)
+    monkeypatch.setattr(pha_module, "exact_candidate_evaluation", recording)
+    return calls
+
+
+TIE = 1e9
+
+
+def _tie(result):
+    """An evaluation result with its objective replaced by ``TIE``."""
+    return None if result is None else (TIE, *result[1:])
+
+
+class TestScenarioCandidates:
+    """Every scenario's own first stage is a candidate in integer mode."""
+
+    def test_no_pinned_box_is_evaluated_twice(self, solver_cfg, monkeypatch):
+        offered = []
+        candidates = pha_module._candidates
+
+        def offering(*args):
+            for candidate in candidates(*args):
+                offered.append(candidate[2].tobytes())
+                yield candidate
+        monkeypatch.setattr(pha_module, "_candidates", offering)
+        calls = _record_evaluations(monkeypatch)
+        # G2 seed 1 offers some scenario first stages again in later iterations
+        run_pha(generate("G2", 1), PHAConfig(rho_scale=0.1, max_iterations=12,
+                                             gap_threshold=1e-9), solver_cfg)
+        assert len(set(offered)) < len(offered)
+        pinned = [lo.tobytes() for _, lo, hi, _ in calls if np.array_equal(lo, hi)]
+        assert pinned
+        assert len(set(pinned)) == len(pinned)
+
+    def test_convex_mode_evaluates_only_the_scheduled_consensus_boxes(
+            self, g1, solver_cfg, monkeypatch):
+        calls = _record_evaluations(monkeypatch)
+        report, state = run_pha(g1, PHAConfig(max_iterations=6, gap_threshold=1e-9,
+                                              relax_integrality=True), solver_cfg)
+        assert state.iteration == 6
+        assert [source for source, *_ in calls] == ["consensus", "consensus"]
+        # iterations 5 and 6
+        assert [row.upper_bound is None for row in report.trace] == [True] * 4 + [False] * 2
+
+    @pytest.mark.parametrize("path", [f"G{g}/seed{s}.json" for g in (1, 2, 3)
+                                      for s in (1, 2, 3)])
+    def test_first_upper_bound_by_iteration_two(self, path, solver_cfg):
+        # the CLI defaults (--rho 0.1 --beta 0.1); the consensus schedule
+        # alone gives the first upper bound at iteration 5
+        inst = storage.load_instance(os.path.join(FIXTURES, path))
+        report, _ = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1,
+                                            max_iterations=3), solver_cfg)
+        first = next(row.iteration for row in report.trace if row.upper_bound is not None)
+        assert first <= 2
+
+    def test_incumbent_is_the_first_best_candidate(self, g1, solver_cfg, monkeypatch):
+        built = []
+        original = pha_module.report_from_solution
+
+        def capturing(inst, index, x, *args, **kwargs):
+            built.append(x)
+            return original(inst, index, x, *args, **kwargs)
+        monkeypatch.setattr(pha_module, "report_from_solution", capturing)
+        calls = _record_evaluations(monkeypatch)
+        cfg = PHAConfig(rho_scale=0.1, max_iterations=6, gap_threshold=1e-9)
+        report, state = run_pha(g1, cfg, solver_cfg)
+        results = [result for *_, result in calls if result is not None]
+        best = min(result[0] for result in results)
+        assert report.objective == state.best_upper == best
+        assert built[-1] is next(r for r in results if r[0] == best)[2]
+
+        # every candidate ties: the first one evaluated stays the incumbent
+        evaluate = pha_module.exact_candidate_evaluation
+        monkeypatch.setattr(pha_module, "exact_candidate_evaluation",
+                            lambda *a, **kw: _tie(evaluate(*a, **kw)))
+        del calls[:]
+        report, _ = run_pha(g1, PHAConfig(rho_scale=0.1, max_iterations=1), solver_cfg)
+        found = [(source, result) for source, _, _, result in calls if result is not None]
+        assert len(found) >= 2
+        assert report.objective == TIE
+        assert built[-1] is found[0][1][2]
+        assert report.incumbent_source == f"{found[0][0]} @ iteration 1"
+
+
 class TestBuildOnce:
     """Each model is assembled once per run and re-priced or re-bounded after."""
 
     def _counted_run(self, monkeypatch, path, out_dir, workers):
-        counts = {"build_scenario_subproblem": 0, "build_extensive_form": 0,
-                  "exact_candidate_evaluation": 0}
+        counts = {"build_scenario_subproblem": 0, "build_extensive_form": 0}
         for name in counts:
             original = getattr(pha_module, name)
 
@@ -352,26 +455,35 @@ class TestBuildOnce:
                 counts[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(pha_module, name, counting)
+        calls = _record_evaluations(monkeypatch)
         cfg = PHAConfig(rho_scale=0.1, beta_scale=0.1, max_iterations=6,
                         gap_threshold=1e-9, workers=workers)
         code = cmd_solve(RunManifest(instance_path=path, method="pha", out_dir=out_dir,
                                      pha=cfg), out=io.StringIO())
         monkeypatch.undo()
-        return code, counts
+        return code, counts, calls
 
     def test_g2_builds_each_model_once_serial_and_pooled(self, monkeypatch, tmp_path):
         inst = generate("G2", 1)
         path = str(tmp_path / "g2.json")
         storage.save_instance(inst, path)
-        dirs = {}
+        dirs, evaluated = {}, {}
         for workers in (1, 2):
             dirs[workers] = str(tmp_path / f"w{workers}")
-            code, counts = self._counted_run(monkeypatch, path, dirs[workers], workers)
+            code, counts, calls = self._counted_run(monkeypatch, path, dirs[workers],
+                                                    workers)
             assert code in (0, 3)
             assert counts["build_scenario_subproblem"] == len(inst.scenarios)
-            assert counts["build_extensive_form"] <= 1
-            # iterations 5 and 6 both evaluate a candidate on the one EF
-            assert counts["exact_candidate_evaluation"] == 2
+            assert counts["build_extensive_form"] == 1
+            # the one EF evaluates the scheduled consensus boxes (iterations 5
+            # and 6) plus every distinct accepted scenario candidate, once each
+            keys = [lo.tobytes() + hi.tobytes() for _, lo, hi, _ in calls]
+            scenario = [(lo, hi) for source, lo, hi, _ in calls if source != "consensus"]
+            assert len(calls) - len(scenario) == 2
+            assert scenario and all(np.array_equal(lo, hi) for lo, hi in scenario)
+            assert len(set(keys)) == len(keys)
+            evaluated[workers] = keys
+        assert evaluated[1] == evaluated[2]
         names = sorted(os.listdir(dirs[1]))
         assert names == sorted(os.listdir(dirs[2])) and names
         match, mismatch, errors = filecmp.cmpfiles(dirs[1], dirs[2], names, shallow=False)
