@@ -13,9 +13,7 @@ incumbent/infeasible, 5 solver backend failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import os
 import sys
 
 from .build import build_extensive_form
@@ -29,7 +27,7 @@ from .core import (
 )
 from .pha import NO_INCUMBENT, PHAConfig, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import BackendError, SolverConfig, solve
+from .solvers import BackendError, SolverConfig, solve, solver_output_to_stderr
 from . import storage
 
 EXIT_OK = 0
@@ -69,32 +67,6 @@ def _load_instance(instance_path: str, out):
         return None, EXIT_IO
 
 
-@contextlib.contextmanager
-def _solver_output_to_stderr():
-    """Point fd 1 at fd 2 while solvers run, then restore it.
-
-    The HiGHS library inside scipy can print straight to file descriptor 1,
-    past ``sys.stdout``; while this is active such lines land on stderr and
-    cannot mix with the summary that scripts read from stdout.
-    """
-    saved = None
-    try:
-        saved = os.dup(1)
-        sys.stdout.flush()
-        os.dup2(2, 1)
-    except OSError:  # stdout or stderr is closed: leave the descriptors alone
-        if saved is not None:
-            os.close(saved)
-            saved = None
-    try:
-        yield
-    finally:
-        if saved is not None:
-            sys.stdout.flush()
-            os.dup2(saved, 1)
-            os.close(saved)
-
-
 def cmd_validate(instance_path: str, out=sys.stdout) -> int:
     """Exit 0 iff the file parses and validates; violations print one per line."""
     return _load_instance(instance_path, out)[1]
@@ -129,7 +101,7 @@ def cmd_solve(manifest: RunManifest, out=sys.stdout) -> int:
         return EXIT_INVALID
     solver = dataclasses.replace(manifest.solver, seed=manifest.seed)
     try:
-        with _solver_output_to_stderr():
+        with solver_output_to_stderr():
             if manifest.method == "ef":
                 report, code = _solve_ef(inst, solver)
             else:
@@ -228,7 +200,7 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
         return EXIT_INVALID
 
     results = []
-    with _solver_output_to_stderr():
+    with solver_output_to_stderr():
         for label, tiers in variants:
             try:
                 report, _ = _solve_ef(_with_tiers(inst, load_tech, tiers), solver)

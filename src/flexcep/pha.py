@@ -28,9 +28,12 @@ last iteration, the consensus box follows: it pins integer coordinates to the
 rounded, repaired consensus and gives continuous ones
 ``x_bar +- max_s |x_s - x_bar|``. Each box restricts the extensive form, so
 its LP optimum is a valid upper bound. A box is tried at most once per run,
-and a tie keeps the incumbent found first. The method is a heuristic on the
-mixed-integer problem; results are always reported as an incumbent with a
-gap, never as proven optimal.
+and a tie keeps the incumbent found first. A box that leaves a coordinate
+free couples every scenario block into one LP, which HiGHS's interior-point
+method solves fastest; a pinned box separates into scenario blocks and stays
+on dual simplex (see ``exact_candidate_evaluation``). The method is a
+heuristic on the mixed-integer problem; results are always reported as an
+incumbent with a gap, never as proven optimal.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .core import (
     validate_instance,
 )
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, solve, solver_output_to_stderr
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
@@ -403,6 +406,14 @@ def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.nd
     upper bound. ``ef`` is a ``build_extensive_form`` result to re-bound; when
     omitted it is built here. Returns ``(objective, index, primal)`` or None
     when no feasible completion exists.
+
+    A box with a free coordinate (``lo < hi`` anywhere) is solved by the
+    interior-point method with crossover: the free first stage and the hard
+    expectation rows link all scenario blocks, and on such LPs it beats dual
+    simplex (3.5x on the banded convex candidates of the S=4, T=168 benchmark
+    rung, 2 vCPUs). A fully pinned box leaves independent scenario blocks,
+    which simplex solves faster, so it stays on simplex. Row counts do not
+    separate the two cases; the structure does.
     """
     solver = solver or SolverConfig()
     n = len(first_stage_info(inst).coords)
@@ -411,7 +422,7 @@ def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.nd
                          f"({n}), got shapes {np.shape(lo)} and {np.shape(hi)}")
     model, index = ef if ef is not None else build_extensive_form(inst)
     lp = restrict_bounds(relax_integrality(model), dict(enumerate(zip(lo, hi))))
-    res = solve(lp, solver)
+    res = solve(lp, solver, interior=bool(np.any(lo < hi)))
     if res.status != OPTIMAL:
         return None
     return float(res.objective), index, res.x
@@ -430,10 +441,16 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     Terminates on (consensus AND expected-slack feasibility), on the relative
     bound gap falling below the threshold, or on the iteration cap. The
     report's solution is the best incumbent found; when no candidate was ever
-    accepted the report says so instead of inventing one.
+    accepted the report says so instead of inventing one. Output that HiGHS
+    prints past ``sys.stdout`` goes to stderr for the whole run.
     """
-    cfg = cfg or PHAConfig()
-    solver = solver or SolverConfig()
+    # one redirect around the run: per-solve ones would race in worker threads
+    with solver_output_to_stderr():
+        return _hedge(inst, cfg or PHAConfig(), solver or SolverConfig(), collect_timing)
+
+
+def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
+           collect_timing: bool) -> tuple[SolveReport, PHAState]:
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)

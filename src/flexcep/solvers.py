@@ -11,16 +11,30 @@ Diagonal quadratic objective terms are linearized here: backends receive a
 piecewise-linear outer approximation (tangent cuts on an epigraph variable,
 ``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
+
+In process, LPs and MILPs go through one ``scipy.optimize.milp`` call, and an
+LP runs on HiGHS's default dual simplex. A caller may ask for HiGHS's
+interior-point method with crossover instead (``solve(..., interior=True)``),
+which returns a vertex too. Candidate boxes with a free coordinate, which
+couple every scenario block of the extensive form, are the only solves that
+ask for it (see :func:`flexcep.pha.exact_candidate_evaluation`); every
+hedging, lower-bound and pinned-candidate solve stays on simplex. The
+subprocess backend is unaffected: its binary picks its own algorithm.
+
+HiGHS can print past ``sys.stdout`` on file descriptor 1;
+:func:`solver_output_to_stderr` sends such lines to stderr around a run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,19 +209,26 @@ def _row_bounds(model: CanonicalModel) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
+def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
+                       interior: bool = False) -> SolveResult:
     kwargs = {}
     if model.num_rows:
         lo, hi = _row_bounds(model)
         kwargs["constraints"] = LinearConstraint(model.matrix(), lo, hi)
-    res = milp(
-        c=model.obj,
-        integrality=model.var_integer.astype(np.uint8),
-        bounds=Bounds(model.var_lb, model.var_ub),
-        options={"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap,
-                 "presolve": True},
-        **kwargs,
-    )
+    options = {"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap,
+               "presolve": True}
+    call = dict(c=model.obj, integrality=model.var_integer.astype(np.uint8),
+                bounds=Bounds(model.var_lb, model.var_ub), **kwargs)
+    if interior:
+        # scipy passes an option it does not know to HiGHS verbatim and warns
+        # that it did. Warning filters are process-wide, so only this call,
+        # never made from a worker thread, touches them.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="Unrecognized options detected",
+                                    category=RuntimeWarning)
+            res = milp(options={**options, "solver": "ipm"}, **call)
+    else:
+        res = milp(options=options, **call)
     gap = getattr(res, "mip_gap", None)
     if res.status == 0:
         status = OPTIMAL if not gap or gap <= 1e-9 else FEASIBLE_WITH_GAP
@@ -332,17 +353,58 @@ def _parse_solution_file(text: str):
 # ---------------------------------------------------------------------------
 
 
-def solve(model: CanonicalModel, cfg: SolverConfig | None = None) -> SolveResult:
+@contextlib.contextmanager
+def solver_output_to_stderr():
+    """Point fd 1 at fd 2 while solvers run, then restore it.
+
+    The HiGHS library inside scipy can print straight to file descriptor 1,
+    past ``sys.stdout``; while this is active such lines land on stderr and
+    cannot mix with what the caller writes to stdout. Descriptors belong to
+    the process, so enter it once around a whole run from the main thread,
+    never around single solves that worker threads may make concurrently.
+    """
+    saved = None
+    try:
+        saved = os.dup(1)
+        sys.stdout.flush()
+        os.dup2(2, 1)
+    except OSError:  # stdout or stderr is closed: leave the descriptors alone
+        if saved is not None:
+            os.close(saved)
+            saved = None
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.stdout.flush()
+            os.dup2(saved, 1)
+            os.close(saved)
+
+
+def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
+          interior: bool = False) -> SolveResult:
     """Solve an LP/MILP; quadratic terms are linearized transparently.
 
     The reported objective is re-evaluated against ``model`` at the returned
     point, so it always matches ``objective_value(model, result.x)``.
+
+    ``interior`` asks the in-process backend to solve an LP with HiGHS's
+    interior-point method instead of its default dual simplex. Crossover
+    stays on, so the point returned is still a vertex. It pays where one LP
+    couples many blocks and loses on small or block-separable LPs, so callers
+    choose it by the structure of the model (see
+    ``pha.exact_candidate_evaluation``). The subprocess backend ignores it:
+    its binary picks its own algorithm. A model with integer columns raises
+    ValueError.
     """
     cfg = cfg or SolverConfig()
     model.check()
+    if interior and model.var_integer.any():
+        raise ValueError("the interior-point method solves LPs only; "
+                         "the model has integer columns")
     solved = expand_quadratic(model, PWL_SEGMENTS) if model.quad else model
     if cfg.backend == INPROC:
-        res = _solve_inproc_milp(solved, cfg)
+        res = _solve_inproc_milp(solved, cfg, interior)
     elif cfg.backend == SUBPROCESS:
         res = _solve_subprocess(solved, cfg)
     else:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flexcep.pha as pha_module
+import flexcep.solvers as solvers_module
 from flexcep import storage
-from flexcep.build import first_stage_info
+from flexcep.build import build_extensive_form, first_stage_info
+from flexcep.canonical import relax_integrality
 from flexcep.cli import RunManifest, cmd_solve
 from flexcep.core import enumerate_expectation_constraints
 from flexcep.oracle import brute_force_optimum, g1_variant, generate
@@ -27,6 +29,7 @@ from flexcep.pha import (
     round_and_repair,
     sigma_violation,
 )
+from flexcep.solvers import solve
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -257,6 +260,43 @@ class TestExactCandidateEvaluation:
         x_hat = _vector(first_stage_info(inst), g1_oracle.assignment)
         assert exact_candidate_evaluation(inst, x_hat, x_hat, solver_cfg) is None
 
+    @pytest.mark.parametrize("gen", ["G1", "G2", "G3"])
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["integer", "convex"])
+    def test_banded_box_by_interior_point_matches_simplex(self, gen, relaxed,
+                                                         solver_cfg, monkeypatch):
+        # a box around the (relaxed) EF optimum's first stage: integer
+        # coordinates pinned in integer mode, every other one banded
+        inst = generate(gen, 1)
+        info = first_stage_info(inst)
+        model, _ = build_extensive_form(inst)
+        optimum = solve(relax_integrality(model) if relaxed else model, solver_cfg)
+        centre = optimum.x[:len(info.coords)]
+        pinned = info.integer & (not relaxed)
+        band = 0.25 * np.abs(centre) + 0.5
+        lo = np.where(pinned, np.round(centre), np.maximum(info.lb, centre - band))
+        hi = np.where(pinned, np.round(centre), np.minimum(info.ub, centre + band))
+        assert np.any(lo < hi)
+        interior = exact_candidate_evaluation(inst, lo, hi, solver_cfg)
+        original = pha_module.solve  # the same box again, on dual simplex
+        monkeypatch.setattr(pha_module, "solve",
+                            lambda model, cfg=None, **kwargs: original(model, cfg))
+        simplex = exact_candidate_evaluation(inst, lo, hi, solver_cfg)
+        assert interior is not None and simplex is not None
+        assert interior[0] == pytest.approx(simplex[0], rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["unreachable policy", "unmet mandate"])
+    def test_infeasible_banded_box_has_no_bound(self, case, solver_cfg):
+        if case == "unreachable policy":
+            inst = g1_variant(1, policy_threshold=-2000.0)
+            info = first_stage_info(inst)
+            lo, hi = info.lb, info.ub
+        else:  # no datacenter site may be built, everything else is free
+            inst = generate("G2", 1)
+            info = first_stage_info(inst)
+            lo, hi = info.lb, np.where(info.integer, info.lb, info.ub)
+        assert np.any(lo < hi)
+        assert exact_candidate_evaluation(inst, lo, hi, solver_cfg) is None
+
     def test_wrong_length_candidate_or_box_rejected(self, g1):
         info = first_stage_info(g1)
         short = np.zeros(len(info.coords) - 1)
@@ -304,9 +344,9 @@ class TestRunPha:
         seen = []
         original = pha_module.solve
 
-        def recording(model, cfg=None):
+        def recording(model, cfg=None, **kwargs):
             seen.append((model.name, bool(model.var_integer.any())))
-            return original(model, cfg)
+            return original(model, cfg, **kwargs)
         monkeypatch.setattr(pha_module, "solve", recording)
         cfg = PHAConfig(max_iterations=3, gap_threshold=1e-9, relax_integrality=relax)
         run_pha(g1, cfg, solver_cfg)
@@ -317,6 +357,52 @@ class TestRunPha:
         assert len(subproblems) == 5 * len(g1.scenarios)
         assert set(subproblems) == {not relax}
         assert set(mip for name, mip in seen if name.endswith("-ef")) == {False}
+
+    @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
+    def test_interior_point_exactly_on_candidates_with_a_free_coordinate(
+            self, g1, solver_cfg, monkeypatch, relax):
+        seen = []  # (candidate box has a free coordinate, or None, and the solver option)
+        banded = []
+        original_milp = solvers_module.milp
+        evaluate = pha_module.exact_candidate_evaluation
+
+        def recording_milp(*args, options, **kwargs):
+            seen.append((banded[-1] if banded else None, options.get("solver")))
+            return original_milp(*args, options=options, **kwargs)
+
+        def evaluating(inst, lo, hi, *args, **kwargs):
+            banded.append(bool(np.any(lo < hi)))
+            try:
+                return evaluate(inst, lo, hi, *args, **kwargs)
+            finally:
+                banded.pop()
+        monkeypatch.setattr(solvers_module, "milp", recording_milp)
+        monkeypatch.setattr(pha_module, "exact_candidate_evaluation", evaluating)
+        run_pha(g1, PHAConfig(max_iterations=5, gap_threshold=1e-9,
+                              relax_integrality=relax), solver_cfg)
+        assert all((solver == "ipm") == bool(free) for free, solver in seen)
+        assert {free for free, _ in seen} == ({None, True} if relax else {None, False, True})
+
+    def test_solver_output_on_fd1_goes_to_stderr(self, g1, solver_cfg, monkeypatch,
+                                                 capfd):
+        original = pha_module.solve
+
+        def noisy(model, cfg=None, **kwargs):
+            os.write(1, b"printed by the solver library\n")
+            return original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "solve", noisy)
+        run_pha(g1, PHAConfig(max_iterations=2, workers=2), solver_cfg)
+        print("after the run")
+        out, err = capfd.readouterr()
+        assert out == "after the run\n"
+        assert "printed by the solver library" in err
+
+    def test_library_run_leaves_stdout_empty(self, capfd):
+        # between iterations 71 and 75 of this run a scenario MILP makes
+        # scipy's HiGHS print a line of its own on fd 1, past sys.stdout
+        inst = storage.load_instance(os.path.join(FIXTURES, "G2", "seed3.json"))
+        run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1, max_iterations=75))
+        assert capfd.readouterr().out == ""
 
     def test_thread_pool_matches_serial(self, g1, solver_cfg):
         serial, s1 = run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9),

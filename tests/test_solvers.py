@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from flexcep.canonical import (
     ModelBuilder,
     ModelError,
     objective_value,
+    relax_integrality,
 )
+import flexcep.solvers as solvers_module
 from flexcep.solvers import (
     BackendCrashError,
     BackendError,
@@ -105,6 +108,45 @@ class TestQuadratic:
         m = mb.freeze()
         res = solve(m)
         assert res.objective == pytest.approx(objective_value(m, res.x), rel=1e-12)
+
+
+class TestInteriorPoint:
+    """``interior=True`` solves an LP with HiGHS's interior-point method."""
+
+    def test_relaxed_ef_matches_simplex_without_a_warning(self, g1_ef):
+        lp = relax_integrality(g1_ef[0])
+        simplex = solve(lp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interior = solve(lp, interior=True)
+        assert interior.status == simplex.status == "optimal"
+        assert interior.objective == pytest.approx(simplex.objective, rel=1e-9)
+        assert interior.objective == pytest.approx(objective_value(lp, interior.x),
+                                                   rel=1e-12)
+
+    def test_only_the_interior_call_names_a_solver(self, monkeypatch):
+        seen = []
+        original = solvers_module.milp
+
+        def recording(*args, options, **kwargs):
+            seen.append(dict(options))
+            return original(*args, options=options, **kwargs)
+        monkeypatch.setattr(solvers_module, "milp", recording)
+        solve(_min_x_geq(3.0))
+        solve(_min_x_geq(3.0), interior=True)
+        assert "solver" not in seen[0]
+        assert seen[1] == {**seen[0], "solver": "ipm"}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_milp_rejected(self, backend):
+        with pytest.raises(ValueError, match="integer columns"):
+            solve(_min_x_geq(2.5, integer=True), SolverConfig(backend=backend),
+                  interior=True)
+
+    def test_subprocess_backend_ignores_it(self):
+        res = solve(_min_x_geq(3.0), SolverConfig(backend="subprocess"), interior=True)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0, abs=1e-8)
 
 
 class TestSubprocessProtocol:
