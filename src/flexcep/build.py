@@ -207,7 +207,7 @@ def _require_valid(inst: PlanningInstance) -> None:
         raise InvalidInstanceError(violations)
 
 
-def _add_first_stage(mb: ModelBuilder, inst: PlanningInstance, info: FirstStageInfo,
+def _add_first_stage(mb: ModelBuilder, info: FirstStageInfo,
                      coords: list[Coord]) -> dict[Coord, int]:
     cols: dict[Coord, int] = {}
     for i, coord in enumerate(info.coords):
@@ -388,7 +388,7 @@ def build_extensive_form(inst: PlanningInstance) -> tuple[CanonicalModel, Variab
     info = first_stage_info(inst)
     mb = ModelBuilder(name=f"{inst.name}-ef")
     coords: list[Coord] = []
-    cols = _add_first_stage(mb, inst, info, coords)
+    cols = _add_first_stage(mb, info, coords)
     annual = inst.annualization_days * inst.period_length_h
     for scen in inst.scenarios:
         _add_scenario_block(mb, inst, scen, coords, cols,
@@ -430,7 +430,7 @@ def build_scenario_subproblem(inst: PlanningInstance,
     info = first_stage_info(inst)
     mb = ModelBuilder(name=f"{inst.name}-lr-{scen.id}")
     coords: list[Coord] = []
-    cols = _add_first_stage(mb, inst, info, coords)
+    cols = _add_first_stage(mb, info, coords)
     annual = inst.annualization_days * inst.period_length_h
     _add_scenario_block(mb, inst, scen, coords, cols, cost_scale=annual)
     _add_mandate_rows(mb, inst, cols)

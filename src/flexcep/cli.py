@@ -147,10 +147,10 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
 
 def _solve_pha(inst, cfg: PHAConfig, solver: SolverConfig,
                timing: bool) -> tuple[SolveReport, int]:
-    report, state = run_pha(inst, cfg, solver, collect_timing=timing)
+    report, _ = run_pha(inst, cfg, solver, collect_timing=timing)
     if report.status == NO_INCUMBENT:
         return report, EXIT_NO_INCUMBENT
-    if state.termination in ("consensus", "bound_gap"):
+    if report.termination in ("consensus", "bound_gap"):
         return report, EXIT_OK
     return report, EXIT_LIMIT
 

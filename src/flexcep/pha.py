@@ -1,11 +1,17 @@
 """Augmented progressive hedging over scenarios with dualized expectations.
 
-Each iteration solves every scenario's subproblem (optionally in a thread
-pool), averages the first-stage copies, updates the non-anticipativity
-weights ``w_w += rho * (x_w - x_bar)``, and takes a projected subgradient
-step ``lam_c = max(0, lam_c + beta_c * sigma_bar_c)`` on the expectation
-multipliers. The first iteration solves without weight and proximal terms,
-which also yields the initial Lagrangian lower bound for free.
+One iteration is three steps over the shared :class:`PHAState`. The hub step
+solves every scenario's subproblem (optionally in a thread pool), averages
+the first-stage copies, updates the non-anticipativity weights
+``w_w += rho * (x_w - x_bar)`` and takes a projected subgradient step
+``lam_c = max(0, lam_c + beta_c * sigma_bar_c)`` on the expectation
+multipliers; its first sweep has no weight and proximal terms. The dual step
+gives the lower bound: probability-weighted Lagrangian subproblem optima at
+the new (lam, w), valid whenever ``lam >= 0`` and ``sum_w pi_w w_w = 0``.
+The first sweep is itself Lagrangian, so the first bound is free. The
+candidate step gives the upper bound: first-stage boxes ``(lo, hi)``
+evaluated on the relaxed extensive form, which is built once and re-bounded
+per evaluation.
 
 Every model is assembled once per run. Each scenario's Lagrangian model is
 built before the first iteration; every hedging and lower-bound solve then
@@ -16,28 +22,25 @@ model's leading columns (see :mod:`flexcep.build`): a solution's first stage
 is ``x[:n]`` and its slacks are the tail. The multipliers ``lam`` are keyed
 by expectation handle.
 
-Bounds are tracked throughout: lower bounds come from probability-weighted
-Lagrangian subproblem optima at the current (lam, w) -- valid whenever
-``lam >= 0`` and ``sum_w pi_w w_w = 0`` -- and upper bounds from first-stage
-boxes ``(lo, hi)`` evaluated on the relaxed extensive form, which is built
-once and re-bounded per evaluation. Boxes come from two sources. In integer
-mode, every iteration pins each scenario's own first stage, rounded and
-repaired, in scenario order (the inner-bound idea of mpi-sppy's
-``xhatshuffle`` spoke). On the incumbent schedule, at convergence and at the
-last iteration, the consensus box follows: it pins integer coordinates to the
-rounded, repaired consensus and gives continuous ones
-``x_bar +- max_s |x_s - x_bar|``. Each box restricts the extensive form, so
-its LP optimum is a valid upper bound. A box is tried at most once per run,
-and a tie keeps the incumbent found first. A box that leaves a coordinate
-free couples every scenario block into one LP, which HiGHS's interior-point
-method solves fastest; a pinned box separates into scenario blocks and stays
-on dual simplex (see ``exact_candidate_evaluation``). The method is a
-heuristic on the mixed-integer problem; results are always reported as an
-incumbent with a gap, never as proven optimal.
+Boxes come from two sources. In integer mode, every iteration pins each
+scenario's own first stage, rounded and repaired, in scenario order (the
+inner-bound idea of mpi-sppy's ``xhatshuffle`` spoke). On
+``INCUMBENT_SCHEDULE``, at convergence and at the last iteration, the
+consensus box follows: it pins integer coordinates to the rounded, repaired
+consensus and gives continuous ones ``x_bar +- max_s |x_s - x_bar|``. Each
+box restricts the extensive form, so its LP optimum is a valid upper bound.
+A box is tried at most once per run, and a tie keeps the incumbent found
+first. A box that leaves a coordinate free couples every scenario block into
+one LP, which HiGHS's interior-point method solves fastest; a pinned box
+separates into scenario blocks and stays on dual simplex (see
+``exact_candidate_evaluation``). The method is a heuristic on the
+mixed-integer problem; results are always reported as an incumbent with a
+gap, never as proven optimal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,7 +75,7 @@ from .solvers import SolverConfig, solve, solver_output_to_stderr
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
-_DEFAULT_SCHEDULE = (5, 10, 20, 40, 80, 160, 320, 640, 1280)
+INCUMBENT_SCHEDULE = (5, 10, 20, 40, 80, 160, 320, 640, 1280)  # consensus-box iterations
 
 
 class PHAError(RuntimeError):
@@ -93,10 +96,8 @@ class PHAConfig:
     beta_scale: float = 0.1  # multiplier step = beta_scale * price/sigma scale
     max_iterations: int = 100
     gap_threshold: float = 1e-3  # relative bound gap stop
-    incumbent_schedule: tuple[int, ...] = _DEFAULT_SCHEDULE
     workers: int = 1  # scenario solves run serially unless > 1
     relax_integrality: bool = False  # drop integrality everywhere (convex mode)
-    beta_decay_after: int | None = None  # 1/k decay of beta past this iteration
 
     def __post_init__(self):
         if self.rho_scale <= 0 or self.beta_scale <= 0:
@@ -118,7 +119,7 @@ def _relative_gap(lower: float | None, upper: float | None) -> float | None:
 
 @dataclass
 class PHAState:
-    """Algorithm state; mutated by the engine and returned at the end."""
+    """The run state the hedging steps share; returned at the end."""
 
     mw_scale: np.ndarray
     probabilities: dict[str, float]
@@ -129,8 +130,12 @@ class PHAState:
     lam: dict[str, float] = field(default_factory=dict)
     sigma_bar: dict[str, float] = field(default_factory=dict)
     best_lower: float | None = None
-    best_upper: float | None = None
+    incumbent: tuple | None = None  # (objective, index, x, source) of the best candidate
     termination: str = ""
+
+    @property
+    def best_upper(self) -> float | None:
+        return None if self.incumbent is None else self.incumbent[0]
 
 
 def consensus_metric(state: PHAState) -> float:
@@ -465,110 +470,107 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
         info = replace(info, integer=continuous)
         bases = {sid: (relax_integrality(model), index)
                  for sid, (model, index) in bases.items()}
-    n = len(info.coords)
-    handles = enumerate_expectation_constraints(inst)
     rho = _rho_vector(cfg, info)
     beta = _beta_scales(cfg, inst)
-    probabilities = {s.id: s.probability for s in inst.scenarios}
-    state = PHAState(mw_scale=info.mw_scale.copy(), probabilities=probabilities)
-    state.lam = {h.handle: 0.0 for h in handles}
-    state.w = {s.id: np.zeros(n) for s in inst.scenarios}
-    ef = None  # built at the first candidate evaluation, then only re-bounded
-
-    trace: list[TraceRow] = []
-    incumbent = None  # (objective, index, x, source) of the best evaluated candidate
+    state = PHAState(mw_scale=info.mw_scale.copy(),
+                     probabilities={s.id: s.probability for s in inst.scenarios})
+    state.lam = {h.handle: 0.0 for h in enumerate_expectation_constraints(inst)}
+    state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
+    ef = functools.cache(lambda: build_extensive_form(inst))  # built at first use only
     tried: set[bytes] = set()  # every box seen this run, rejected and infeasible ones too
+    trace: list[TraceRow] = []
     t_start = time.perf_counter()
 
-    termination = ""
-    for k in range(cfg.max_iterations):
-        # the first sweep has zero weights and no proximal term: a Lagrangian bound
-        if k == 0:
-            solved = _solve_scenarios(inst, bases, state.lam, state.w, solver, cfg.workers)
-        else:
-            solved = _solve_scenarios(inst, bases, state.lam, state.w, solver, cfg.workers,
-                                      anchor=state.x_bar, rho=rho)
-
-        sigma_bar = {h.handle: 0.0 for h in handles}
-        lb_candidate = 0.0
-        for scen, res in zip(inst.scenarios, solved):
-            state.x[scen.id] = res.x[:n].copy()
-            for h, val in zip(handles, res.x[res.x.size - len(handles):]):
-                sigma_bar[h.handle] += scen.probability * float(val)
-            if k == 0:
-                lb_candidate += scen.probability * _proven_lower(res)
-        state.x_bar = sum(probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
-        for s in inst.scenarios:
-            state.w[s.id] = state.w[s.id] + rho * (state.x[s.id] - state.x_bar)
-        state.sigma_bar = sigma_bar
-        decay = 1.0
-        if cfg.beta_decay_after is not None and k + 1 > cfg.beta_decay_after:
-            decay = cfg.beta_decay_after / (k + 1.0)
-        state.lam = {h: max(0.0, state.lam[h] + decay * beta[h] * sigma_bar[h])
-                     for h in state.lam}
-        state.iteration = k + 1
-
-        if k == 0:
-            state.best_lower = lb_candidate
-        else:
-            lb = lagrangian_lower_bound(inst, state.lam, state.w, solver, cfg.workers,
-                                        bases=bases)
-            state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
-
-        metric = consensus_metric(state)
-        viol = sigma_violation(sigma_bar)
-
+    for _ in range(cfg.max_iterations):
+        solved = _hub_step(inst, bases, state, rho, beta, solver, cfg.workers)
+        _dual_step(inst, bases, state, solved, solver, cfg.workers)
+        metric, viol = consensus_metric(state), sigma_violation(state.sigma_bar)
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
-        scheduled = ((k + 1) in cfg.incumbent_schedule or converged
-                     or k + 1 == cfg.max_iterations)
-        for source, x_hat, lo, hi in _candidates(inst, info, state, scheduled):
-            key = lo.tobytes() + hi.tobytes()
-            if key in tried:
-                continue
-            tried.add(key)
-            try:
-                check_first_stage_candidate(inst, info, x_hat)
-            except PHAError:
-                continue
-            if ef is None:
-                ef = build_extensive_form(inst)
-            evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef)
-            if evaluated is not None and (state.best_upper is None
-                                          or evaluated[0] < state.best_upper):
-                state.best_upper = evaluated[0]
-                incumbent = (*evaluated, f"{source} @ iteration {k + 1}")
-        gap = _relative_gap(state.best_lower, state.best_upper)
+        _candidate_step(inst, info, state, solver, tried, ef,
+                        final=converged or state.iteration == cfg.max_iterations)
         trace.append(TraceRow(
-            iteration=k + 1, consensus=metric, sigma_violation=viol,
+            iteration=state.iteration, consensus=metric, sigma_violation=viol,
             lower_bound=state.best_lower, upper_bound=state.best_upper,
             wall_time_s=(time.perf_counter() - t_start) if collect_timing else 0.0))
-
-        if converged:
-            termination = "consensus"
+        gap = _relative_gap(state.best_lower, state.best_upper)
+        if converged or (gap is not None and gap < cfg.gap_threshold):
+            state.termination = "consensus" if converged else "bound_gap"
             break
-        if gap is not None and gap < cfg.gap_threshold:
-            termination = "bound_gap"
-            break
-    if not termination:
-        termination = "max_iterations"
-    state.termination = termination
-
-    report = _assemble_report(inst, state, incumbent, termination, trace)
-    return report, state
+    else:
+        state.termination = "max_iterations"
+    return _assemble_report(inst, state, trace), state
 
 
-def _assemble_report(inst, state: PHAState, incumbent, termination,
-                     trace) -> SolveReport:
-    if incumbent is None:
+def _hub_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAState,
+              rho: np.ndarray, beta: Mapping[str, float], solver: SolverConfig,
+              workers: int) -> list:
+    """Solve one hedging sweep; update ``x``, ``x_bar``, ``w``, ``sigma_bar`` and ``lam``.
+
+    Without a consensus to anchor on yet, the sweep has no proximal term.
+    """
+    solved = _solve_scenarios(inst, bases, state.lam, state.w, solver, workers,
+                              anchor=state.x_bar, rho=None if state.x_bar is None else rho)
+    state.sigma_bar = dict.fromkeys(state.lam, 0.0)  # handles in slack-tail order
+    for scen, res in zip(inst.scenarios, solved):
+        state.x[scen.id] = res.x[:rho.size].copy()
+        for h, val in zip(state.sigma_bar, res.x[res.x.size - len(state.sigma_bar):]):
+            state.sigma_bar[h] += scen.probability * float(val)
+    state.x_bar = sum(state.probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
+    for s in inst.scenarios:
+        state.w[s.id] = state.w[s.id] + rho * (state.x[s.id] - state.x_bar)
+    state.lam = {h: max(0.0, state.lam[h] + beta[h] * state.sigma_bar[h]) for h in state.lam}
+    state.iteration += 1
+    return solved
+
+
+def _dual_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAState,
+               solved: list, solver: SolverConfig, workers: int) -> None:
+    """Raise ``state.best_lower`` to the Lagrangian bound at the hub's new (lam, w).
+
+    The first sweep is itself Lagrangian (zero weights, no proximal term), so
+    its optima give the bound; every later bound takes one more sweep.
+    """
+    if state.iteration == 1:
+        lb = sum(s.probability * _proven_lower(res) for s, res in zip(inst.scenarios, solved))
+    else:
+        lb = lagrangian_lower_bound(inst, state.lam, state.w, solver, workers, bases=bases)
+    state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
+
+
+def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
+                    solver: SolverConfig, tried: set[bytes], ef, final: bool) -> None:
+    """Evaluate this iteration's untried boxes; a strictly better one becomes the incumbent.
+
+    ``ef()`` is the extensive form to re-bound. The consensus box is offered
+    on ``INCUMBENT_SCHEDULE`` and when ``final``.
+    """
+    scheduled = state.iteration in INCUMBENT_SCHEDULE or final
+    for source, x_hat, lo, hi in _candidates(inst, info, state, scheduled):
+        key = lo.tobytes() + hi.tobytes()
+        if key in tried:
+            continue
+        tried.add(key)
+        try:
+            check_first_stage_candidate(inst, info, x_hat)
+        except PHAError:
+            continue
+        evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef())
+        if evaluated is not None and (state.best_upper is None
+                                      or evaluated[0] < state.best_upper):
+            state.incumbent = (*evaluated, f"{source} @ iteration {state.iteration}")
+
+
+def _assemble_report(inst, state: PHAState, trace) -> SolveReport:
+    if state.incumbent is None:
         return SolveReport(
             instance_name=inst.name, method="pha", status=NO_INCUMBENT,
             objective=None, lower_bound=state.best_lower, upper_bound=None,
-            gap=None, termination=termination, costs=None,
+            gap=None, termination=state.termination, costs=None,
             trace=tuple(trace), sigma_bar=dict(state.sigma_bar))
-    _, index, x, source = incumbent
+    _, index, x, source = state.incumbent
     return report_from_solution(
         inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,
         objective=state.best_upper, lower_bound=state.best_lower,
         upper_bound=state.best_upper,
-        gap=_relative_gap(state.best_lower, state.best_upper), termination=termination,
+        gap=_relative_gap(state.best_lower, state.best_upper), termination=state.termination,
         trace=trace, incumbent_source=source)

@@ -179,8 +179,6 @@ def load_instance(path) -> PlanningInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

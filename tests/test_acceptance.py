@@ -80,8 +80,7 @@ def milp_pha_runs(solver):
     for gen, seed in (("G1", 1), ("G1", 6), ("G2", 2), ("G3", 5)):
         inst = generate(gen, seed)
         bf = brute_force_optimum(inst)
-        cfg = PHAConfig(max_iterations=15, gap_threshold=5e-3,
-                        beta_scale=0.2, beta_decay_after=8)
+        cfg = PHAConfig(max_iterations=15, gap_threshold=5e-3, beta_scale=0.2)
         report, state = run_pha(inst, cfg, solver)
         out.append((gen, seed, bf, report, state))
     return out
@@ -115,8 +114,7 @@ def test_criterion_3(g1, g1_ef, solver):
     reference = solve(relax_integrality(model), solver)
     assert reference.status == "optimal"
     cfg = PHAConfig(max_iterations=200, gap_threshold=2.5e-3,
-                    relax_integrality=True, beta_scale=0.2, beta_decay_after=30,
-                    incumbent_schedule=(10, 20, 40, 60, 80, 120, 160, 200))
+                    relax_integrality=True, beta_scale=0.2)
     report, state = run_pha(g1, cfg, solver)
     assert state.iteration <= 200
     assert report.objective is not None

@@ -90,8 +90,7 @@ class TestSolve:
         out = io.StringIO()
         manifest = RunManifest(
             instance_path=g1_path, method="pha", out_dir=str(out_dir),
-            pha=PHAConfig(max_iterations=6, gap_threshold=0.05,
-                          beta_scale=0.2, beta_decay_after=3))
+            pha=PHAConfig(max_iterations=6, gap_threshold=0.05, beta_scale=0.2))
         code = cmd_solve(manifest, out=out)
         assert code in (EXIT_OK, 3)
         trace = (out_dir / "trace.csv").read_text().strip().splitlines()

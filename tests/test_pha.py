@@ -310,8 +310,7 @@ class TestExactCandidateEvaluation:
 
 class TestRunPha:
     def test_milp_bound_sandwich(self, g1, g1_oracle, solver_cfg):
-        cfg = PHAConfig(max_iterations=12, gap_threshold=5e-3,
-                        beta_scale=0.2, beta_decay_after=6)
+        cfg = PHAConfig(max_iterations=12, gap_threshold=5e-3, beta_scale=0.2)
         report, state = run_pha(g1, cfg, solver_cfg)
         assert state.best_lower <= g1_oracle.objective + 1e-6
         if state.best_upper is not None:
@@ -329,10 +328,23 @@ class TestRunPha:
         assert s1.lam == s2.lam
         assert np.array_equal(s1.x_bar, s2.x_bar)
 
+    def test_hub_and_dual_steps_ignore_the_candidate_step(self, g1, solver_cfg, monkeypatch):
+        cfg = PHAConfig(max_iterations=4, gap_threshold=1e-9)
+        full, s_full = run_pha(g1, cfg, solver_cfg)
+        assert s_full.incumbent is not None
+        assert s_full.best_upper == s_full.incumbent[0]
+        assert full.incumbent_source == s_full.incumbent[3]
+        monkeypatch.setattr(pha_module, "_candidate_step", lambda *args, **kwargs: None)
+        bare, s_bare = run_pha(g1, cfg, solver_cfg)
+        assert [r.lower_bound for r in bare.trace] == [r.lower_bound for r in full.trace]
+        assert s_bare.lam == s_full.lam
+        assert np.array_equal(s_bare.x_bar, s_full.x_bar)
+        assert bare.status == NO_INCUMBENT
+        assert s_bare.best_upper is None
+
     def test_convex_consensus_metric_decreases(self, g1, solver_cfg):
         cfg = PHAConfig(max_iterations=30, gap_threshold=1e-9,
-                        relax_integrality=True, beta_scale=0.2,
-                        beta_decay_after=10, incumbent_schedule=(30,))
+                        relax_integrality=True, beta_scale=0.2)
         report, _ = run_pha(g1, cfg, solver_cfg)
         history = [row.consensus for row in report.trace]
         assert history[-1] < history[0]
