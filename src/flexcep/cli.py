@@ -67,9 +67,9 @@ def _load_instance(instance_path: str, out):
         return None, EXIT_IO
 
 
-def cmd_validate(instance_path: str, out=sys.stdout) -> int:
+def cmd_validate(instance_path: str, out=None) -> int:
     """Exit 0 iff the file parses and validates; violations print one per line."""
-    return _load_instance(instance_path, out)[1]
+    return _load_instance(instance_path, sys.stdout if out is None else out)[1]
 
 
 def _print_summary(report: SolveReport, out) -> None:
@@ -90,8 +90,9 @@ def _print_summary(report: SolveReport, out) -> None:
               f"sigma_bar={storage.fmt_num(row.sigma_bar)}", file=out)
 
 
-def cmd_solve(manifest: RunManifest, out=sys.stdout) -> int:
+def cmd_solve(manifest: RunManifest, out=None) -> int:
     """Solve per the manifest, write the report set, print a summary."""
+    out = sys.stdout if out is None else out
     inst, code = _load_instance(manifest.instance_path, out)
     if inst is None:
         return code
@@ -184,13 +185,14 @@ def parse_variant(text: str) -> tuple[str, TierSpec]:
 def cmd_compare_flexibility(instance_path: str, load_tech: str,
                             variants: list[tuple[str, TierSpec]],
                             solver: SolverConfig | None = None,
-                            out=sys.stdout) -> int:
+                            out=None) -> int:
     """Solve the extensive form once per tier variant and tabulate the costs.
 
     Adjacent-and-comparable variants (same effective breakpoints, ordered
     reliabilities) are checked for cost monotonicity; a violation is a
     warning, not an error.
     """
+    out = sys.stdout if out is None else out
     solver = solver or SolverConfig()
     inst, code = _load_instance(instance_path, out)
     if inst is None:

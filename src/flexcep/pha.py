@@ -71,7 +71,7 @@ from .core import (
     validate_instance,
 )
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import SolverConfig, solve, solver_output_to_stderr
+from .solvers import SolverConfig, highs_option_passthrough, solve, solver_output_to_stderr
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
@@ -214,12 +214,16 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
     ``w`` maps scenario ids to weight vectors (a missing scenario has zero
     weights); ``anchor`` and ``rho``, when given, add the proximal term.
     Returns one solve result per scenario.
+
+    Scenario MILPs run without HiGHS's primal heuristics (see
+    :mod:`flexcep.solvers`); the warning filter for their options is held
+    here, by the thread that starts the sweep, around the whole sweep.
     """
     def run_one(scen_id: str):
         base, index = bases[scen_id]
         model = price_scenario_subproblem(inst, base, index, lam, w.get(scen_id),
                                           anchor, rho)
-        res = solve(model, solver)
+        res = solve(model, solver, heuristics=False)
         if res.status == INFEASIBLE:
             raise PHAError(
                 f"scenario subproblem '{scen_id}' is infeasible; the relaxation "
@@ -229,10 +233,11 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
         return res
 
     ids = [s.id for s in inst.scenarios]
-    if workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, ids))
-    return [run_one(s) for s in ids]
+    with highs_option_passthrough():
+        if workers > 1 and len(ids) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(run_one, ids))
+        return [run_one(s) for s in ids]
 
 
 def _proven_lower(res) -> float:

@@ -12,14 +12,27 @@ piecewise-linear outer approximation (tangent cuts on an epigraph variable,
 ``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
 
-In process, LPs and MILPs go through one ``scipy.optimize.milp`` call, and an
-LP runs on HiGHS's default dual simplex. A caller may ask for HiGHS's
-interior-point method with crossover instead (``solve(..., interior=True)``),
-which returns a vertex too. Candidate boxes with a free coordinate, which
-couple every scenario block of the extensive form, are the only solves that
-ask for it (see :func:`flexcep.pha.exact_candidate_evaluation`); every
-hedging, lower-bound and pinned-candidate solve stays on simplex. The
-subprocess backend is unaffected: its binary picks its own algorithm.
+In process, LPs and MILPs go through one ``scipy.optimize.milp`` call with
+HiGHS's defaults, and an LP runs on its dual simplex. Callers choose two
+departures by the kind of model:
+
+- ``solve(..., interior=True)``: HiGHS's interior-point method with
+  crossover, which returns a vertex too. Candidate boxes with a free
+  coordinate, which couple every scenario block of the extensive form, are
+  the only solves that ask for it (see
+  :func:`flexcep.pha.exact_candidate_evaluation`); pinned candidates stay
+  on simplex.
+- ``solve(..., heuristics=False)``: a MILP without HiGHS's feasibility-jump,
+  RINS and RENS primal heuristics. Every scenario MILP of a hedging or
+  lower-bound sweep asks for it (:func:`flexcep.pha._solve_scenarios`).
+  Their few integer columns are all first stage, so branch and bound proves
+  them in a handful of nodes, while the heuristics would take most of each
+  solve. The extensive-form MILP keeps the heuristics: it is solved
+  once, and under a time limit it may need their incumbent.
+
+scipy passes both options on to HiGHS verbatim and warns that it did not
+recognize them; :func:`highs_option_passthrough` silences that warning.
+The subprocess backend ignores both: its binary picks its own algorithm.
 
 HiGHS can print past ``sys.stdout`` on file descriptor 1;
 :func:`solver_output_to_stderr` sends such lines to stderr around a run.
@@ -63,6 +76,11 @@ SUBPROCESS = "subprocess"
 SOLVER_BIN_ENV = "FLEXCEP_LP_SOLVER"
 
 PWL_SEGMENTS = 16  # proximal linearization fidelity of every quadratic solve
+
+# HiGHS options of ``solve(..., heuristics=False)``; scipy does not know them
+NO_PRIMAL_HEURISTICS = {"mip_heuristic_run_feasibility_jump": False,
+                        "mip_heuristic_run_rins": False,
+                        "mip_heuristic_run_rens": False}
 
 
 class BackendError(RuntimeError):
@@ -209,23 +227,36 @@ def _row_bounds(model: CanonicalModel) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+@contextlib.contextmanager
+def highs_option_passthrough():
+    """Let scipy pass HiGHS options it does not know without warning.
+
+    scipy's ``milp`` forwards such options to HiGHS verbatim and raises a
+    RuntimeWarning that it did. Warning filters are process-wide state, so
+    enter this from the thread that starts the solves, around all of them,
+    never around single solves that worker threads make concurrently.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Unrecognized options detected",
+                                category=RuntimeWarning)
+        yield
+
+
 def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
-                       interior: bool = False) -> SolveResult:
+                       interior: bool = False, heuristics: bool = True) -> SolveResult:
     kwargs = {}
     if model.num_rows:
         lo, hi = _row_bounds(model)
         kwargs["constraints"] = LinearConstraint(model.matrix(), lo, hi)
     options = {"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap,
                "presolve": True}
+    if not heuristics and model.var_integer.any():
+        options.update(NO_PRIMAL_HEURISTICS)
     call = dict(c=model.obj, integrality=model.var_integer.astype(np.uint8),
                 bounds=Bounds(model.var_lb, model.var_ub), **kwargs)
     if interior:
-        # scipy passes an option it does not know to HiGHS verbatim and warns
-        # that it did. Warning filters are process-wide, so only this call,
-        # never made from a worker thread, touches them.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="Unrecognized options detected",
-                                    category=RuntimeWarning)
+        # never made from a worker thread, so it may hold the filter itself
+        with highs_option_passthrough():
             res = milp(options={**options, "solver": "ipm"}, **call)
     else:
         res = milp(options=options, **call)
@@ -382,7 +413,7 @@ def solver_output_to_stderr():
 
 
 def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
-          interior: bool = False) -> SolveResult:
+          interior: bool = False, heuristics: bool = True) -> SolveResult:
     """Solve an LP/MILP; quadratic terms are linearized transparently.
 
     The reported objective is re-evaluated against ``model`` at the returned
@@ -395,7 +426,20 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
     choose it by the structure of the model (see
     ``pha.exact_candidate_evaluation``). The subprocess backend ignores it:
     its binary picks its own algorithm. A model with integer columns raises
-    ValueError.
+    ValueError. Interior-point solves are never made from worker threads, so
+    this call holds the warning filter for its option itself.
+
+    ``heuristics=False`` turns off HiGHS's feasibility-jump, RINS and RENS
+    primal heuristics on a model with integer columns; an LP is solved as
+    without it. It pays on MILPs whose few integer columns branch and bound
+    proves quickly. The optimal value is the same, but where optima tie
+    HiGHS may return another optimal point. scipy warns that
+    it does not know these options, and the caller holds the warning
+    filter, entered once around all its solves with
+    :func:`highs_option_passthrough`, as it holds
+    :func:`solver_output_to_stderr`: both are process-wide, so a solve made
+    from a worker thread must not enter them. The subprocess backend
+    ignores it.
     """
     cfg = cfg or SolverConfig()
     model.check()
@@ -404,7 +448,7 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
                          "the model has integer columns")
     solved = expand_quadratic(model, PWL_SEGMENTS) if model.quad else model
     if cfg.backend == INPROC:
-        res = _solve_inproc_milp(solved, cfg, interior)
+        res = _solve_inproc_milp(solved, cfg, interior, heuristics)
     elif cfg.backend == SUBPROCESS:
         res = _solve_subprocess(solved, cfg)
     else:

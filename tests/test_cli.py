@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -242,6 +243,18 @@ class TestMainEntry:
         code = main(["solve", "--instance", g1_path, "--method", "ef",
                      "--out", str(tmp_path / "o"), "--seed", "1"])
         assert code == EXIT_OK
+
+    def test_solve_summary_follows_redirected_stdout(self, g1_path, tmp_path):
+        expected = io.StringIO()
+        cmd_solve(RunManifest(instance_path=g1_path, method="ef",
+                              out_dir=str(tmp_path / "direct")), out=expected)
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            code = main(["solve", "--instance", g1_path, "--method", "ef",
+                         "--out", str(tmp_path / "redirected")])
+        assert code == EXIT_OK
+        assert captured.getvalue().startswith("instance:")
+        assert captured.getvalue() == expected.getvalue()
 
     def test_solve_with_subprocess_backend(self, g1_path, tmp_path):
         code = main(["solve", "--instance", g1_path, "--method", "ef",

@@ -94,3 +94,35 @@ def test_every_definition_has_a_caller_in_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     checked = {p.stem for p in MODULES if p.name != "oracle.py"}
     assert unreferenced_definitions(sources, checked, exported_names() | {"main"}) == []
+
+
+def uses_by_function(source: str, names: set[str]) -> list[str]:
+    """Top-level function (or ``<module>``) of each place that reads one of
+    ``names`` as a name, an attribute or a string constant."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id in names
+                    or isinstance(sub, ast.Attribute) and sub.attr in names
+                    or isinstance(sub, ast.Constant) and sub.value in names):
+                found.append(owner)
+    return found
+
+
+def test_use_finder_names_the_enclosing_function():
+    source = ("import warnings\n"
+              "def helper():\n    with warnings.catch_warnings():\n        pass\n"
+              "def other():\n    return 'catch_warnings'\n"
+              "catch_warnings = None\n")
+    assert uses_by_function(source, {"catch_warnings"}) == ["helper", "other", "<module>"]
+
+
+def test_warning_filters_are_entered_in_one_helper_only():
+    # filters are process-wide: one entered per solve in a worker thread
+    # would race with the others and could leave its filter installed
+    uses = {f"{p.stem}.{owner}"
+            for p in PACKAGE.glob("*.py")
+            for owner in uses_by_function(p.read_text(encoding="utf-8"),
+                                          {"catch_warnings", "Unrecognized options detected"})}
+    assert uses == {"solvers.highs_option_passthrough"}

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from flexcep.pha import (
     round_and_repair,
     sigma_violation,
 )
-from flexcep.solvers import solve
+from flexcep.solvers import NO_PRIMAL_HEURISTICS, solve
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -410,8 +411,8 @@ class TestRunPha:
         assert "printed by the solver library" in err
 
     def test_library_run_leaves_stdout_empty(self, capfd):
-        # between iterations 71 and 75 of this run a scenario MILP makes
-        # scipy's HiGHS print a line of its own on fd 1, past sys.stdout
+        # a long library run leaves stdout empty; what HiGHS prints on fd 1
+        # goes to stderr, as test_solver_output_on_fd1_goes_to_stderr checks
         inst = storage.load_instance(os.path.join(FIXTURES, "G2", "seed3.json"))
         run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1, max_iterations=75))
         assert capfd.readouterr().out == ""
@@ -440,6 +441,70 @@ class TestRunPha:
         lows = [row.lower_bound for row in report.trace]
         assert all(low is not None for low in lows)
         assert lows == sorted(lows)
+
+
+class TestHighsOptions:
+    """Scenario MILPs run without HiGHS's primal heuristics; every other solve
+    gets the options it always had."""
+
+    DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
+    INTERIOR = {**DEFAULT, "solver": "ipm"}
+
+    def _record(self, monkeypatch):
+        seen = []  # (model has integer columns, options, scipy result) per backend call
+        original = solvers_module.milp
+
+        def recording(*args, options, integrality, **kwargs):
+            res = original(*args, options=options, integrality=integrality, **kwargs)
+            seen.append((bool(np.any(integrality)), dict(options), res))
+            return res
+        monkeypatch.setattr(solvers_module, "milp", recording)
+        return seen
+
+    @pytest.mark.parametrize("fixture", ["G1/seed1.json", "G2/seed2.json"])
+    def test_integer_mode(self, fixture, solver_cfg, monkeypatch, tmp_path):
+        path = os.path.join(FIXTURES, fixture)
+        inst = storage.load_instance(path)
+        seen = self._record(monkeypatch)
+        run_pha(inst, PHAConfig(max_iterations=5, gap_threshold=1e-9), solver_cfg)
+        sweeps = [(options, res) for mip, options, res in seen if mip]
+        # the first sweep, then a hub and a dual sweep in each of iterations 2-5
+        assert len(sweeps) == 9 * len(inst.scenarios)
+        assert all(options == {**self.DEFAULT, **NO_PRIMAL_HEURISTICS}
+                   for options, _ in sweeps)
+        # the options change the speed, never the proof: the gap is round-off
+        assert all(res.status == 0 and res.mip_gap <= 1e-12 for _, res in sweeps)
+        candidates = [options for mip, options, _ in seen if not mip]
+        assert self.DEFAULT in candidates and self.INTERIOR in candidates
+        assert all(options in (self.DEFAULT, self.INTERIOR) for options in candidates)
+
+        seen.clear()
+        manifest = RunManifest(instance_path=path, method="ef", out_dir=str(tmp_path))
+        assert cmd_solve(manifest, out=io.StringIO()) == 0
+        assert [(mip, options) for mip, options, _ in seen] == [(True, self.DEFAULT)]
+
+    def test_convex_mode_has_no_heuristic_option(self, g1, solver_cfg, monkeypatch):
+        seen = self._record(monkeypatch)
+        run_pha(g1, PHAConfig(max_iterations=5, gap_threshold=1e-9,
+                              relax_integrality=True), solver_cfg)
+        assert seen and not any(mip for mip, _, _ in seen)
+        assert all(options in (self.DEFAULT, self.INTERIOR) for _, options, _ in seen)
+        assert self.INTERIOR in [options for _, options, _ in seen]
+
+    def test_pooled_sweeps_leak_no_warning_and_restore_the_filters(self, g1, solver_cfg):
+        one = np.ones(len(first_stage_info(g1).coords))
+        p1, p2 = (s.probability for s in g1.scenarios)
+        weights = {"s1": 2.0 * p2 * one, "s2": -2.0 * p1 * one}  # sum_s p_s w_s = 0
+        before = list(warnings.filters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = list(warnings.filters)
+            lagrangian_lower_bound(g1, {"netzero": 1.0}, weights, solver_cfg, workers=2)
+            assert warnings.filters == inside
+            run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9, workers=2),
+                    solver_cfg)
+            assert warnings.filters == inside
+        assert warnings.filters == before
 
 
 def _record_evaluations(monkeypatch):

@@ -18,6 +18,7 @@ from flexcep.canonical import (
 )
 import flexcep.solvers as solvers_module
 from flexcep.solvers import (
+    NO_PRIMAL_HEURISTICS,
     BackendCrashError,
     BackendError,
     BackendUnavailableError,
@@ -25,6 +26,7 @@ from flexcep.solvers import (
     _parse_solution_file,
     _tangent_points,
     expand_quadratic,
+    highs_option_passthrough,
     solve,
 )
 
@@ -145,6 +147,55 @@ class TestInteriorPoint:
 
     def test_subprocess_backend_ignores_it(self):
         res = solve(_min_x_geq(3.0), SolverConfig(backend="subprocess"), interior=True)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0, abs=1e-8)
+
+
+class TestPrimalHeuristics:
+    """``heuristics=False`` turns off three HiGHS heuristics on MILPs only."""
+
+    def _recorded_options(self, monkeypatch, model):
+        seen = []
+        original = solvers_module.milp
+
+        def recording(*args, options, **kwargs):
+            seen.append(dict(options))
+            return original(*args, options=options, **kwargs)
+        monkeypatch.setattr(solvers_module, "milp", recording)
+        with highs_option_passthrough():
+            with_them = solve(model)
+            without = solve(model, heuristics=False)
+        assert without.status == with_them.status == "optimal"
+        assert without.objective == with_them.objective
+        return seen
+
+    def test_milp_gets_exactly_the_three_options(self, monkeypatch):
+        default, without = self._recorded_options(monkeypatch, _min_x_geq(2.5, integer=True))
+        assert without == {**default, **NO_PRIMAL_HEURISTICS}
+        assert set(NO_PRIMAL_HEURISTICS) == {"mip_heuristic_run_feasibility_jump",
+                                             "mip_heuristic_run_rins",
+                                             "mip_heuristic_run_rens"}
+        assert not any(NO_PRIMAL_HEURISTICS.values())
+
+    def test_lp_is_solved_as_without_it(self, monkeypatch):
+        default, without = self._recorded_options(monkeypatch, _min_x_geq(2.5))
+        assert without == default
+
+    def test_the_caller_holds_the_warning_filter(self):
+        model = _min_x_geq(2.5, integer=True)
+        with pytest.warns(RuntimeWarning, match="Unrecognized options detected"):
+            solve(model, heuristics=False)
+        before = list(warnings.filters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with highs_option_passthrough():
+                res = solve(model, heuristics=False)
+        assert warnings.filters == before
+        assert res.objective == pytest.approx(3.0, abs=1e-8)
+
+    def test_subprocess_backend_ignores_it(self):
+        res = solve(_min_x_geq(2.5, integer=True), SolverConfig(backend="subprocess"),
+                    heuristics=False)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-8)
 
