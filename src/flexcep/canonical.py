@@ -113,7 +113,6 @@ class ModelBuilder:
         self._rhs: list[float] = []
         self._obj: dict[int, float] = {}
         self._offset = 0.0
-        self._quad: list[QuadTerm] = []
 
     @property
     def num_vars(self) -> int:
@@ -136,12 +135,6 @@ class ModelBuilder:
 
     def add_obj_offset(self, value: float) -> None:
         self._offset += float(value)
-
-    def add_quad(self, col: int, coef: float, anchor: float) -> None:
-        if coef < 0:
-            raise ModelError("quadratic objective terms must have nonnegative coefficients")
-        if coef:
-            self._quad.append(QuadTerm(col=col, coef=float(coef), anchor=float(anchor)))
 
     def add_row(self, name: str, coeffs: Iterable[tuple[int, float]], sense: int, rhs: float) -> int:
         # Merge duplicate columns so emitted files have a single term per column.
@@ -187,7 +180,6 @@ class ModelBuilder:
             row_rhs=_frozen(self._rhs),
             obj=_frozen(obj),
             obj_offset=self._offset,
-            quad=tuple(self._quad),
             name=self.name,
         )
         model.check()

@@ -27,7 +27,8 @@ from .core import (
 )
 from .pha import NO_INCUMBENT, PHAConfig, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import BackendError, SolverConfig, solve, solver_output_to_stderr
+from .solvers import (BackendError, SolverConfig, proven_lower_bound, solve,
+                      solver_output_to_stderr)
 from . import storage
 
 EXIT_OK = 0
@@ -124,19 +125,14 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
     res = solve(model, solver)
     termination = "solved" if res.status == OPTIMAL else res.status
     if res.status == OPTIMAL or res.status == FEASIBLE_WITH_GAP:
-        lower = None
-        if res.status == FEASIBLE_WITH_GAP and res.mip_gap is not None:
-            lower = res.objective - abs(res.objective) * res.mip_gap
+        lower = proven_lower_bound(res)
         report = report_from_solution(
             inst, index, res.x, method="ef", status=res.status,
-            objective=res.objective,
-            lower_bound=res.objective if res.status == OPTIMAL else lower,
-            upper_bound=res.objective,
+            objective=res.objective, lower_bound=lower, upper_bound=res.objective,
             gap=res.mip_gap if res.status == FEASIBLE_WITH_GAP else 0.0,
             termination=termination, incumbent_source="extensive form",
             trace=[TraceRow(iteration=0, consensus=0.0, sigma_violation=0.0,
-                            lower_bound=res.objective if res.status == OPTIMAL else lower,
-                            upper_bound=res.objective)])
+                            lower_bound=lower, upper_bound=res.objective)])
         return report, EXIT_OK if res.status == OPTIMAL else EXIT_LIMIT
     report = SolveReport(
         instance_name=inst.name, method="ef", status=res.status, objective=None,
@@ -273,12 +269,13 @@ def _build_summary(report: SolveReport) -> str:
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=["inproc", "subprocess"], default="inproc")
+    default = SolverConfig()
+    p.add_argument("--solver", choices=["inproc", "subprocess"], default=default.backend)
     p.add_argument("--solver-bin", default=None,
                    help="subprocess solver binary (overrides FLEXCEP_LP_SOLVER)")
-    p.add_argument("--time-limit", type=float, default=300.0)
-    p.add_argument("--gap", type=float, default=0.0, help="MIP gap target")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--time-limit", type=float, default=default.time_limit_s)
+    p.add_argument("--gap", type=float, default=default.mip_gap, help="MIP gap target")
+    p.add_argument("--seed", type=int, default=default.seed)
 
 
 def _solver_from_args(args) -> SolverConfig:
@@ -299,14 +296,17 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--method", choices=["ef", "pha"], default="ef")
     p_solve.add_argument("--out", required=True, help="report output directory")
     _add_solver_args(p_solve)
+    pha_default = PHAConfig()
+    # differs from PHAConfig.rho_scale (1.0): aligning them changes the
+    # results of every run on either default, so it is a change of its own
     p_solve.add_argument("--rho", type=float, default=0.1,
                          help="proximal cost-scale factor (pha)")
-    p_solve.add_argument("--beta", type=float, default=0.1,
+    p_solve.add_argument("--beta", type=float, default=pha_default.beta_scale,
                          help="multiplier step scale factor (pha)")
-    p_solve.add_argument("--max-iters", type=int, default=100)
-    p_solve.add_argument("--pha-gap", type=float, default=1e-3,
+    p_solve.add_argument("--max-iters", type=int, default=pha_default.max_iterations)
+    p_solve.add_argument("--pha-gap", type=float, default=pha_default.gap_threshold,
                          help="bound-gap stop threshold (pha)")
-    p_solve.add_argument("--workers", type=int, default=1)
+    p_solve.add_argument("--workers", type=int, default=pha_default.workers)
     p_solve.add_argument("--timing", action="store_true",
                          help="record wall times in trace.csv (breaks byte-level "
                               "reproducibility of report directories)")

@@ -38,8 +38,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="flexcep-lpsolve", description=__doc__)
     ap.add_argument("lp_path")
     ap.add_argument("sol_path")
-    ap.add_argument("--time-limit", type=float, default=300.0)
-    ap.add_argument("--mip-gap", type=float, default=0.0)
+    default = SolverConfig()
+    ap.add_argument("--time-limit", type=float, default=default.time_limit_s)
+    ap.add_argument("--mip-gap", type=float, default=default.mip_gap)
     args = ap.parse_args(argv)
     try:
         model = lpfile.parse_lp_file(args.lp_path)

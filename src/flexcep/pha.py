@@ -71,7 +71,8 @@ from .core import (
     validate_instance,
 )
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import SolverConfig, highs_option_passthrough, solve, solver_output_to_stderr
+from .solvers import (SolverConfig, highs_option_passthrough, proven_lower_bound, solve,
+                      solver_output_to_stderr)
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
@@ -216,14 +217,16 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
     Returns one solve result per scenario.
 
     Scenario MILPs run without HiGHS's primal heuristics (see
-    :mod:`flexcep.solvers`); the warning filter for their options is held
-    here, by the thread that starts the sweep, around the whole sweep.
+    :mod:`flexcep.solvers`). The sweep holds one :func:`highs_option_passthrough`
+    block, so no worker thread enters a warning filter: ``filterwarnings``
+    removes and re-inserts its filter, and another thread's warning could
+    escape between.
     """
     def run_one(scen_id: str):
         base, index = bases[scen_id]
         model = price_scenario_subproblem(inst, base, index, lam, w.get(scen_id),
                                           anchor, rho)
-        res = solve(model, solver, heuristics=False)
+        res = solve(model, solver)
         if res.status == INFEASIBLE:
             raise PHAError(
                 f"scenario subproblem '{scen_id}' is infeasible; the relaxation "
@@ -240,11 +243,13 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
         return [run_one(s) for s in ids]
 
 
-def _proven_lower(res) -> float:
-    """A bound provably below the subproblem optimum, even with a MIP gap."""
-    if res.mip_gap:
-        return res.objective - abs(res.objective) * res.mip_gap
-    return res.objective
+def _sweep_lower(inst: PlanningInstance, solved: list) -> float | None:
+    """Probability-weighted proven bounds of a Lagrangian sweep, or None
+    when some scenario's solve proves none."""
+    bounds = [proven_lower_bound(res) for res in solved]
+    if None in bounds:
+        return None
+    return sum(s.probability * lb for s, lb in zip(inst.scenarios, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +261,17 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
                            w: Mapping[str, np.ndarray],
                            solver: SolverConfig | None = None,
                            workers: int = 1,
-                           bases: Mapping[str, tuple] | None = None) -> float:
+                           bases: Mapping[str, tuple] | None = None) -> float | None:
     """Valid lower bound on the extensive form from dualized multipliers.
 
     Solves every scenario's Lagrangian subproblem (no proximal term) and
-    returns the probability-weighted sum of their proven optima. Requires
-    ``lam >= 0`` elementwise and probability-weighted weights summing to zero.
-    ``w`` maps scenario ids to weight vectors in ``first_stage_info`` order;
-    a missing scenario has zero weights. ``bases`` maps scenario ids to built
-    subproblems (as ``run_pha`` keeps them, relaxed in convex mode); when
-    omitted they are built here.
+    returns the probability-weighted sum of their proven lower bounds, or
+    None when some solve proves none (see ``solvers.proven_lower_bound``).
+    Requires ``lam >= 0`` elementwise and weights whose probability-weighted
+    sum is zero. ``w`` maps scenario ids to weight vectors in
+    ``first_stage_info`` order; a missing scenario has zero weights.
+    ``bases`` maps scenario ids to built subproblems (as ``run_pha`` keeps
+    them, relaxed in convex mode); when omitted they are built here.
     """
     solver = solver or SolverConfig()
     for handle, val in lam.items():
@@ -278,11 +284,7 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     _check_weight_balance(probabilities, w)
     if bases is None:
         bases = _scenario_bases(inst)
-    solved = _solve_scenarios(inst, bases, lam, w, solver, workers)
-    total = 0.0
-    for scen, res in zip(inst.scenarios, solved):
-        total += scen.probability * _proven_lower(res)
-    return total
+    return _sweep_lower(inst, _solve_scenarios(inst, bases, lam, w, solver, workers))
 
 
 def _check_weight_balance(probabilities: Mapping[str, float],
@@ -533,13 +535,15 @@ def _dual_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHASta
     """Raise ``state.best_lower`` to the Lagrangian bound at the hub's new (lam, w).
 
     The first sweep is itself Lagrangian (zero weights, no proximal term), so
-    its optima give the bound; every later bound takes one more sweep.
+    its optima give the bound; every later bound takes one more sweep. A
+    sweep that proves no bound keeps the previous one.
     """
     if state.iteration == 1:
-        lb = sum(s.probability * _proven_lower(res) for s, res in zip(inst.scenarios, solved))
+        lb = _sweep_lower(inst, solved)
     else:
         lb = lagrangian_lower_bound(inst, state.lam, state.w, solver, workers, bases=bases)
-    state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
+    if lb is not None:
+        state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
 
 
 def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,

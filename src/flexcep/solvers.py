@@ -12,27 +12,26 @@ piecewise-linear outer approximation (tangent cuts on an epigraph variable,
 ``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
 
-In process, LPs and MILPs go through one ``scipy.optimize.milp`` call with
-HiGHS's defaults, and an LP runs on its dual simplex. Callers choose two
-departures by the kind of model:
+In process, LPs and MILPs go through one ``scipy.optimize.milp`` call.
+Two departures from HiGHS's defaults are decided here, by the kind of model:
 
-- ``solve(..., interior=True)``: HiGHS's interior-point method with
-  crossover, which returns a vertex too. Candidate boxes with a free
-  coordinate, which couple every scenario block of the extensive form, are
-  the only solves that ask for it (see
-  :func:`flexcep.pha.exact_candidate_evaluation`); pinned candidates stay
-  on simplex.
-- ``solve(..., heuristics=False)``: a MILP without HiGHS's feasibility-jump,
-  RINS and RENS primal heuristics. Every scenario MILP of a hedging or
-  lower-bound sweep asks for it (:func:`flexcep.pha._solve_scenarios`).
-  Their few integer columns are all first stage, so branch and bound proves
-  them in a handful of nodes, while the heuristics would take most of each
-  solve. The extensive-form MILP keeps the heuristics: it is solved
-  once, and under a time limit it may need their incumbent.
+- Every model with integer columns runs without HiGHS's feasibility-jump,
+  RINS and RENS primal heuristics (``NO_PRIMAL_HEURISTICS``). The planning
+  problem's integer columns are all first stage, so branch and bound proves
+  its MILPs, scenario subproblems and extensive form alike, in a handful of
+  nodes, while the heuristics would take most of each solve.
+- ``solve(..., interior=True)`` runs an LP on HiGHS's interior-point method
+  with crossover, which returns a vertex too; other LPs run on its dual
+  simplex. Candidate boxes with a free coordinate, which couple every
+  scenario block of the extensive form, are the only solves that ask for it
+  (see :func:`flexcep.pha.exact_candidate_evaluation`).
 
-scipy passes both options on to HiGHS verbatim and warns that it did not
-recognize them; :func:`highs_option_passthrough` silences that warning.
-The subprocess backend ignores both: its binary picks its own algorithm.
+scipy passes these options on to HiGHS verbatim and warns that it did not
+recognize them. :func:`highs_option_passthrough` silences that warning, and
+:func:`solve` enters it around such a call unless a caller's block is
+already open. Warning filters are process-wide, so code that solves from
+worker threads holds one block around all of them. The subprocess backend
+ignores both departures: its binary picks its own algorithm.
 
 HiGHS can print past ``sys.stdout`` on file descriptor 1;
 :func:`solver_output_to_stderr` sends such lines to stderr around a run.
@@ -77,7 +76,7 @@ SOLVER_BIN_ENV = "FLEXCEP_LP_SOLVER"
 
 PWL_SEGMENTS = 16  # proximal linearization fidelity of every quadratic solve
 
-# HiGHS options of ``solve(..., heuristics=False)``; scipy does not know them
+# HiGHS options of every model with integer columns; scipy does not know them
 NO_PRIMAL_HEURISTICS = {"mip_heuristic_run_feasibility_jump": False,
                         "mip_heuristic_run_rins": False,
                         "mip_heuristic_run_rens": False}
@@ -227,6 +226,9 @@ def _row_bounds(model: CanonicalModel) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+_open_passthroughs: list[None] = []  # one per open block; append and pop are atomic
+
+
 @contextlib.contextmanager
 def highs_option_passthrough():
     """Let scipy pass HiGHS options it does not know without warning.
@@ -234,32 +236,36 @@ def highs_option_passthrough():
     scipy's ``milp`` forwards such options to HiGHS verbatim and raises a
     RuntimeWarning that it did. Warning filters are process-wide state, so
     enter this from the thread that starts the solves, around all of them,
-    never around single solves that worker threads make concurrently.
+    never around single solves that worker threads make concurrently. While
+    a block is open, :func:`solve` enters none of its own.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="Unrecognized options detected",
                                 category=RuntimeWarning)
-        yield
+        _open_passthroughs.append(None)
+        try:
+            yield
+        finally:
+            _open_passthroughs.pop()
 
 
 def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
-                       interior: bool = False, heuristics: bool = True) -> SolveResult:
+                       interior: bool = False) -> SolveResult:
     kwargs = {}
     if model.num_rows:
         lo, hi = _row_bounds(model)
         kwargs["constraints"] = LinearConstraint(model.matrix(), lo, hi)
     options = {"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap,
                "presolve": True}
-    if not heuristics and model.var_integer.any():
+    if model.var_integer.any():
         options.update(NO_PRIMAL_HEURISTICS)
-    call = dict(c=model.obj, integrality=model.var_integer.astype(np.uint8),
-                bounds=Bounds(model.var_lb, model.var_ub), **kwargs)
-    if interior:
-        # never made from a worker thread, so it may hold the filter itself
-        with highs_option_passthrough():
-            res = milp(options={**options, "solver": "ipm"}, **call)
-    else:
-        res = milp(options=options, **call)
+    elif interior:
+        options["solver"] = "ipm"
+    unknown_to_scipy = len(options) > 3  # scipy warns that it passes them on
+    with (highs_option_passthrough() if unknown_to_scipy and not _open_passthroughs
+          else contextlib.nullcontext()):
+        res = milp(c=model.obj, integrality=model.var_integer.astype(np.uint8),
+                   bounds=Bounds(model.var_lb, model.var_ub), options=options, **kwargs)
     gap = getattr(res, "mip_gap", None)
     if res.status == 0:
         status = OPTIMAL if not gap or gap <= 1e-9 else FEASIBLE_WITH_GAP
@@ -412,34 +418,31 @@ def solver_output_to_stderr():
             os.close(saved)
 
 
+def proven_lower_bound(res: SolveResult) -> float | None:
+    """A value provably at or below the solved model's optimum: the objective
+    less its reported gap, the optimum itself without one, else None (an LP
+    stopped at its time limit reports no gap and proves nothing)."""
+    if res.mip_gap is not None:
+        return res.objective - abs(res.objective) * res.mip_gap
+    return res.objective if res.status == OPTIMAL else None
+
+
 def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
-          interior: bool = False, heuristics: bool = True) -> SolveResult:
+          interior: bool = False) -> SolveResult:
     """Solve an LP/MILP; quadratic terms are linearized transparently.
 
     The reported objective is re-evaluated against ``model`` at the returned
     point, so it always matches ``objective_value(model, result.x)``.
 
-    ``interior`` asks the in-process backend to solve an LP with HiGHS's
-    interior-point method instead of its default dual simplex. Crossover
-    stays on, so the point returned is still a vertex. It pays where one LP
-    couples many blocks and loses on small or block-separable LPs, so callers
-    choose it by the structure of the model (see
-    ``pha.exact_candidate_evaluation``). The subprocess backend ignores it:
-    its binary picks its own algorithm. A model with integer columns raises
-    ValueError. Interior-point solves are never made from worker threads, so
-    this call holds the warning filter for its option itself.
-
-    ``heuristics=False`` turns off HiGHS's feasibility-jump, RINS and RENS
-    primal heuristics on a model with integer columns; an LP is solved as
-    without it. It pays on MILPs whose few integer columns branch and bound
-    proves quickly. The optimal value is the same, but where optima tie
-    HiGHS may return another optimal point. scipy warns that
-    it does not know these options, and the caller holds the warning
-    filter, entered once around all its solves with
-    :func:`highs_option_passthrough`, as it holds
-    :func:`solver_output_to_stderr`: both are process-wide, so a solve made
-    from a worker thread must not enter them. The subprocess backend
-    ignores it.
+    In process, a MILP runs without HiGHS's feasibility-jump, RINS and RENS
+    heuristics, and ``interior`` runs an LP on its interior-point method,
+    crossover on, for a vertex still; it pays on LPs that couple many blocks,
+    such as banded candidate boxes (see ``pha.exact_candidate_evaluation``),
+    and a MILP raises ValueError. The subprocess backend's binary picks its
+    own algorithm. This call silences scipy's warning about these options
+    unless a caller's :func:`highs_option_passthrough` block is open; code
+    that solves from worker threads holds one block around all of them, as it
+    holds :func:`solver_output_to_stderr`, since both are process-wide.
     """
     cfg = cfg or SolverConfig()
     model.check()
@@ -448,7 +451,7 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
                          "the model has integer columns")
     solved = expand_quadratic(model, PWL_SEGMENTS) if model.quad else model
     if cfg.backend == INPROC:
-        res = _solve_inproc_milp(solved, cfg, interior, heuristics)
+        res = _solve_inproc_milp(solved, cfg, interior)
     elif cfg.backend == SUBPROCESS:
         res = _solve_subprocess(solved, cfg)
     else:

@@ -8,6 +8,7 @@ from flexcep.canonical import (
     LE,
     ModelBuilder,
     ModelError,
+    QuadTerm,
     fix_variables,
     objective_value,
     relax_integrality,
@@ -112,8 +113,8 @@ class TestObjectiveValue:
     def test_quadratic_terms_included(self):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=4.0, obj=1.0)
-        mb.add_quad(x, 2.0, 1.0)
         m = mb.freeze()
+        m = m.with_objective(m.obj, quad=(QuadTerm(col=x, coef=2.0, anchor=1.0),))
         assert objective_value(m, np.array([3.0])) == pytest.approx(3.0 + 2.0 * 4.0)
 
     def test_duplicate_names_rejected(self):

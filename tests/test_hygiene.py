@@ -1,11 +1,13 @@
 """Every module-level import in the package is used by its module, and every
-top-level function and class is referenced somewhere in the package.
+top-level function and class, and every method of a top-level class, is
+referenced somewhere in the package.
 
 A deletion that leaves an import or a helper behind shows up here;
 ``__init__.py`` is skipped as a module under check because its imports are
 the package's re-exports. Names it exports, ``main`` (entry points) and
 ``oracle.py`` (the test oracle and fixture generator) are public surface
-without callers inside the package and are exempt from the reference check.
+without callers inside the package and are exempt from the reference check,
+as are dunder methods, which Python calls itself.
 """
 
 import ast
@@ -32,11 +34,13 @@ def unused_imports(source: str) -> list[str]:
 
 def unreferenced_definitions(sources: dict[str, str], checked: set[str],
                              exempt: set[str]) -> list[str]:
-    """``module.name`` of top-level functions and classes of the ``checked``
-    modules that no module in ``sources`` reads.
+    """``module.name`` of top-level functions and classes, and
+    ``module.Class.method`` of their methods, in the ``checked`` modules that
+    no module in ``sources`` reads.
 
     A name counts as read when some module loads it as a name or an
-    attribute; its own ``def``/``class`` statement does not count.
+    attribute; its own ``def``/``class`` statement does not count. Dunder
+    methods are never reported.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
@@ -49,9 +53,15 @@ def unreferenced_definitions(sources: dict[str, str], checked: set[str],
     unread = []
     for module in sorted(checked):
         for node in trees[module].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in exempt and node.name not in read):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in exempt and node.name not in read:
                 unread.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{module}.{node.name}.{sub.name}" for sub in node.body
+                           if isinstance(sub, ast.FunctionDef)
+                           and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                           and sub.name not in read]
     return unread
 
 
@@ -77,11 +87,14 @@ def test_definition_checker_counts_names_and_attributes_only():
               "def via_attr():\n    pass\n"
               "def only_defined():\n    only_defined_inner = 1\n"
               "class Exported:\n    pass\n"
-              "class Orphan:\n    def used(self):\n        pass\n"),
-        "b": "import a\nused()\na.via_attr()\n",
+              "class Orphan:\n    def used(self):\n        pass\n"
+              "class Kept:\n    def __init__(self):\n        pass\n"
+              "    def called(self):\n        pass\n"
+              "    def uncalled(self):\n        pass\n"),
+        "b": "import a\nused()\na.via_attr()\na.Kept().called()\n",
     }
     assert unreferenced_definitions(sources, {"a", "b"}, {"Exported"}) == [
-        "a.only_defined", "a.Orphan"]
+        "a.only_defined", "a.Orphan", "a.Kept.uncalled"]
     assert unreferenced_definitions(sources, {"b"}, set()) == []
 
 

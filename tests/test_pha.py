@@ -2,6 +2,8 @@ import dataclasses
 import filecmp
 import io
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,9 +15,9 @@ import flexcep.pha as pha_module
 import flexcep.solvers as solvers_module
 from flexcep import storage
 from flexcep.build import build_extensive_form, first_stage_info
-from flexcep.canonical import relax_integrality
-from flexcep.cli import RunManifest, cmd_solve
-from flexcep.core import enumerate_expectation_constraints
+from flexcep.canonical import FEASIBLE_WITH_GAP, SolveResult, relax_integrality
+from flexcep.cli import RunManifest, cmd_compare_flexibility, cmd_solve, parse_variant
+from flexcep.core import Scenario, enumerate_expectation_constraints
 from flexcep.oracle import brute_force_optimum, g1_variant, generate
 from flexcep.pha import (
     NO_INCUMBENT,
@@ -30,7 +32,7 @@ from flexcep.pha import (
     round_and_repair,
     sigma_violation,
 )
-from flexcep.solvers import NO_PRIMAL_HEURISTICS, solve
+from flexcep.solvers import NO_PRIMAL_HEURISTICS, SolverConfig, solve
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -140,6 +142,26 @@ class TestLagrangianBound:
             w = {sid: draw[sid] - mean for sid in probs}
             lb = lagrangian_lower_bound(g1, lam, w, solver_cfg)
             assert lb <= g1_oracle.objective + 1e-6
+
+    def test_a_solve_stopped_without_a_gap_proves_no_bound(self, g1, tmp_path):
+        # a stopped solve's objective is an upper value, not a bound from below
+        script = tmp_path / "solver.py"
+        script.write_text(
+            "import sys\n"
+            "with open(sys.argv[2], 'w') as fh:\n"
+            "    fh.write('status feasible_with_gap\\nobjective 1e15\\nend\\n')\n")
+        cfg = SolverConfig(backend="subprocess", solver_bin=f"{sys.executable} {script}")
+        assert lagrangian_lower_bound(g1, {}, {}, cfg) is None
+
+        state = PHAState(mw_scale=np.ones(1), probabilities={"s1": 0.5, "s2": 0.5},
+                         iteration=1)
+        stopped = [SolveResult(status=FEASIBLE_WITH_GAP, objective=1e15)] * 2
+        pha_module._dual_step(g1, {}, state, stopped, cfg, 1)
+        assert state.best_lower is None
+        state.iteration, state.best_lower = 2, 5.0
+        state.lam, state.w = {"netzero": 0.0}, {}
+        pha_module._dual_step(g1, pha_module._scenario_bases(g1), state, stopped, cfg, 1)
+        assert state.best_lower == 5.0
 
 
 def _dc(info, x_hat, bus):
@@ -444,8 +466,8 @@ class TestRunPha:
 
 
 class TestHighsOptions:
-    """Scenario MILPs run without HiGHS's primal heuristics; every other solve
-    gets the options it always had."""
+    """Every MILP runs without HiGHS's primal heuristics; every LP gets the
+    defaults, and IPM when its box has a free coordinate."""
 
     DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
     INTERIOR = {**DEFAULT, "solver": "ipm"}
@@ -481,7 +503,46 @@ class TestHighsOptions:
         seen.clear()
         manifest = RunManifest(instance_path=path, method="ef", out_dir=str(tmp_path))
         assert cmd_solve(manifest, out=io.StringIO()) == 0
-        assert [(mip, options) for mip, options, _ in seen] == [(True, self.DEFAULT)]
+        assert [(mip, options) for mip, options, _ in seen] == [
+            (True, {**self.DEFAULT, **NO_PRIMAL_HEURISTICS})]
+
+    def test_pooled_run_and_flexibility_comparison(self, solver_cfg, monkeypatch):
+        path = os.path.join(FIXTURES, "G2", "seed2.json")
+        inst = storage.load_instance(path)
+        seen = self._record(monkeypatch)
+        calls = _record_evaluations(monkeypatch)
+        run_pha(inst, PHAConfig(max_iterations=5, gap_threshold=1e-9, workers=2), solver_cfg)
+        milp = {**self.DEFAULT, **NO_PRIMAL_HEURISTICS}
+        assert [options for mip, options, _ in seen if mip] == [milp] * (9 * len(inst.scenarios))
+        # every LP is a candidate box; one with a free coordinate runs on IPM
+        assert [options for mip, options, _ in seen if not mip] == [
+            self.INTERIOR if np.any(lo < hi) else self.DEFAULT for _, lo, hi, _ in calls]
+
+        seen.clear()
+        variants = [parse_variant("inflexible"), parse_variant("fullflex")]
+        assert cmd_compare_flexibility(path, inst.load_techs[0].id, variants, solver_cfg,
+                                       out=io.StringIO()) == 0
+        assert [(mip, options) for mip, options, _ in seen] == [(True, milp)] * 2
+
+    def test_no_worker_thread_enters_a_warning_filter(self, g1, solver_cfg, monkeypatch):
+        # filterwarnings removes and re-inserts its filter; in between, a
+        # warning from another thread would escape
+        solving, filtering = set(), []
+        original, catch_warnings = solvers_module.milp, warnings.catch_warnings
+
+        def recording_solve(*args, **kwargs):
+            solving.add(threading.current_thread())
+            return original(*args, **kwargs)
+
+        def recording_filter(*args, **kwargs):
+            filtering.append(threading.current_thread())
+            return catch_warnings(*args, **kwargs)
+        monkeypatch.setattr(solvers_module, "milp", recording_solve)
+        monkeypatch.setattr(warnings, "catch_warnings", recording_filter)
+        run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9, workers=2), solver_cfg)
+        monkeypatch.undo()
+        assert solving - {threading.main_thread()}  # the sweeps ran in the pool
+        assert filtering and set(filtering) == {threading.main_thread()}
 
     def test_convex_mode_has_no_heuristic_option(self, g1, solver_cfg, monkeypatch):
         seen = self._record(monkeypatch)
@@ -651,3 +712,26 @@ class TestBuildOnce:
         assert names == sorted(os.listdir(dirs[2])) and names
         match, mismatch, errors = filecmp.cmpfiles(dirs[1], dirs[2], names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+def test_bounds_enclose_the_ef_optimum_past_oracle_size(solver_cfg):
+    """S=8, T=24 tiled from G2 seed 1, too large for the brute-force oracle."""
+    base = generate("G2", 1)
+    rng = np.random.default_rng(0)
+    scenarios = []
+    for k in range(8):
+        src = base.scenarios[k % len(base.scenarios)]
+        demand = np.tile(src.demand, (1, 6))
+        scenarios.append(Scenario(
+            id=f"s{k + 1}", probability=1.0 / 8,
+            demand=demand * rng.uniform(0.9, 1.1, size=demand.shape),
+            availability=np.tile(src.availability, (1, 1, 6))))
+    inst = dataclasses.replace(base, scenarios=tuple(scenarios))
+    ef = solve(build_extensive_form(inst)[0], solver_cfg)
+    assert ef.status == "optimal"
+    # the CLI's step scales; the first upper bound arrives in iteration 2
+    report, state = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1,
+                                            max_iterations=2), solver_cfg)
+    assert state.best_upper is not None
+    assert state.best_lower <= ef.objective * (1 + 1e-9)
+    assert ef.objective <= state.best_upper * (1 + 1e-9)

@@ -13,6 +13,7 @@ from flexcep.canonical import (
     LE,
     ModelBuilder,
     ModelError,
+    QuadTerm,
     objective_value,
     relax_integrality,
 )
@@ -33,6 +34,24 @@ from flexcep.solvers import (
 from invariants import assert_same_model
 
 BACKENDS = ["inproc", "subprocess"]
+
+
+def _with_quad(model, *terms):
+    """``model`` with the quadratic terms ``(col, coef, anchor)`` added."""
+    return model.with_objective(model.obj, model.obj_offset,
+                                quad=tuple(QuadTerm(*term) for term in terms))
+
+
+def _record_options(monkeypatch):
+    """Record the options of every in-process backend call."""
+    seen = []
+    original = solvers_module.milp
+
+    def recording(*args, options, **kwargs):
+        seen.append(dict(options))
+        return original(*args, options=options, **kwargs)
+    monkeypatch.setattr(solvers_module, "milp", recording)
+    return seen
 
 
 def _min_x_geq(bound, integer=False):
@@ -82,32 +101,29 @@ class TestQuadratic:
     def test_expand_requires_finite_box(self):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=INF, obj=1.0)
-        mb.add_quad(x, 1.0, 0.0)
         with pytest.raises(ModelError, match="unbounded"):
-            expand_quadratic(mb.freeze())
+            expand_quadratic(_with_quad(mb.freeze(), (x, 1.0, 0.0)))
 
     def test_prox_solve_lands_near_anchor(self):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=100.0, obj=1.0)
-        mb.add_quad(x, 50.0, anchor=40.0)
-        res = solve(mb.freeze(), SolverConfig())
+        m = _with_quad(mb.freeze(), (x, 50.0, 40.0))
+        res = solve(m, SolverConfig())
         assert res.status == "optimal"
         # true minimizer of x + 50 (x-40)^2 is 39.99
         assert res.x[0] == pytest.approx(39.99, abs=0.2)
-        assert res.objective == pytest.approx(objective_value(mb.freeze(), res.x), rel=1e-9)
+        assert res.objective == pytest.approx(objective_value(m, res.x), rel=1e-9)
 
     def test_integer_quadratic_exact_on_lattice(self):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=3.0, integer=True, obj=0.0)
-        mb.add_quad(x, 10.0, anchor=1.8)
-        res = solve(mb.freeze())
+        res = solve(_with_quad(mb.freeze(), (x, 10.0, 1.8)))
         assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_reported_objective_matches_original_model(self):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=10.0, obj=-1.0)
-        mb.add_quad(x, 3.0, anchor=2.0)
-        m = mb.freeze()
+        m = _with_quad(mb.freeze(), (x, 3.0, 2.0))
         res = solve(m)
         assert res.objective == pytest.approx(objective_value(m, res.x), rel=1e-12)
 
@@ -127,13 +143,7 @@ class TestInteriorPoint:
                                                    rel=1e-12)
 
     def test_only_the_interior_call_names_a_solver(self, monkeypatch):
-        seen = []
-        original = solvers_module.milp
-
-        def recording(*args, options, **kwargs):
-            seen.append(dict(options))
-            return original(*args, options=options, **kwargs)
-        monkeypatch.setattr(solvers_module, "milp", recording)
+        seen = _record_options(monkeypatch)
         solve(_min_x_geq(3.0))
         solve(_min_x_geq(3.0), interior=True)
         assert "solver" not in seen[0]
@@ -152,52 +162,71 @@ class TestInteriorPoint:
 
 
 class TestPrimalHeuristics:
-    """``heuristics=False`` turns off three HiGHS heuristics on MILPs only."""
+    """Every model with integer columns runs without three HiGHS heuristics."""
 
-    def _recorded_options(self, monkeypatch, model):
-        seen = []
-        original = solvers_module.milp
-
-        def recording(*args, options, **kwargs):
-            seen.append(dict(options))
-            return original(*args, options=options, **kwargs)
-        monkeypatch.setattr(solvers_module, "milp", recording)
-        with highs_option_passthrough():
-            with_them = solve(model)
-            without = solve(model, heuristics=False)
-        assert without.status == with_them.status == "optimal"
-        assert without.objective == with_them.objective
-        return seen
+    DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
 
     def test_milp_gets_exactly_the_three_options(self, monkeypatch):
-        default, without = self._recorded_options(monkeypatch, _min_x_geq(2.5, integer=True))
-        assert without == {**default, **NO_PRIMAL_HEURISTICS}
+        seen = _record_options(monkeypatch)
+        res = solve(_min_x_geq(2.5, integer=True))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0, abs=1e-8)
+        assert seen == [{**self.DEFAULT, **NO_PRIMAL_HEURISTICS}]
         assert set(NO_PRIMAL_HEURISTICS) == {"mip_heuristic_run_feasibility_jump",
                                              "mip_heuristic_run_rins",
                                              "mip_heuristic_run_rens"}
         assert not any(NO_PRIMAL_HEURISTICS.values())
 
     def test_lp_is_solved_as_without_it(self, monkeypatch):
-        default, without = self._recorded_options(monkeypatch, _min_x_geq(2.5))
-        assert without == default
+        seen = _record_options(monkeypatch)
+        solve(_min_x_geq(2.5))
+        assert seen == [self.DEFAULT]
 
-    def test_the_caller_holds_the_warning_filter(self):
-        model = _min_x_geq(2.5, integer=True)
-        with pytest.warns(RuntimeWarning, match="Unrecognized options detected"):
-            solve(model, heuristics=False)
+    @pytest.mark.parametrize("model", [_min_x_geq(2.5, integer=True), _min_x_geq(2.5)],
+                             ids=["milp", "interior_lp"])
+    def test_solve_holds_the_warning_filter_unless_a_block_is_open(self, model,
+                                                                   monkeypatch):
+        interior = not model.var_integer.any()
+        entered = []
+        catch_warnings = warnings.catch_warnings
+
+        def counting(*args, **kwargs):
+            entered.append(1)
+            return catch_warnings(*args, **kwargs)
         before = list(warnings.filters)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            inside = list(warnings.filters)
+            monkeypatch.setattr(warnings, "catch_warnings", counting)
+            res = solve(model, interior=interior)
+            assert warnings.filters == inside
+            assert len(entered) == 1
             with highs_option_passthrough():
-                res = solve(model, heuristics=False)
+                solve(model, interior=interior)
+                solve(model, interior=interior)
+            assert len(entered) == 2  # the caller's block only
+            monkeypatch.undo()
         assert warnings.filters == before
-        assert res.objective == pytest.approx(3.0, abs=1e-8)
+        assert res.objective == pytest.approx(2.5 if interior else 3.0, abs=1e-8)
 
-    def test_subprocess_backend_ignores_it(self):
-        res = solve(_min_x_geq(2.5, integer=True), SolverConfig(backend="subprocess"),
-                    heuristics=False)
+    def test_subprocess_backend_ignores_it(self, monkeypatch):
+        # this process makes no backend call; the solver binary picks its options
+        seen = _record_options(monkeypatch)
+        res = solve(_min_x_geq(2.5, integer=True), SolverConfig(backend="subprocess"))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-8)
+        assert seen == []
+
+    def test_bundled_shim_solves_a_milp_without_them(self, monkeypatch, tmp_path):
+        from flexcep import lpfile, lpsolve
+        lp_path, sol_path = tmp_path / "model.lp", tmp_path / "model.sol"
+        lpfile.write_lp_file(_min_x_geq(2.5, integer=True), str(lp_path))
+        seen = _record_options(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lpsolve.main([str(lp_path), str(sol_path)]) == 0
+        assert seen == [{**self.DEFAULT, **NO_PRIMAL_HEURISTICS}]
+        assert _parse_solution_file(sol_path.read_text())[:2] == ("optimal", 3.0)
 
 
 class TestSubprocessProtocol:
@@ -294,13 +323,14 @@ def _quadratic_models(draw):
         mb.add_row(f"r{r}", [(c, draw(coef)) for c in range(n)],
                    draw(st.sampled_from([LE, EQ, GE])), draw(st.sampled_from([0.0, 4.0, -1.5])))
     mb.add_obj_offset(draw(st.sampled_from([0.0, 7.25])))
+    terms = []
     for _ in range(draw(st.integers(1, 4))):
         col = draw(st.integers(0, n - 1))
         anchor = draw(st.one_of(
             st.integers(-8, 40).map(float),
             st.floats(-8.0, 40.0, allow_nan=False)))
-        mb.add_quad(col, draw(st.sampled_from([0.05, 1.0, 60.0])), anchor)
-    return mb.freeze()
+        terms.append((col, draw(st.sampled_from([0.05, 1.0, 60.0])), anchor))
+    return _with_quad(mb.freeze(), *terms)
 
 
 class TestExpandQuadraticProperty:
