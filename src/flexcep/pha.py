@@ -6,21 +6,42 @@ the first-stage copies, updates the non-anticipativity weights
 ``w_w += rho * (x_w - x_bar)`` and takes a projected subgradient step
 ``lam_c = max(0, lam_c + beta_c * sigma_bar_c)`` on the expectation
 multipliers; its first sweep has no weight and proximal terms. The dual step
-gives the lower bound: probability-weighted Lagrangian subproblem optima at
-the new (lam, w), valid whenever ``lam >= 0`` and ``sum_w pi_w w_w = 0``.
-The first sweep is itself Lagrangian, so the first bound is free. The
-candidate step gives the upper bound: first-stage boxes ``(lo, hi)``
-evaluated on the relaxed extensive form, which is built once and re-bounded
-per evaluation.
+gives the lower bound. Every bound is one Lagrangian sweep: the
+probability-weighted proven optima of the scenario subproblems at some
+``(lam, w)`` with ``lam >= 0`` and ``sum_w pi_w w_w = 0``, which is valid
+for the extensive form. The sweeps come from a dual spoke (mpi-sppy's
+Lagrangian spoke, stabilized as a box-trust-region bundle method) that keeps
+its own multipliers and cuts; the hub never reads it:
 
-Every model is assembled once per run. Each scenario's Lagrangian model is
-built before the first iteration; every hedging and lower-bound solve then
-re-prices it without touching its rows. The weights ``w``, the consensus
-``x_bar`` (the proximal anchor), ``rho`` and every candidate are numpy
-vectors in ``first_stage_info(inst).coords`` order, the order of every
-model's leading columns (see :mod:`flexcep.build`): a solution's first stage
-is ``x[:n]`` and its slacks are the tail. The multipliers ``lam`` are keyed
-by expectation handle.
+- iteration 1: the hub's first sweep, which is Lagrangian at ``(0, 0)``, so
+  the first bound is free;
+- integer mode, from iteration 2: an LP phase of up to
+  ``LP_SWEEPS_PER_ITERATION`` sweeps of the relaxed subproblems per
+  iteration at the bundle's trial points (a relaxed sweep bounds the integer
+  one from below, so it is a valid bound too); when the bundle's model
+  predicts no more ascent or after ``LP_SWEEP_CAP`` LP sweeps, or in place
+  of the final iteration's LP sweeps, one MILP sweep at the bundle centre,
+  then one MILP sweep per iteration at the trial point;
+- convex mode, from iteration 2: one LP sweep per iteration at the trial
+  point.
+
+The candidate step gives the upper bound: first-stage boxes ``(lo, hi)``
+evaluated on the relaxed extensive form, which is built once and re-bounded
+per evaluation. It runs between the hub and the dual step; neither of
+those two reads the other, so an incumbent never waits for the iteration's
+lower-bound sweeps.
+
+Every scenario model is assembled once per run. Each scenario's Lagrangian
+model is built before the first iteration; every hedging and lower-bound
+solve then re-prices it (or, for an LP sweep, its relaxation) without
+touching its rows. Only the dual spoke's master, a small LP over the
+multipliers, weights and cut values, is assembled anew at each of its
+steps. The weights ``w``, the consensus ``x_bar`` (the proximal anchor),
+``rho`` and every candidate are numpy vectors in
+``first_stage_info(inst).coords`` order, the order of every model's leading
+columns (see :mod:`flexcep.build`): a solution's first stage is ``x[:n]``
+and its slacks are the tail. The multipliers ``lam`` are keyed by
+expectation handle.
 
 Boxes come from two sources. In integer mode, every iteration pins each
 scenario's own first stage, rounded and repaired, in scenario order (the
@@ -48,6 +69,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
+from scipy import sparse
 
 from .build import (
     FirstStageInfo,
@@ -57,9 +79,13 @@ from .build import (
     price_scenario_subproblem,
 )
 from .canonical import (
+    EQ,
     FEASIBLE_WITH_GAP,
+    INF,
     INFEASIBLE,
+    LE,
     OPTIMAL,
+    CanonicalModel,
     relax_integrality,
     restrict_bounds,
 )
@@ -71,8 +97,8 @@ from .core import (
     validate_instance,
 )
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import (SolverConfig, highs_option_passthrough, proven_lower_bound, solve,
-                      solver_output_to_stderr)
+from .solvers import (BackendCrashError, SolverConfig, highs_option_passthrough,
+                      proven_lower_bound, solve, solver_output_to_stderr)
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
@@ -167,7 +193,13 @@ def _rho_vector(cfg: PHAConfig, info: FirstStageInfo) -> np.ndarray:
 
 
 def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
-    """Per-handle subgradient steps: price scale over slack scale.
+    """Per-handle subgradient steps: price ceiling over slack scale."""
+    return {h: cfg.beta_scale * price / sigma_scale
+            for h, (price, sigma_scale) in _price_scales(inst).items()}
+
+
+def _price_scales(inst: PlanningInstance) -> dict[str, tuple[float, float]]:
+    """Per handle in slack-tail order: ``(price ceiling, slack scale)``.
 
     For a tranche handle the slack is horizon energy (MWh); the price ceiling
     is the annualized shed cost. For a policy handle the slack is in the
@@ -177,7 +209,7 @@ def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
     annual = inst.annualization_days
     tau_t = inst.period_length_h * inst.num_periods
     price_energy = annual * max(inst.shed_cost, 1.0)
-    out: dict[str, float] = {}
+    out: dict[str, tuple[float, float]] = {}
     for spec in enumerate_expectation_constraints(inst):
         if spec.kind == TIER_RELIABILITY:
             d = inst.load_tech(spec.load_tech)
@@ -185,7 +217,7 @@ def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
             phi = d.tiers.phi[spec.tier - 1]
             units = inst.bus(spec.bus).build_limit_load.get(spec.load_tech, 0.0)
             sigma_scale = max(phi * width * d.unit_size_mw * tau_t * units, 1.0)
-            out[spec.handle] = cfg.beta_scale * price_energy / sigma_scale
+            out[spec.handle] = (price_energy, sigma_scale)
         else:
             max_coef = max([abs(v) for v in (*spec.q.values(), *spec.r.values())] or [1.0])
             gen_mw = sum(b.build_limit_gen.get(g.id, b.existing_gen.get(g.id, 0.0))
@@ -193,7 +225,7 @@ def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
             load_mw = sum(b.build_limit_load.get(d.id, 0.0) * d.unit_size_mw
                           for b in inst.buses for d in inst.load_techs)
             sigma_scale = max(abs(spec.threshold), max_coef * (gen_mw + load_mw) * tau_t, 1.0)
-            out[spec.handle] = cfg.beta_scale * (price_energy / max(max_coef, 1e-9)) / sigma_scale
+            out[spec.handle] = (price_energy / max(max_coef, 1e-9), sigma_scale)
     return out
 
 
@@ -261,17 +293,21 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
                            w: Mapping[str, np.ndarray],
                            solver: SolverConfig | None = None,
                            workers: int = 1,
-                           bases: Mapping[str, tuple] | None = None) -> float | None:
+                           bases: Mapping[str, tuple] | None = None,
+                           ) -> tuple[float | None, list[np.ndarray | None]]:
     """Valid lower bound on the extensive form from dualized multipliers.
 
     Solves every scenario's Lagrangian subproblem (no proximal term) and
-    returns the probability-weighted sum of their proven lower bounds, or
-    None when some solve proves none (see ``solvers.proven_lower_bound``).
+    returns ``(bound, solutions)``: the probability-weighted sum of their
+    proven lower bounds, or None when some solve proves none (see
+    ``solvers.proven_lower_bound``), and each scenario's solution vector (or
+    None) in scenario order, first stage leading and slacks closing.
     Requires ``lam >= 0`` elementwise and weights whose probability-weighted
     sum is zero. ``w`` maps scenario ids to weight vectors in
     ``first_stage_info`` order; a missing scenario has zero weights.
     ``bases`` maps scenario ids to built subproblems (as ``run_pha`` keeps
-    them, relaxed in convex mode); when omitted they are built here.
+    them, relaxed in convex mode); when omitted they are built here. A
+    scenario solve that fails raises PHAError, as in a hedging sweep.
     """
     solver = solver or SolverConfig()
     for handle, val in lam.items():
@@ -284,7 +320,8 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     _check_weight_balance(probabilities, w)
     if bases is None:
         bases = _scenario_bases(inst)
-    return _sweep_lower(inst, _solve_scenarios(inst, bases, lam, w, solver, workers))
+    solved = _solve_scenarios(inst, bases, lam, w, solver, workers)
+    return _sweep_lower(inst, solved), [res.x for res in solved]
 
 
 def _check_weight_balance(probabilities: Mapping[str, float],
@@ -295,6 +332,237 @@ def _check_weight_balance(probabilities: Mapping[str, float],
     worst = float(np.max(np.abs(total), initial=0.0))
     if worst > 1e-8 * scale:
         raise ValueError(f"weights are not balanced: max |sum pi*w| = {worst!r}")
+
+
+# ---------------------------------------------------------------------------
+# Dual spoke
+# ---------------------------------------------------------------------------
+
+# The spoke's schedule and step rule, fixed for every run.
+LP_SWEEPS_PER_ITERATION = 6  # integer mode's LP phase; six LP sweeps cost about one MILP sweep
+LP_SWEEP_CAP = 36  # LP sweeps after which the integer phase starts
+ASCENT_TOL = 1e-5  # predicted ascent, relative to the centre value, that ends a phase
+BOX_START = 0.05  # trust-region half-width in scaled units (price ceilings, unit costs)
+BOX_MAX = 2.0  # wider boxes let a scenario LP fail
+SERIOUS_STEP = 0.1  # share of the predicted ascent a step must realize to move the centre
+CUT_IDLE_LIMIT = 30  # master solves a cut may stay slack before it is dropped
+ACTIVE_SLACK = 1e-6  # master row slack, in units of the centre value, that counts as active
+
+
+class _DualSpoke:
+    """Box-trust-region bundle method over the Lagrangian dual in ``(lam, w)``.
+
+    Keeps its own centre, box and cut bundle, and never touches the hub's
+    state. Scenario ``s``'s solution ``x`` at any point gives the cut
+    ``theta_s <= f_s(x) + lam . sigma(x) + w_s . x[:n]``, where ``f_s`` is the
+    unpriced base's objective; it bounds the Lagrangian from above at every
+    ``(lam, w)``. Cuts from integer-feasible solutions hold for both the
+    relaxed and the integer Lagrangian; cuts from relaxed sweeps in integer
+    mode (``exact`` False) hold for the relaxed one only.
+
+    Bounds come from sweeps only (``best``), never from the master.
+    """
+
+    def __init__(self, inst: PlanningInstance, info: FirstStageInfo,
+                 bases: Mapping[str, tuple], solver: SolverConfig, workers: int):
+        self.inst, self.solver, self.workers = inst, solver, workers
+        self.bases = bases
+        self.integer = bool(info.integer.any())
+        self.relaxed = {sid: (relax_integrality(model), index)
+                        for sid, (model, index) in bases.items()}
+        scales = _price_scales(inst)
+        self.handles = list(scales)
+        self.lam_scale = np.array([price for price, _ in scales.values()])
+        self.w_scale = np.maximum(info.unit_cost, 1.0)
+        self.p = np.array([s.probability for s in inst.scenarios])
+        n_scen, n = len(inst.scenarios), len(info.coords)
+        self.lam = np.zeros(len(self.handles))  # the centre
+        self.w = np.zeros((n_scen, n))
+        self.value: float | None = None  # proven bound at the centre, in this phase
+        self.best: float | None = None  # best bound any sweep proved
+        self.box = BOX_START
+        self.lp_phase = self.integer  # convex mode's function is the relaxed one
+        self.lp_sweeps = 0
+        self.started = False
+        # the bundle: cut k bounds scenario scen[k] by const + g_lam . lam + g_w . w_scen
+        self.scen = np.zeros(0, dtype=np.int64)
+        self.const = np.zeros(0)
+        self.g_lam = np.zeros((0, len(self.handles)))
+        self.g_w = np.zeros((0, n))
+        self.exact = np.zeros(0, dtype=bool)
+        self.idle = np.zeros(0, dtype=np.int64)
+        self.names = tuple([f"dlam[{h}]" for h in self.handles]
+                           + [f"dw[{s.id},{i}]" for s in inst.scenarios for i in range(n)]
+                           + [f"theta[{s.id}]" for s in inst.scenarios])
+
+    # -- one iteration --------------------------------------------------------
+
+    def advance(self, hub_solved: list, final: bool) -> None:
+        """Spend this iteration's sweeps; ``final`` when the hub will stop after it.
+
+        The hub's first sweep has no weight, multiplier or proximal term, so it
+        is the spoke's sweep at its start ``(0, 0)`` and costs nothing. In
+        integer mode the LP phase then takes up to ``LP_SWEEPS_PER_ITERATION``
+        relaxed steps per iteration. When its model predicts no more ascent,
+        or after ``LP_SWEEP_CAP`` LP sweeps, or in place of the final
+        iteration's LP steps, it drops the relaxed cuts and sweeps the centre
+        with MILPs. From then on, and in convex mode throughout, each
+        iteration takes one step. No iteration spends more than one MILP
+        sweep or its LP equivalent, plus at most one MILP sweep in the
+        iteration where the LP phase ends early.
+        """
+        if not self.started:
+            self.started = True
+            self._add_cuts([res.x for res in hub_solved], exact=True)
+            self.best = _sweep_lower(self.inst, hub_solved)
+            if not self.lp_phase:
+                self.value = self.best
+            return
+        if not self.lp_phase:
+            self._step(relaxed=not self.integer)
+            return
+        if not final:
+            for _ in range(LP_SWEEPS_PER_ITERATION):
+                if self.lp_sweeps >= LP_SWEEP_CAP or not self._step(relaxed=True):
+                    break
+            else:
+                return
+        # relaxed cuts need not bound the integer Lagrangian
+        self.lp_phase = False
+        self._keep_cuts(self.exact)
+        self.value = None
+        self._step(relaxed=False)
+
+    def _step(self, relaxed: bool) -> bool:
+        """One bundle step; False when the model predicts no ascent worth a sweep.
+
+        While the centre's value is unknown the step sweeps the centre. Else
+        it sweeps the master's trial point: a serious step (actual ascent at
+        least ``SERIOUS_STEP`` of the predicted one) moves the centre there
+        and doubles the box; a null step, a failed sweep or a failed master
+        halves the box and keeps the centre.
+        """
+        if self.value is None:
+            self.value = self._sweep(self.lam, self.w, relaxed)
+            return True
+        trial = self._master()
+        if trial is None:
+            self.box /= 2.0
+            return True
+        lam, w, predicted = trial
+        if predicted < ASCENT_TOL * max(abs(self.value), 1.0):
+            return False
+        bound = self._sweep(lam, w, relaxed)
+        if bound is not None and bound - self.value >= SERIOUS_STEP * predicted:
+            self.lam, self.w, self.value = lam, w, bound
+            self.box = min(2.0 * self.box, BOX_MAX)
+        else:
+            self.box /= 2.0
+        return True
+
+    # -- sweeps and cuts ------------------------------------------------------
+
+    def _sweep(self, lam: np.ndarray, w: np.ndarray, relaxed: bool) -> float | None:
+        """One ``lagrangian_lower_bound`` call at ``(lam, w)``; its bound, or None.
+
+        A sweep that fails keeps the last bound: the hub and the incumbent do
+        not depend on it, so it must not end the run.
+        """
+        if relaxed and self.integer:
+            self.lp_sweeps += 1
+        try:
+            bound, xs = lagrangian_lower_bound(
+                self.inst, dict(zip(self.handles, map(float, lam))),
+                {s.id: w[i] for i, s in enumerate(self.inst.scenarios)},
+                self.solver, self.workers, bases=self.relaxed if relaxed else self.bases)
+        except (PHAError, BackendCrashError):
+            return None
+        self._add_cuts(xs, exact=not (relaxed and self.integer))
+        if bound is not None:
+            self.best = bound if self.best is None else max(self.best, bound)
+        return bound
+
+    def _add_cuts(self, xs: list, exact: bool) -> None:
+        n, n_lam = self.g_w.shape[1], len(self.handles)
+        for i, (s, x) in enumerate(zip(self.inst.scenarios, xs)):
+            if x is None:
+                continue
+            base = self.bases[s.id][0]
+            self.scen = np.append(self.scen, i)
+            self.const = np.append(self.const, float(base.obj @ x) + base.obj_offset)
+            self.g_lam = np.vstack([self.g_lam, x[x.size - n_lam:]])
+            self.g_w = np.vstack([self.g_w, x[:n]])
+            self.exact = np.append(self.exact, exact)
+            self.idle = np.append(self.idle, 0)
+
+    def _keep_cuts(self, keep: np.ndarray) -> None:
+        self.scen, self.const, self.g_lam, self.g_w, self.exact, self.idle = (
+            self.scen[keep], self.const[keep], self.g_lam[keep], self.g_w[keep],
+            self.exact[keep], self.idle[keep])
+
+    # -- the master -----------------------------------------------------------
+
+    def _master(self):
+        """``(lam, w, predicted ascent)`` maximizing the cut model in the box, or None.
+
+        The master LP is centre-translated and scaled: its columns are
+        ``dlam = (lam - lam_c) / lam_scale``, ``dw_s = (w_s - w_c,s) / w_scale``
+        and ``t_s = (theta_s - theta_c,s) / T``, where ``theta_c,s`` is the
+        model's value at the centre and ``T`` the centre value's magnitude.
+        The balance ``sum_s p_s dw_s = 0`` keeps the weights balanced; the
+        trial is projected onto exact balance after the solve. A solve that
+        returns no optimum gives None.
+        """
+        n_scen, n = self.w.shape
+        n_lam, n_cut = len(self.handles), len(self.const)
+        at_centre = (self.const + self.g_lam @ self.lam
+                     + np.einsum("ki,ki->k", self.g_w, self.w[self.scen]))
+        theta = np.full(n_scen, np.inf)
+        np.minimum.at(theta, self.scen, at_centre)
+        scale = max(abs(self.value), 1.0)
+        t0, rows = n_lam + n_scen * n, np.arange(n_cut)
+        a = np.zeros((n_cut + n, t0 + n_scen))
+        a[:n_cut, :n_lam] = -self.g_lam * (self.lam_scale / scale)
+        a[rows[:, None], n_lam + self.scen[:, None] * n + np.arange(n)] = \
+            -self.g_w * (self.w_scale / scale)
+        a[rows, t0 + self.scen] = 1.0
+        a[n_cut + np.arange(n), n_lam + np.arange(n_scen)[:, None] * n + np.arange(n)] = \
+            self.p[:, None]
+        rhs = np.concatenate([(at_centre - theta[self.scen]) / scale, np.zeros(n)])
+        # a move that no cut values stays at the centre, not at a corner of the box
+        lam_box = np.where(np.any(self.g_lam, axis=0), self.box, 0.0)
+        seen = np.zeros((n_scen, n), dtype=bool)
+        np.logical_or.at(seen, self.scen, self.g_w != 0)
+        box = np.where(seen, self.box, 0.0).ravel()
+        lam_floor = -self.lam / self.lam_scale
+        matrix = sparse.csr_matrix(a)
+        model = CanonicalModel(
+            var_lb=np.concatenate([np.maximum(-lam_box, lam_floor), -box,
+                                   np.full(n_scen, -INF)]),
+            var_ub=np.concatenate([lam_box, box, np.full(n_scen, INF)]),
+            var_integer=np.zeros(t0 + n_scen, dtype=bool), var_names=self.names,
+            row_names=(tuple(f"cut{k}" for k in range(n_cut))
+                       + tuple(f"balance{i}" for i in range(n))),
+            a_indptr=matrix.indptr.astype(np.int64),
+            a_indices=matrix.indices.astype(np.int64), a_data=matrix.data,
+            row_sense=np.r_[np.full(n_cut, LE), np.full(n, EQ)].astype(np.int8),
+            row_rhs=rhs, obj=np.r_[np.zeros(t0), -self.p],
+            name=f"{self.inst.name}-dual-master")
+        try:
+            res = solve(model, self.solver)
+        except BackendCrashError:
+            return None
+        if res.status != OPTIMAL:
+            return None
+        z = res.x
+        active = rhs[:n_cut] - a[:n_cut] @ z <= ACTIVE_SLACK
+        self.idle = np.where(active, 0, self.idle + 1)
+        lam = np.maximum(self.lam + self.lam_scale * z[:n_lam], 0.0)
+        w = self.w + self.w_scale * z[n_lam:t0].reshape(n_scen, n)
+        w -= self.p @ w
+        predicted = float(self.p @ (theta + scale * z[t0:])) - self.value
+        self._keep_cuts(self.idle <= CUT_IDLE_LIMIT)
+        return lam, w, predicted
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +752,18 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
     state.lam = {h.handle: 0.0 for h in enumerate_expectation_constraints(inst)}
     state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
     ef = functools.cache(lambda: build_extensive_form(inst))  # built at first use only
+    spoke = _DualSpoke(inst, info, bases, solver, cfg.workers)
     tried: set[bytes] = set()  # every box seen this run, rejected and infeasible ones too
     trace: list[TraceRow] = []
     t_start = time.perf_counter()
 
     for _ in range(cfg.max_iterations):
         solved = _hub_step(inst, bases, state, rho, beta, solver, cfg.workers)
-        _dual_step(inst, bases, state, solved, solver, cfg.workers)
         metric, viol = consensus_metric(state), sigma_violation(state.sigma_bar)
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
-        _candidate_step(inst, info, state, solver, tried, ef,
-                        final=converged or state.iteration == cfg.max_iterations)
+        final = converged or state.iteration == cfg.max_iterations
+        _candidate_step(inst, info, state, solver, tried, ef, final)
+        _dual_step(spoke, state, solved, final)
         trace.append(TraceRow(
             iteration=state.iteration, consensus=metric, sigma_violation=viol,
             lower_bound=state.best_lower, upper_bound=state.best_upper,
@@ -530,20 +799,18 @@ def _hub_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAStat
     return solved
 
 
-def _dual_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAState,
-               solved: list, solver: SolverConfig, workers: int) -> None:
-    """Raise ``state.best_lower`` to the Lagrangian bound at the hub's new (lam, w).
+def _dual_step(spoke: _DualSpoke, state: PHAState, solved: list, final: bool) -> None:
+    """Raise ``state.best_lower`` to the best bound the dual spoke has proven.
 
-    The first sweep is itself Lagrangian (zero weights, no proximal term), so
-    its optima give the bound; every later bound takes one more sweep. A
-    sweep that proves no bound keeps the previous one.
+    The spoke reads the hub's first sweep (``solved``) and nothing else of
+    the hub; every later bound is one of its own sweeps (see
+    :class:`_DualSpoke`). ``final`` tells it the hub stops after this
+    iteration. A sweep that proves no bound keeps the previous one.
     """
-    if state.iteration == 1:
-        lb = _sweep_lower(inst, solved)
-    else:
-        lb = lagrangian_lower_bound(inst, state.lam, state.w, solver, workers, bases=bases)
-    if lb is not None:
-        state.best_lower = lb if state.best_lower is None else max(state.best_lower, lb)
+    spoke.advance(solved, final)
+    if spoke.best is not None:
+        state.best_lower = spoke.best if state.best_lower is None else max(state.best_lower,
+                                                                           spoke.best)
 
 
 def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,

@@ -104,7 +104,7 @@ def test_criterion_2(g1, g1_ef_solution, solver):
         raw = {sid: rng.normal(0.0, 2e3, len(info.coords)) for sid in probs}
         mean = sum(probs[sid] * raw[sid] for sid in probs)
         w = {sid: raw[sid] - mean for sid in probs}
-        lb = lagrangian_lower_bound(g1, lam, w, solver)
+        lb, _ = lagrangian_lower_bound(g1, lam, w, solver)
         assert lb <= g1_ef_solution.objective + 1e-6, (draw, lb)
 
 

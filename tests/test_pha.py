@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import functools
 import io
 import os
 import sys
@@ -15,11 +16,12 @@ import flexcep.pha as pha_module
 import flexcep.solvers as solvers_module
 from flexcep import storage
 from flexcep.build import build_extensive_form, first_stage_info
-from flexcep.canonical import FEASIBLE_WITH_GAP, SolveResult, relax_integrality
+from flexcep.canonical import FEASIBLE_WITH_GAP, LIMIT_REACHED, SolveResult, relax_integrality
 from flexcep.cli import RunManifest, cmd_compare_flexibility, cmd_solve, parse_variant
 from flexcep.core import Scenario, enumerate_expectation_constraints
 from flexcep.oracle import brute_force_optimum, g1_variant, generate
 from flexcep.pha import (
+    LP_SWEEPS_PER_ITERATION,
     NO_INCUMBENT,
     PHAConfig,
     PHAError,
@@ -32,7 +34,7 @@ from flexcep.pha import (
     round_and_repair,
     sigma_violation,
 )
-from flexcep.solvers import NO_PRIMAL_HEURISTICS, SolverConfig, solve
+from flexcep.solvers import NO_PRIMAL_HEURISTICS, BackendCrashError, SolverConfig, solve
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -107,12 +109,12 @@ class TestLagrangianBound:
         from flexcep.build import build_extensive_form
         from flexcep.solvers import solve
         ef = solve(build_extensive_form(inst)[0], solver_cfg)
-        lb = lagrangian_lower_bound(inst, {}, {}, solver_cfg)
+        lb, _ = lagrangian_lower_bound(inst, {}, {}, solver_cfg)
         assert lb == pytest.approx(ef.objective, rel=1e-7)
         assert lb <= ef.objective + 1e-6
 
     def test_zero_multipliers_bound_g1(self, g1, g1_ef_solution, solver_cfg):
-        lb = lagrangian_lower_bound(g1, {}, {}, solver_cfg)
+        lb, _ = lagrangian_lower_bound(g1, {}, {}, solver_cfg)
         assert lb <= g1_ef_solution.objective + 1e-6
 
     def test_negative_multiplier_rejected(self, g1):
@@ -140,7 +142,7 @@ class TestLagrangianBound:
             draw = {sid: rng.normal(0.0, 1e3, len(info.coords)) for sid in probs}
             mean = sum(probs[sid] * draw[sid] for sid in probs)
             w = {sid: draw[sid] - mean for sid in probs}
-            lb = lagrangian_lower_bound(g1, lam, w, solver_cfg)
+            lb, _ = lagrangian_lower_bound(g1, lam, w, solver_cfg)
             assert lb <= g1_oracle.objective + 1e-6
 
     def test_a_solve_stopped_without_a_gap_proves_no_bound(self, g1, tmp_path):
@@ -151,17 +153,170 @@ class TestLagrangianBound:
             "with open(sys.argv[2], 'w') as fh:\n"
             "    fh.write('status feasible_with_gap\\nobjective 1e15\\nend\\n')\n")
         cfg = SolverConfig(backend="subprocess", solver_bin=f"{sys.executable} {script}")
-        assert lagrangian_lower_bound(g1, {}, {}, cfg) is None
+        assert lagrangian_lower_bound(g1, {}, {}, cfg)[0] is None
 
+        # neither the hub's first sweep nor any spoke sweep proves a bound
+        spoke = pha_module._DualSpoke(g1, first_stage_info(g1), pha_module._scenario_bases(g1),
+                                      cfg, 1)
         state = PHAState(mw_scale=np.ones(1), probabilities={"s1": 0.5, "s2": 0.5},
                          iteration=1)
         stopped = [SolveResult(status=FEASIBLE_WITH_GAP, objective=1e15)] * 2
-        pha_module._dual_step(g1, {}, state, stopped, cfg, 1)
+        pha_module._dual_step(spoke, state, stopped, final=False)
         assert state.best_lower is None
         state.iteration, state.best_lower = 2, 5.0
-        state.lam, state.w = {"netzero": 0.0}, {}
-        pha_module._dual_step(g1, pha_module._scenario_bases(g1), state, stopped, cfg, 1)
+        pha_module._dual_step(spoke, state, stopped, final=True)
         assert state.best_lower == 5.0
+
+
+def _tiled(gen: str, seed: int, n_scenarios: int, period_reps: int):
+    """A rung past oracle size: ``n_scenarios`` scenarios cycling through the
+    base instance's, each period tiled ``period_reps`` times with +/-10% demand noise."""
+    base = generate(gen, seed)
+    rng = np.random.default_rng(0)
+    scenarios = []
+    for k in range(n_scenarios):
+        src = base.scenarios[k % len(base.scenarios)]
+        demand = np.tile(src.demand, (1, period_reps))
+        scenarios.append(Scenario(
+            id=f"s{k + 1}", probability=1.0 / n_scenarios,
+            demand=demand * rng.uniform(0.9, 1.1, size=demand.shape),
+            availability=np.tile(src.availability, (1, 1, period_reps))))
+    return dataclasses.replace(base, scenarios=tuple(scenarios))
+
+
+@functools.cache
+def _tiled_with_optimum(gen: str, n_scenarios: int, period_reps: int):
+    inst = _tiled(gen, 1, n_scenarios, period_reps)
+    ef = solve(build_extensive_form(inst)[0])
+    assert ef.status == "optimal"
+    return inst, ef.objective
+
+
+def _failing_spoke_sweeps(monkeypatch, failure):
+    """Make every scenario solve of the dual spoke's sweeps fail after the
+    hub's first sweep: return ``LIMIT_REACHED``, or raise as HiGHS's
+    "Solve error" does."""
+    original = pha_module.solve
+    lagrangian = []
+
+    def failing(model, cfg=None, **kwargs):
+        if "-lr-" in model.name:
+            lagrangian.append(model.name)
+            if len(lagrangian) > 2:  # past the hub's first sweep of two scenarios
+                if failure == "limit":
+                    return SolveResult(status=LIMIT_REACHED)
+                raise BackendCrashError("scipy.milp failed: Solve error")
+        return original(model, cfg, **kwargs)
+    monkeypatch.setattr(pha_module, "solve", failing)
+    return lagrangian
+
+
+class TestDualSpoke:
+    @pytest.mark.parametrize("failure", ["limit", "crash"])
+    @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
+    def test_a_failed_sweep_keeps_the_last_bound(self, g1, solver_cfg, monkeypatch,
+                                                 relax, failure):
+        cfg = PHAConfig(max_iterations=4, gap_threshold=1e-9, relax_integrality=relax)
+        report, state = run_pha(g1, cfg, solver_cfg)
+        lagrangian = _failing_spoke_sweeps(monkeypatch, failure)
+        failed, f_state = run_pha(g1, cfg, solver_cfg)
+        assert len(lagrangian) > 2  # the spoke swept from iteration 2 on and failed
+        first = failed.trace[0].lower_bound
+        assert first == report.trace[0].lower_bound
+        assert [row.lower_bound for row in failed.trace] == [first] * 4
+        assert report.trace[-1].lower_bound > first
+        # the hub and the incumbent do not depend on the spoke
+        assert failed.upper_bound == report.upper_bound
+        assert np.array_equal(f_state.x_bar, state.x_bar)
+        assert f_state.termination == "max_iterations"
+
+    def test_hub_sweeps_still_raise(self, g1, solver_cfg, monkeypatch):
+        original = pha_module.solve
+
+        def failing(model, cfg=None, **kwargs):
+            if "-pha-" in model.name:
+                return SolveResult(status=LIMIT_REACHED)
+            return original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "solve", failing)
+        with pytest.raises(PHAError, match="failed: limit_reached"):
+            run_pha(g1, PHAConfig(max_iterations=2, gap_threshold=1e-9), solver_cfg)
+
+    @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
+    def test_every_spoke_sweep_is_one_lagrangian_lower_bound_call(self, g1, solver_cfg,
+                                                                  monkeypatch, relax):
+        # the benchmark times the lower bound by hooking this module global
+        calls, scenario_solves = [], []
+        original, solve_original = pha_module.lagrangian_lower_bound, pha_module.solve
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["bases"])
+            return original(*args, **kwargs)
+
+        def solving(model, cfg=None, **kwargs):
+            if "-lr-" in model.name:
+                scenario_solves.append(model.name)
+            return solve_original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "lagrangian_lower_bound", counting)
+        monkeypatch.setattr(pha_module, "solve", solving)
+        run_pha(g1, PHAConfig(max_iterations=4, gap_threshold=1e-9,
+                              relax_integrality=relax), solver_cfg)
+        n_scen = len(g1.scenarios)
+        # every Lagrangian solve but the hub's first sweep is a spoke sweep
+        assert len(scenario_solves) == n_scen * (1 + len(calls))
+        relaxed = [not any(model.var_integer.any() for model, _ in bases.values())
+                   for bases in calls]
+        if relax:
+            assert relaxed == [True] * 3  # one LP sweep in each of iterations 2-4
+        else:
+            assert relaxed[-1] is False and relaxed.count(False) == 1
+            assert relaxed.count(True) >= LP_SWEEPS_PER_ITERATION
+
+    def test_integer_sweep_at_the_lp_centre_is_at_least_the_lp_sweep(self, solver_cfg,
+                                                                     monkeypatch):
+        # Geoffrion: the integer Lagrangian is at least the relaxed one at every
+        # point; at the centre of the LP phase it is the run's bound
+        inst, optimum = _tiled_with_optimum("G2", 3, 2)
+        spokes = []
+        advance = pha_module._DualSpoke.advance
+
+        def capturing(spoke, *args, **kwargs):
+            spokes.append(spoke)
+            return advance(spoke, *args, **kwargs)
+        monkeypatch.setattr(pha_module._DualSpoke, "advance", capturing)
+        _, state = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1, max_iterations=3,
+                                           gap_threshold=1e-9), solver_cfg)
+        spoke = spokes[-1]
+        assert not spoke.lp_phase
+        lam = dict(zip(spoke.handles, spoke.lam))
+        w = {s.id: spoke.w[i] for i, s in enumerate(inst.scenarios)}
+        relaxed, _ = lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=spoke.relaxed)
+        integer, _ = lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=spoke.bases)
+        assert relaxed <= integer + 1e-9 * abs(integer)
+        assert state.best_lower >= integer - 1e-9 * abs(integer)
+        assert integer <= optimum * (1 + 1e-9)
+
+
+class TestWeakDualityPastOracleSize:
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_random_multipliers_stay_below_the_ef_optimum(self, data):
+        gen = data.draw(st.sampled_from(["G1", "G2"]))
+        n_scen = data.draw(st.integers(2, 3))
+        reps = data.draw(st.integers(1, 2))
+        inst, optimum = _tiled_with_optimum(gen, n_scen, reps)
+        info = first_stage_info(inst)
+        handles = [h.handle for h in enumerate_expectation_constraints(inst)]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        lam = {h: float(rng.uniform(0.0, 1e5)) * data.draw(st.sampled_from([0.0, 1.0]))
+               for h in handles}
+        raw = rng.normal(0.0, 1.0, (n_scen, len(info.coords)))
+        raw *= np.maximum(info.unit_cost, 1.0)
+        raw -= np.mean(raw, axis=0)  # equiprobable scenarios: sum_s p_s w_s = 0
+        w = {s.id: raw[i] for i, s in enumerate(inst.scenarios)}
+        lb, solutions = lagrangian_lower_bound(inst, lam, w)
+        assert lb <= optimum + 1e-9 * abs(optimum)
+        assert len(solutions) == n_scen and all(x is not None for x in solutions)
 
 
 def _dc(info, x_hat, bus):
@@ -365,6 +520,29 @@ class TestRunPha:
         assert bare.status == NO_INCUMBENT
         assert s_bare.best_upper is None
 
+    @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
+    @pytest.mark.parametrize("path", ["G1/seed1.json", "G2/seed2.json"])
+    def test_hub_and_candidates_ignore_the_dual_step(self, path, relax, solver_cfg,
+                                                     monkeypatch):
+        # the hub never reads the dual spoke, so the primal side of a run is
+        # the same program without it
+        inst = storage.load_instance(os.path.join(FIXTURES, path))
+        cfg = PHAConfig(max_iterations=4, gap_threshold=1e-9, relax_integrality=relax)
+        full, s_full = run_pha(inst, cfg, solver_cfg)
+        monkeypatch.setattr(pha_module, "_dual_step", lambda *args, **kwargs: None)
+        bare, s_bare = run_pha(inst, cfg, solver_cfg)
+        assert s_full.best_lower is not None and s_bare.best_lower is None
+        assert np.array_equal(s_bare.x_bar, s_full.x_bar)
+        assert s_bare.w.keys() == s_full.w.keys()
+        assert all(np.array_equal(s_bare.w[sid], s_full.w[sid]) for sid in s_full.w)
+        assert s_bare.lam == s_full.lam
+        assert s_full.incumbent is not None
+        assert s_bare.incumbent[0] == s_full.incumbent[0]
+        assert np.array_equal(s_bare.incumbent[2], s_full.incumbent[2])
+        assert s_bare.incumbent[3] == s_full.incumbent[3]
+        assert bare.incumbent_source == full.incumbent_source
+        assert [r.upper_bound for r in bare.trace] == [r.upper_bound for r in full.trace]
+
     def test_convex_consensus_metric_decreases(self, g1, solver_cfg):
         cfg = PHAConfig(max_iterations=30, gap_threshold=1e-9,
                         relax_integrality=True, beta_scale=0.2)
@@ -385,13 +563,28 @@ class TestRunPha:
         monkeypatch.setattr(pha_module, "solve", recording)
         cfg = PHAConfig(max_iterations=3, gap_threshold=1e-9, relax_integrality=relax)
         run_pha(g1, cfg, solver_cfg)
-        # iteration 1, then a hedging and a lower-bound sweep in iterations 2
-        # and 3; every candidate (the scenarios' own first stages each
-        # iteration in integer mode, the consensus box at the last) is an LP
-        subproblems = [mip for name, mip in seen if not name.endswith("-ef")]
-        assert len(subproblems) == 5 * len(g1.scenarios)
-        assert set(subproblems) == {not relax}
-        assert set(mip for name, mip in seen if name.endswith("-ef")) == {False}
+        n_scen = len(g1.scenarios)
+
+        def kinds(tag):
+            return [mip for name, mip in seen if tag in name]
+        # the hub's sweeps in iterations 2 and 3 carry the proximal term
+        assert kinds("-pha-") == [not relax] * 2 * n_scen
+        lagrangian = kinds("-lr-")  # the hub's first sweep, then the dual spoke's sweeps
+        masters = kinds("-dual-master")  # one LP per step of the spoke past its centre
+        if relax:
+            # one LP sweep at the master's trial point in each of iterations 2 and 3
+            assert lagrangian == [False] * 3 * n_scen
+            assert masters == [False] * 2
+        else:
+            # the LP phase takes six relaxed steps in iteration 2: its centre,
+            # then five trial points; the final iteration sweeps the centre
+            # with MILPs instead
+            assert lagrangian == [True] * n_scen + [False] * 6 * n_scen + [True] * n_scen
+            assert masters == [False] * 5
+        # every candidate (the scenarios' own first stages each iteration in
+        # integer mode, the consensus box at the last) is an LP
+        assert kinds("-ef") and set(kinds("-ef")) == {False}
+        assert len(seen) == len(kinds("-pha-") + lagrangian + masters + kinds("-ef"))
 
     @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
     def test_interior_point_exactly_on_candidates_with_a_free_coordinate(
@@ -483,6 +676,19 @@ class TestHighsOptions:
         monkeypatch.setattr(solvers_module, "milp", recording)
         return seen
 
+    @staticmethod
+    def _record_spoke_lps(monkeypatch):
+        """Record the dual spoke's LPs: its relaxed sweeps' scenario solves and its masters."""
+        names = []  # appended from worker threads: list.append is atomic
+        original = pha_module.solve
+
+        def recording(model, cfg=None, **kwargs):
+            if not model.var_integer.any() and not model.name.endswith("-ef"):
+                names.append(model.name)
+            return original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "solve", recording)
+        return names
+
     @pytest.mark.parametrize("fixture", ["G1/seed1.json", "G2/seed2.json"])
     def test_integer_mode(self, fixture, solver_cfg, monkeypatch, tmp_path):
         path = os.path.join(FIXTURES, fixture)
@@ -490,8 +696,9 @@ class TestHighsOptions:
         seen = self._record(monkeypatch)
         run_pha(inst, PHAConfig(max_iterations=5, gap_threshold=1e-9), solver_cfg)
         sweeps = [(options, res) for mip, options, res in seen if mip]
-        # the first sweep, then a hub and a dual sweep in each of iterations 2-5
-        assert len(sweeps) == 9 * len(inst.scenarios)
+        # the hub's five sweeps, then the dual spoke's one integer sweep at the
+        # centre of its LP phase, in the final iteration
+        assert len(sweeps) == 6 * len(inst.scenarios)
         assert all(options == {**self.DEFAULT, **NO_PRIMAL_HEURISTICS}
                    for options, _ in sweeps)
         # the options change the speed, never the proof: the gap is round-off
@@ -511,12 +718,18 @@ class TestHighsOptions:
         inst = storage.load_instance(path)
         seen = self._record(monkeypatch)
         calls = _record_evaluations(monkeypatch)
+        spoke_lps = self._record_spoke_lps(monkeypatch)
         run_pha(inst, PHAConfig(max_iterations=5, gap_threshold=1e-9, workers=2), solver_cfg)
         milp = {**self.DEFAULT, **NO_PRIMAL_HEURISTICS}
-        assert [options for mip, options, _ in seen if mip] == [milp] * (9 * len(inst.scenarios))
-        # every LP is a candidate box; one with a free coordinate runs on IPM
-        assert [options for mip, options, _ in seen if not mip] == [
-            self.INTERIOR if np.any(lo < hi) else self.DEFAULT for _, lo, hi, _ in calls]
+        assert [options for mip, options, _ in seen if mip] == [milp] * 6 * len(inst.scenarios)
+        # the dual spoke's LPs run on the defaults; every other LP is a
+        # candidate box, and one with a free coordinate runs on IPM
+        lps = [options for mip, options, _ in seen if not mip]
+        free = sum(bool(np.any(lo < hi)) for _, lo, hi, _ in calls)
+        assert spoke_lps and free > 0
+        assert len(lps) == len(spoke_lps) + len(calls)
+        assert lps.count(self.INTERIOR) == free
+        assert lps.count(self.DEFAULT) == len(spoke_lps) + len(calls) - free
 
         seen.clear()
         variants = [parse_variant("inflexible"), parse_variant("fullflex")]
@@ -716,22 +929,14 @@ class TestBuildOnce:
 
 def test_bounds_enclose_the_ef_optimum_past_oracle_size(solver_cfg):
     """S=8, T=24 tiled from G2 seed 1, too large for the brute-force oracle."""
-    base = generate("G2", 1)
-    rng = np.random.default_rng(0)
-    scenarios = []
-    for k in range(8):
-        src = base.scenarios[k % len(base.scenarios)]
-        demand = np.tile(src.demand, (1, 6))
-        scenarios.append(Scenario(
-            id=f"s{k + 1}", probability=1.0 / 8,
-            demand=demand * rng.uniform(0.9, 1.1, size=demand.shape),
-            availability=np.tile(src.availability, (1, 1, 6))))
-    inst = dataclasses.replace(base, scenarios=tuple(scenarios))
+    inst = _tiled("G2", 1, 8, 6)
     ef = solve(build_extensive_form(inst)[0], solver_cfg)
     assert ef.status == "optimal"
-    # the CLI's step scales; the first upper bound arrives in iteration 2
-    report, state = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1,
-                                            max_iterations=2), solver_cfg)
+    # the CLI's step scales and the benchmark's budget; the dual spoke's LP
+    # phase ends with an integer sweep at its centre in iteration 7
+    report, state = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1, max_iterations=7,
+                                            workers=2), solver_cfg)
     assert state.best_upper is not None
     assert state.best_lower <= ef.objective * (1 + 1e-9)
     assert ef.objective <= state.best_upper * (1 + 1e-9)
+    assert report.gap <= 0.03
