@@ -43,20 +43,20 @@ columns (see :mod:`flexcep.build`): a solution's first stage is ``x[:n]``
 and its slacks are the tail. The multipliers ``lam`` are keyed by
 expectation handle.
 
-Boxes come from two sources. In integer mode, every iteration pins each
-scenario's own first stage, rounded and repaired, in scenario order (the
-inner-bound idea of mpi-sppy's ``xhatshuffle`` spoke). On
-``INCUMBENT_SCHEDULE``, at convergence and at the last iteration, the
-consensus box follows: it pins integer coordinates to the rounded, repaired
-consensus and gives continuous ones ``x_bar +- max_s |x_s - x_bar|``. Each
-box restricts the extensive form, so its LP optimum is a valid upper bound.
-A box is tried at most once per run, and a tie keeps the incumbent found
-first. A box that leaves a coordinate free couples every scenario block into
-one LP, which HiGHS's interior-point method solves fastest; a pinned box
-separates into scenario blocks and stays on dual simplex (see
-``exact_candidate_evaluation``). The method is a heuristic on the
-mixed-integer problem; results are always reported as an incumbent with a
-gap, never as proven optimal.
+Boxes follow one rule per mode. In integer mode, every iteration takes each
+scenario's own first stage, rounded and repaired, in scenario order; its box
+pins the integer part and leaves every continuous coordinate free in its
+bounds, so the extensive form optimizes the rest (the inner bound of
+mpi-sppy's xhat spokes). In convex mode, on ``INCUMBENT_SCHEDULE``, at
+convergence and at the last iteration, the consensus box is the band
+``x_bar +- max_s |x_s - x_bar|``. Each box restricts the extensive form, so
+its LP optimum is a valid upper bound. A box is tried at most once per run,
+so each integer part costs at most one LP, and a tie keeps the incumbent
+found first. A band that frees columns the extensive form marks integer runs
+on HiGHS's interior-point method; a box with its integer part pinned stays
+on dual simplex (see ``exact_candidate_evaluation``). The method is a
+heuristic on the mixed-integer problem; results are always reported as an
+incumbent with a gap, never as proven optimal.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ from .solvers import (BackendCrashError, SolverConfig, highs_option_passthrough,
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
-INCUMBENT_SCHEDULE = (5, 10, 20, 40, 80, 160, 320, 640, 1280)  # consensus-box iterations
+INCUMBENT_SCHEDULE = (5, 10, 20, 40, 80, 160, 320, 640, 1280)  # convex consensus boxes
 
 
 class PHAError(RuntimeError):
@@ -646,27 +646,28 @@ def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
 
 
 def _candidates(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
-                scheduled: bool):
+                final: bool):
     """This iteration's candidates as ``(source, x_hat, lo, hi)``, in evaluation order.
 
-    In integer mode every scenario's own first stage, rounded and repaired,
-    is pinned (``lo = hi = x_hat``), in scenario order. When ``scheduled``,
-    the consensus box follows: integer coordinates are pinned to the rounded,
-    repaired consensus ``x_hat``; continuous ones keep a trust region spanning
-    the current scenario disagreement, ``x_bar +- max_s |x_s - x_bar|``, so
-    near-consensus residue cannot push the evaluation over a feasibility
-    cliff. ``x_hat`` is what ``check_first_stage_candidate`` must accept.
+    In integer mode, one box per scenario, in scenario order: it pins the
+    integer part of the scenario's own first stage, rounded and repaired
+    (``x_hat``), and spans ``[info.lb, info.ub]`` elsewhere. In convex mode,
+    on ``INCUMBENT_SCHEDULE`` and when ``final``, the consensus box: a trust
+    region spanning the scenario disagreement, ``x_bar +- max_s |x_s -
+    x_bar|``, so near-consensus residue cannot push the evaluation over a
+    feasibility cliff. ``x_hat`` is what ``check_first_stage_candidate`` must
+    accept.
     """
     if info.integer.any():
         for s in inst.scenarios:
             x_hat = round_and_repair(inst, info, state.x[s.id])
-            yield f"scenario {s.id}", x_hat, x_hat, x_hat
-    if scheduled:
-        x_hat = round_and_repair(inst, info, state.x_bar)
+            yield (f"scenario {s.id}", x_hat, np.where(info.integer, x_hat, info.lb),
+                   np.where(info.integer, x_hat, info.ub))
+    elif state.iteration in INCUMBENT_SCHEDULE or final:
         spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios],
                         axis=0)
-        yield ("consensus", x_hat, np.where(info.integer, x_hat, state.x_bar - spread),
-               np.where(info.integer, x_hat, state.x_bar + spread))
+        yield ("consensus", round_and_repair(inst, info, state.x_bar),
+               state.x_bar - spread, state.x_bar + spread)
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +688,13 @@ def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.nd
     omitted it is built here. Returns ``(objective, index, primal)`` or None
     when no feasible completion exists.
 
-    A box with a free coordinate (``lo < hi`` anywhere) is solved by the
-    interior-point method with crossover: the free first stage and the hard
-    expectation rows link all scenario blocks, and on such LPs it beats dual
-    simplex (3.5x on the banded convex candidates of the S=4, T=168 benchmark
-    rung, 2 vCPUs). A fully pinned box leaves independent scenario blocks,
-    which simplex solves faster, so it stays on simplex. Row counts do not
-    separate the two cases; the structure does.
+    A box that frees a column the extensive form marks integer (the convex
+    band) is solved by the interior-point method with crossover: the free
+    first stage and the hard expectation rows link all scenario blocks, and
+    on such LPs it beats dual simplex (3.5x on the banded convex candidates
+    of the S=4, T=168 benchmark rung, 2 vCPUs). A box with every integer
+    column pinned stays on simplex, which solved the S=8, T=24 rung's
+    integer-part boxes about 2x faster (2 vCPUs).
     """
     solver = solver or SolverConfig()
     n = len(first_stage_info(inst).coords)
@@ -702,7 +703,7 @@ def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.nd
                          f"({n}), got shapes {np.shape(lo)} and {np.shape(hi)}")
     model, index = ef if ef is not None else build_extensive_form(inst)
     lp = restrict_bounds(relax_integrality(model), dict(enumerate(zip(lo, hi))))
-    res = solve(lp, solver, interior=bool(np.any(lo < hi)))
+    res = solve(lp, solver, interior=bool(np.any((lo < hi) & model.var_integer[:n])))
     if res.status != OPTIMAL:
         return None
     return float(res.objective), index, res.x
@@ -800,28 +801,25 @@ def _hub_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAStat
 
 
 def _dual_step(spoke: _DualSpoke, state: PHAState, solved: list, final: bool) -> None:
-    """Raise ``state.best_lower`` to the best bound the dual spoke has proven.
+    """Set ``state.best_lower`` to the best bound the dual spoke has proven.
 
     The spoke reads the hub's first sweep (``solved``) and nothing else of
     the hub; every later bound is one of its own sweeps (see
-    :class:`_DualSpoke`). ``final`` tells it the hub stops after this
-    iteration. A sweep that proves no bound keeps the previous one.
+    :class:`_DualSpoke`), and ``spoke.best`` is their running maximum.
+    ``final`` tells it the hub stops after this iteration.
     """
     spoke.advance(solved, final)
-    if spoke.best is not None:
-        state.best_lower = spoke.best if state.best_lower is None else max(state.best_lower,
-                                                                           spoke.best)
+    state.best_lower = spoke.best
 
 
 def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
                     solver: SolverConfig, tried: set[bytes], ef, final: bool) -> None:
     """Evaluate this iteration's untried boxes; a strictly better one becomes the incumbent.
 
-    ``ef()`` is the extensive form to re-bound. The consensus box is offered
-    on ``INCUMBENT_SCHEDULE`` and when ``final``.
+    ``ef()`` is the extensive form to re-bound; ``final`` when the hub stops
+    after this iteration (see ``_candidates``).
     """
-    scheduled = state.iteration in INCUMBENT_SCHEDULE or final
-    for source, x_hat, lo, hi in _candidates(inst, info, state, scheduled):
+    for source, x_hat, lo, hi in _candidates(inst, info, state, final):
         key = lo.tobytes() + hi.tobytes()
         if key in tried:
             continue

@@ -139,6 +139,15 @@ def test_criterion_4(milp_pha_runs):
                 assert row.lower_bound <= row.upper_bound + 1e-6, (gen, seed, row)
 
 
+def test_milp_upper_bounds_within_three_tenths_of_a_percent(milp_pha_runs):
+    # a box that pins a scenario's integer part and frees the rest finds the
+    # optimum's integer part within the criterion-4 budget
+    for gen, seed, bf, report, state in milp_pha_runs:
+        assert state.best_upper is not None, (gen, seed)
+        assert state.best_upper <= 1.003 * bf.objective, (gen, seed,
+                                                          state.best_upper / bf.objective)
+
+
 @verdict(5, "flexibility monotonicity: inflexible >= mid-flex >= full-flex cost")
 def test_criterion_5(g1, tmp_path_factory, solver):
     path = tmp_path_factory.mktemp("flex") / "g1.json"

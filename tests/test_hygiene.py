@@ -1,6 +1,6 @@
 """Every module-level import in the package is used by its module, and every
-top-level function and class, and every method of a top-level class, is
-referenced somewhere in the package.
+top-level function, class and UPPER_CASE constant, and every method of a
+top-level class, is referenced somewhere in the package.
 
 A deletion that leaves an import or a helper behind shows up here;
 ``__init__.py`` is skipped as a module under check because its imports are
@@ -34,25 +34,30 @@ def unused_imports(source: str) -> list[str]:
 
 def unreferenced_definitions(sources: dict[str, str], checked: set[str],
                              exempt: set[str]) -> list[str]:
-    """``module.name`` of top-level functions and classes, and
-    ``module.Class.method`` of their methods, in the ``checked`` modules that
-    no module in ``sources`` reads.
+    """``module.name`` of top-level functions, classes and UPPER_CASE
+    constants, and ``module.Class.method`` of their methods, in the
+    ``checked`` modules that no module in ``sources`` reads.
 
     A name counts as read when some module loads it as a name or an
-    attribute; its own ``def``/``class`` statement does not count. Dunder
-    methods are never reported.
+    attribute; its own ``def``/``class`` statement or assignment does not
+    count. Dunder methods are never reported.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     unread = []
     for module in sorted(checked):
         for node in trees[module].body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unread += [f"{module}.{t.id}" for t in targets
+                           if isinstance(t, ast.Name) and t.id.isupper()
+                           and t.id not in exempt and t.id not in read]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in exempt and node.name not in read:
@@ -83,7 +88,8 @@ def test_checker_flags_only_unread_names():
 
 def test_definition_checker_counts_names_and_attributes_only():
     sources = {
-        "a": ("def used():\n    pass\n"
+        "a": ("LIMIT = 3\nUNREAD: int = 4\nEXPORTED = 5\nlowercase = 6\n"
+              "def used():\n    pass\n"
               "def via_attr():\n    pass\n"
               "def only_defined():\n    only_defined_inner = 1\n"
               "class Exported:\n    pass\n"
@@ -91,10 +97,11 @@ def test_definition_checker_counts_names_and_attributes_only():
               "class Kept:\n    def __init__(self):\n        pass\n"
               "    def called(self):\n        pass\n"
               "    def uncalled(self):\n        pass\n"),
-        "b": "import a\nused()\na.via_attr()\na.Kept().called()\n",
+        "b": ("import a\nused()\na.via_attr()\na.Kept().called()\n"
+              "limit = a.LIMIT\n"),
     }
-    assert unreferenced_definitions(sources, {"a", "b"}, {"Exported"}) == [
-        "a.only_defined", "a.Orphan", "a.Kept.uncalled"]
+    assert unreferenced_definitions(sources, {"a", "b"}, {"Exported", "EXPORTED"}) == [
+        "a.UNREAD", "a.only_defined", "a.Orphan", "a.Kept.uncalled"]
     assert unreferenced_definitions(sources, {"b"}, set()) == []
 
 

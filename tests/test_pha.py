@@ -163,7 +163,8 @@ class TestLagrangianBound:
         stopped = [SolveResult(status=FEASIBLE_WITH_GAP, objective=1e15)] * 2
         pha_module._dual_step(spoke, state, stopped, final=False)
         assert state.best_lower is None
-        state.iteration, state.best_lower = 2, 5.0
+        # a bound an earlier sweep proved survives a sweep that proves none
+        state.iteration, spoke.best = 2, 5.0
         pha_module._dual_step(spoke, state, stopped, final=True)
         assert state.best_lower == 5.0
 
@@ -454,8 +455,10 @@ class TestExactCandidateEvaluation:
         lo = np.where(pinned, np.round(centre), np.maximum(info.lb, centre - band))
         hi = np.where(pinned, np.round(centre), np.minimum(info.ub, centre + band))
         assert np.any(lo < hi)
+        original = pha_module.solve  # the same box on each method, whatever the rule picks
+        monkeypatch.setattr(pha_module, "solve", lambda model, cfg=None, **kwargs:
+                            original(model, cfg, interior=True))
         interior = exact_candidate_evaluation(inst, lo, hi, solver_cfg)
-        original = pha_module.solve  # the same box again, on dual simplex
         monkeypatch.setattr(pha_module, "solve",
                             lambda model, cfg=None, **kwargs: original(model, cfg))
         simplex = exact_candidate_evaluation(inst, lo, hi, solver_cfg)
@@ -582,15 +585,18 @@ class TestRunPha:
             assert lagrangian == [True] * n_scen + [False] * 6 * n_scen + [True] * n_scen
             assert masters == [False] * 5
         # every candidate (the scenarios' own first stages each iteration in
-        # integer mode, the consensus box at the last) is an LP
+        # integer mode, the consensus box at the last in convex mode) is an LP
         assert kinds("-ef") and set(kinds("-ef")) == {False}
         assert len(seen) == len(kinds("-pha-") + lagrangian + masters + kinds("-ef"))
 
     @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
     def test_interior_point_exactly_on_candidates_with_a_free_coordinate(
             self, g1, solver_cfg, monkeypatch, relax):
-        seen = []  # (candidate box has a free coordinate, or None, and the solver option)
-        banded = []
+        # a free coordinate is one the extensive form marks integer: the
+        # convex band frees some, an integer-mode box frees only continuous ones
+        seen = []  # (candidate box frees an integer column, or None, and the solver option)
+        banded, opened = [], []
+        integer = build_extensive_form(g1)[0].var_integer[:len(first_stage_info(g1).coords)]
         original_milp = solvers_module.milp
         evaluate = pha_module.exact_candidate_evaluation
 
@@ -599,7 +605,8 @@ class TestRunPha:
             return original_milp(*args, options=options, **kwargs)
 
         def evaluating(inst, lo, hi, *args, **kwargs):
-            banded.append(bool(np.any(lo < hi)))
+            banded.append(bool(np.any((lo < hi) & integer)))
+            opened.append(bool(np.any(lo < hi)))
             try:
                 return evaluate(inst, lo, hi, *args, **kwargs)
             finally:
@@ -609,7 +616,8 @@ class TestRunPha:
         run_pha(g1, PHAConfig(max_iterations=5, gap_threshold=1e-9,
                               relax_integrality=relax), solver_cfg)
         assert all((solver == "ipm") == bool(free) for free, solver in seen)
-        assert {free for free, _ in seen} == ({None, True} if relax else {None, False, True})
+        assert {free for free, _ in seen} == ({None, True} if relax else {None, False})
+        assert opened and all(opened)  # every box frees some column
 
     def test_solver_output_on_fd1_goes_to_stderr(self, g1, solver_cfg, monkeypatch,
                                                  capfd):
@@ -660,7 +668,7 @@ class TestRunPha:
 
 class TestHighsOptions:
     """Every MILP runs without HiGHS's primal heuristics; every LP gets the
-    defaults, and IPM when its box has a free coordinate."""
+    defaults, and IPM when its box frees an integer column (convex mode only)."""
 
     DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
     INTERIOR = {**DEFAULT, "solver": "ipm"}
@@ -703,9 +711,10 @@ class TestHighsOptions:
                    for options, _ in sweeps)
         # the options change the speed, never the proof: the gap is round-off
         assert all(res.status == 0 and res.mip_gap <= 1e-12 for _, res in sweeps)
-        candidates = [options for mip, options, _ in seen if not mip]
-        assert self.DEFAULT in candidates and self.INTERIOR in candidates
-        assert all(options in (self.DEFAULT, self.INTERIOR) for options in candidates)
+        # every LP, candidate boxes with their integer part pinned included,
+        # runs on dual simplex
+        lps = [options for mip, options, _ in seen if not mip]
+        assert lps and all(options == self.DEFAULT for options in lps)
 
         seen.clear()
         manifest = RunManifest(instance_path=path, method="ef", out_dir=str(tmp_path))
@@ -723,13 +732,16 @@ class TestHighsOptions:
         milp = {**self.DEFAULT, **NO_PRIMAL_HEURISTICS}
         assert [options for mip, options, _ in seen if mip] == [milp] * 6 * len(inst.scenarios)
         # the dual spoke's LPs run on the defaults; every other LP is a
-        # candidate box, and one with a free coordinate runs on IPM
+        # candidate box that pins its integer part and frees the rest, and
+        # runs on dual simplex too
         lps = [options for mip, options, _ in seen if not mip]
-        free = sum(bool(np.any(lo < hi)) for _, lo, hi, _ in calls)
-        assert spoke_lps and free > 0
+        integer = first_stage_info(inst).integer
+        assert spoke_lps and calls
+        assert all(np.array_equal(lo[integer], hi[integer]) and np.any(lo < hi)
+                   for _, lo, hi, _ in calls)
         assert len(lps) == len(spoke_lps) + len(calls)
-        assert lps.count(self.INTERIOR) == free
-        assert lps.count(self.DEFAULT) == len(spoke_lps) + len(calls) - free
+        assert lps.count(self.INTERIOR) == 0
+        assert lps.count(self.DEFAULT) == len(spoke_lps) + len(calls)
 
         seen.clear()
         variants = [parse_variant("inflexible"), parse_variant("fullflex")]
@@ -810,24 +822,32 @@ def _tie(result):
 
 
 class TestScenarioCandidates:
-    """Every scenario's own first stage is a candidate in integer mode."""
+    """Every scenario's own first stage is a candidate in integer mode: its
+    integer part pinned, the rest free."""
 
     def test_no_pinned_box_is_evaluated_twice(self, solver_cfg, monkeypatch):
+        inst = generate("G2", 1)
+        info = first_stage_info(inst)
+        integer = info.integer
         offered = []
         candidates = pha_module._candidates
 
         def offering(*args):
             for candidate in candidates(*args):
-                offered.append(candidate[2].tobytes())
+                offered.append(candidate[2][integer].tobytes())
                 yield candidate
         monkeypatch.setattr(pha_module, "_candidates", offering)
         calls = _record_evaluations(monkeypatch)
-        # G2 seed 1 offers some scenario first stages again in later iterations
-        run_pha(generate("G2", 1), PHAConfig(rho_scale=0.1, max_iterations=12,
-                                             gap_threshold=1e-9), solver_cfg)
+        # G2 seed 1 offers some integer parts again in later iterations
+        run_pha(inst, PHAConfig(rho_scale=0.1, max_iterations=12, gap_threshold=1e-9),
+                solver_cfg)
         assert len(set(offered)) < len(offered)
-        pinned = [lo.tobytes() for _, lo, hi, _ in calls if np.array_equal(lo, hi)]
-        assert pinned
+        assert calls and all(source.startswith("scenario ") for source, *_ in calls)
+        for _, lo, hi, _ in calls:
+            assert np.array_equal(lo[integer], hi[integer])
+            assert np.array_equal(lo[~integer], info.lb[~integer])
+            assert np.array_equal(hi[~integer], info.ub[~integer])
+        pinned = [lo[integer].tobytes() for _, lo, _, _ in calls]
         assert len(set(pinned)) == len(pinned)
 
     def test_convex_mode_evaluates_only_the_scheduled_consensus_boxes(
@@ -843,8 +863,8 @@ class TestScenarioCandidates:
     @pytest.mark.parametrize("path", [f"G{g}/seed{s}.json" for g in (1, 2, 3)
                                       for s in (1, 2, 3)])
     def test_first_upper_bound_by_iteration_two(self, path, solver_cfg):
-        # the CLI defaults (--rho 0.1 --beta 0.1); the consensus schedule
-        # alone gives the first upper bound at iteration 5
+        # the CLI defaults (--rho 0.1 --beta 0.1); the scenario candidates
+        # give the bound
         inst = storage.load_instance(os.path.join(FIXTURES, path))
         report, _ = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1,
                                             max_iterations=3), solver_cfg)
@@ -867,12 +887,13 @@ class TestScenarioCandidates:
         assert report.objective == state.best_upper == best
         assert built[-1] is next(r for r in results if r[0] == best)[2]
 
-        # every candidate ties: the first one evaluated stays the incumbent
+        # every candidate ties: the first one evaluated stays the incumbent;
+        # iteration 2 offers a second integer part
         evaluate = pha_module.exact_candidate_evaluation
         monkeypatch.setattr(pha_module, "exact_candidate_evaluation",
                             lambda *a, **kw: _tie(evaluate(*a, **kw)))
         del calls[:]
-        report, _ = run_pha(g1, PHAConfig(rho_scale=0.1, max_iterations=1), solver_cfg)
+        report, _ = run_pha(g1, PHAConfig(rho_scale=0.1, max_iterations=2), solver_cfg)
         found = [(source, result) for source, _, _, result in calls if result is not None]
         assert len(found) >= 2
         assert report.objective == TIE
@@ -912,12 +933,12 @@ class TestBuildOnce:
             assert code in (0, 3)
             assert counts["build_scenario_subproblem"] == len(inst.scenarios)
             assert counts["build_extensive_form"] == 1
-            # the one EF evaluates the scheduled consensus boxes (iterations 5
-            # and 6) plus every distinct accepted scenario candidate, once each
+            # the one EF evaluates every distinct accepted scenario candidate,
+            # once each; integer mode offers no consensus box
             keys = [lo.tobytes() + hi.tobytes() for _, lo, hi, _ in calls]
-            scenario = [(lo, hi) for source, lo, hi, _ in calls if source != "consensus"]
-            assert len(calls) - len(scenario) == 2
-            assert scenario and all(np.array_equal(lo, hi) for lo, hi in scenario)
+            integer = first_stage_info(inst).integer
+            assert calls and all(source.startswith("scenario ") for source, *_ in calls)
+            assert all(np.array_equal(lo[integer], hi[integer]) for _, lo, hi, _ in calls)
             assert len(set(keys)) == len(keys)
             evaluated[workers] = keys
         assert evaluated[1] == evaluated[2]
