@@ -82,9 +82,6 @@ class FirstStageInfo:
     mw_scale: np.ndarray  # MW represented by one native unit of the coordinate
     unit_cost: np.ndarray  # annualized fixed cost of one native unit
 
-    def index_of(self) -> dict[Coord, int]:
-        return {c: i for i, c in enumerate(self.coords)}
-
 
 def first_stage_info(inst: PlanningInstance) -> FirstStageInfo:
     coords: list[Coord] = []

@@ -7,7 +7,7 @@ type.
 
 Exit codes: 0 solved/converged (or valid), 1 invalid instance or setting,
 2 I/O error, 3 stopped at a limit with an incumbent, 4 no feasible
-incumbent/infeasible, 5 solver backend failure.
+incumbent/infeasible, 5 solver backend failure or a failed hedging sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     TierSpec,
     compare_tiers,
 )
-from .pha import NO_INCUMBENT, PHAConfig, run_pha
+from .pha import NO_INCUMBENT, PHAConfig, PHAError, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
 from .solvers import (BackendError, SolverConfig, proven_lower_bound, solve,
                       solver_output_to_stderr)
@@ -110,6 +110,9 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
                 report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing)
     except BackendError as exc:
         print(f"solver backend failure: {exc}", file=out)
+        return EXIT_BACKEND
+    except PHAError as exc:  # a hedging sweep whose scenario solve failed
+        print(f"hedging failure: {exc}", file=out)
         return EXIT_BACKEND
     try:
         storage.save_report(report, manifest.out_dir)
@@ -275,7 +278,9 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
                    help="subprocess solver binary (overrides FLEXCEP_LP_SOLVER)")
     p.add_argument("--time-limit", type=float, default=default.time_limit_s)
     p.add_argument("--gap", type=float, default=default.mip_gap, help="MIP gap target")
-    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--seed", type=int, default=default.seed,
+                   help="recorded in the run manifest; it does not reach HiGHS "
+                        "today, so it changes no result")
 
 
 def _solver_from_args(args) -> SolverConfig:

@@ -44,13 +44,15 @@ and its slacks are the tail. The multipliers ``lam`` are keyed by
 expectation handle.
 
 Boxes follow one rule per mode. In integer mode, every iteration takes each
-scenario's own first stage, rounded and repaired, in scenario order; its box
-pins the integer part and leaves every continuous coordinate free in its
-bounds, so the extensive form optimizes the rest (the inner bound of
-mpi-sppy's xhat spokes). In convex mode, on ``INCUMBENT_SCHEDULE``, at
-convergence and at the last iteration, the consensus box is the band
-``x_bar +- max_s |x_s - x_bar|``. Each box restricts the extensive form, so
-its LP optimum is a valid upper bound. A box is tried at most once per run,
+scenario's own first stage, in scenario order; its box pins the integer part
+as the scenario MILP solved it (rounding drops only the solver's round-off)
+and leaves every continuous coordinate free in its bounds, so the
+extensive form optimizes the rest (the inner bound of mpi-sppy's xhat
+spokes). In convex mode, on ``INCUMBENT_SCHEDULE``, at convergence and at
+the last iteration, the consensus box is the band ``x_bar +- max_s |x_s -
+x_bar|``. Each box restricts the extensive form, so its LP optimum is a
+valid upper bound, and that LP is the one judge of a box: a box with no
+feasible completion gives no bound. A box is tried at most once per run,
 so each integer part costs at most one LP, and a tie keeps the incumbent
 found first. A band that frees columns the extensive form marks integer runs
 on HiGHS's interior-point method; a box with its integer part pinned stays
@@ -106,13 +108,12 @@ INCUMBENT_SCHEDULE = (5, 10, 20, 40, 80, 160, 320, 640, 1280)  # convex consensu
 
 
 class PHAError(RuntimeError):
-    """Engine failure: infeasible subproblem, solver failure, bad candidate."""
+    """Engine failure: an infeasible or failed scenario subproblem."""
 
 
-# Stop tests and candidate rounding, fixed for every run.
+# Stop tests, fixed for every run.
 EPS_CONSENSUS = 1e-3  # MW-scaled consensus metric tolerance
 EPS_SIGMA = 1e-4  # expected-slack violation tolerance
-ROUND_THRESHOLD = 0.5  # binary rounding threshold for candidates
 
 
 @dataclass(frozen=True)
@@ -566,113 +567,35 @@ class _DualSpoke:
 
 
 # ---------------------------------------------------------------------------
-# Candidate rounding and repair
+# Candidates and their evaluation
 # ---------------------------------------------------------------------------
-
-
-def round_and_repair(inst: PlanningInstance, info: FirstStageInfo,
-                     x_bar: np.ndarray) -> np.ndarray:
-    """Deterministic first-stage candidate from a consensus vector.
-
-    Integer coordinates are rounded to the nearest unit (binaries thresholded),
-    everything is clipped into its box, and mandates are repaired by raising
-    sites in bus-id order (all sites of a load tech cost the same) or, for
-    equality mandates, trimming the most recently raised sites. Repairs move
-    integer coordinates by whole units only; coordinates that ``info`` marks
-    continuous (all of them in convex mode) are neither rounded nor floored.
-    Both vectors are in ``info.coords`` order.
-    """
-    x_hat: list[float] = []
-    for i in range(len(info.coords)):
-        v = float(x_bar[i])
-        if info.integer[i]:
-            if info.ub[i] <= 1.0:
-                v = 1.0 if v >= ROUND_THRESHOLD else 0.0
-            else:
-                v = math.floor(v + 0.5)
-        x_hat.append(min(max(v, float(info.lb[i])), float(info.ub[i])))
-    fs_index = info.index_of()
-    for d in inst.load_techs:
-        if d.mandate is None:
-            continue
-        sites = [fs_index[("xD", b.id, d.id)] for b in inst.buses]
-        total = sum(x_hat[i] for i in sites)
-        order = sorted(sites, key=lambda i: info.coords[i][1])
-        pos = 0
-        while total < d.mandate.min_units - 1e-9 and pos < len(order):
-            i = order[pos]
-            add = min(float(info.ub[i]) - x_hat[i], d.mandate.min_units - total)
-            if info.integer[i]:
-                add = math.floor(add + 1e-9) if add >= 1.0 else 0.0
-            x_hat[i] += add
-            total += add
-            pos += 1
-        if d.mandate.equality:
-            for i in reversed(order):
-                if total <= d.mandate.min_units + 1e-9:
-                    break
-                trim = min(x_hat[i], total - d.mandate.min_units)
-                if info.integer[i]:
-                    trim = math.floor(trim + 1e-9)
-                x_hat[i] -= trim
-                total -= trim
-    return np.array(x_hat)
-
-
-def check_first_stage_candidate(inst: PlanningInstance, info: FirstStageInfo,
-                                x_hat: np.ndarray) -> None:
-    """Raise PHAError unless the candidate satisfies first-stage-only constraints.
-
-    ``x_hat`` is a vector in ``info.coords`` order. Integrality is required
-    where ``info`` marks a coordinate integer.
-    """
-    if np.shape(x_hat) != (len(info.coords),):
-        raise PHAError(f"candidate must have one entry per first-stage coordinate "
-                       f"({len(info.coords)}), got shape {np.shape(x_hat)}")
-    for i, coord in enumerate(info.coords):
-        v = float(x_hat[i])
-        if v < info.lb[i] - 1e-6 or v > info.ub[i] + 1e-6:
-            raise PHAError(f"candidate value {v!r} for {coord!r} violates its bounds")
-        if info.integer[i] and abs(v - round(v)) > 1e-6:
-            raise PHAError(f"candidate value {v!r} for {coord!r} must be integral")
-    fs_index = info.index_of()
-    for d in inst.load_techs:
-        if d.mandate is None:
-            continue
-        total = sum(float(x_hat[fs_index[("xD", b.id, d.id)]]) for b in inst.buses)
-        if total < d.mandate.min_units - 1e-6 or \
-                (d.mandate.equality and abs(total - d.mandate.min_units) > 1e-6):
-            raise PHAError(f"candidate violates the mandate on load tech '{d.id}'")
 
 
 def _candidates(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
                 final: bool):
-    """This iteration's candidates as ``(source, x_hat, lo, hi)``, in evaluation order.
+    """This iteration's candidate boxes as ``(source, lo, hi)``, in evaluation order.
 
     In integer mode, one box per scenario, in scenario order: it pins the
-    integer part of the scenario's own first stage, rounded and repaired
-    (``x_hat``), and spans ``[info.lb, info.ub]`` elsewhere. In convex mode,
-    on ``INCUMBENT_SCHEDULE`` and when ``final``, the consensus box: a trust
-    region spanning the scenario disagreement, ``x_bar +- max_s |x_s -
-    x_bar|``, so near-consensus residue cannot push the evaluation over a
-    feasibility cliff. ``x_hat`` is what ``check_first_stage_candidate`` must
-    accept.
+    integer part of the scenario's own first stage as its MILP solved it,
+    rounded only to drop the solver's round-off, and spans ``[info.lb,
+    info.ub]`` elsewhere. That MILP carries the first-stage bounds,
+    integrality and mandate rows, so the pinned part satisfies them; whether
+    the rest has a feasible completion is for the extensive form to say. In
+    convex mode, on ``INCUMBENT_SCHEDULE`` and when ``final``, the consensus
+    box: a trust region spanning the scenario disagreement, ``x_bar +- max_s
+    |x_s - x_bar|``, so near-consensus residue cannot push the evaluation
+    over a feasibility cliff.
     """
     if info.integer.any():
         for s in inst.scenarios:
-            x_hat = round_and_repair(inst, info, state.x[s.id])
-            yield (f"scenario {s.id}", x_hat, np.where(info.integer, x_hat, info.lb),
-                   np.where(info.integer, x_hat, info.ub))
+            # + 0.0 turns -0.0 into 0.0: the tried set keys boxes by their raw bytes
+            pinned = np.round(state.x[s.id]) + 0.0
+            yield (f"scenario {s.id}", np.where(info.integer, pinned, info.lb),
+                   np.where(info.integer, pinned, info.ub))
     elif state.iteration in INCUMBENT_SCHEDULE or final:
         spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios],
                         axis=0)
-        yield ("consensus", round_and_repair(inst, info, state.x_bar),
-               state.x_bar - spread, state.x_bar + spread)
-
-
-# ---------------------------------------------------------------------------
-# Candidate evaluation
-# ---------------------------------------------------------------------------
+        yield "consensus", state.x_bar - spread, state.x_bar + spread
 
 
 def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.ndarray,
@@ -819,15 +742,11 @@ def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAStat
     ``ef()`` is the extensive form to re-bound; ``final`` when the hub stops
     after this iteration (see ``_candidates``).
     """
-    for source, x_hat, lo, hi in _candidates(inst, info, state, final):
+    for source, lo, hi in _candidates(inst, info, state, final):
         key = lo.tobytes() + hi.tobytes()
         if key in tried:
             continue
         tried.add(key)
-        try:
-            check_first_stage_candidate(inst, info, x_hat)
-        except PHAError:
-            continue
         evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef())
         if evaluated is not None and (state.best_upper is None
                                       or evaluated[0] < state.best_upper):

@@ -11,7 +11,10 @@ import sys
 import pytest
 
 import flexcep
+import flexcep.pha as pha_module
+from flexcep.canonical import LIMIT_REACHED, SolveResult
 from flexcep.cli import (
+    EXIT_BACKEND,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_NO_INCUMBENT,
@@ -271,6 +274,20 @@ class TestMainEntry:
                      "--out", str(tmp_path / "x"),
                      "--solver", "subprocess", "--solver-bin", "/bin/false"])
         assert code == 5
+
+    def test_failed_hedging_sweep_exits_backend_failure(self, g1_path, tmp_path,
+                                                        monkeypatch, capsys):
+        # every scenario solve stops at its limit, as a tiny --time-limit makes
+        # it do, but deterministically
+        monkeypatch.setattr(pha_module, "solve",
+                            lambda *args, **kwargs: SolveResult(status=LIMIT_REACHED))
+        out_dir = tmp_path / "x"
+        code = main(["solve", "--instance", g1_path, "--method", "pha",
+                     "--out", str(out_dir), "--max-iters", "3"])
+        assert code == EXIT_BACKEND
+        assert capsys.readouterr().out.splitlines() == [
+            "hedging failure: scenario subproblem 's1' failed: limit_reached"]
+        assert not out_dir.exists()
 
 
 SETTING_ERRORS = [

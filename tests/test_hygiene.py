@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, and every
 top-level function, class and UPPER_CASE constant, and every method of a
-top-level class, is referenced somewhere in the package.
+top-level class, is referenced somewhere in the package. Every backticked
+dotted ``flexcep.…`` name in README.md resolves.
 
 A deletion that leaves an import or a helper behind shows up here;
 ``__init__.py`` is skipped as a module under check because its imports are
@@ -11,12 +12,15 @@ as are dunder methods, which Python calls itself.
 """
 
 import ast
+import importlib
 import pathlib
+import re
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "flexcep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = PACKAGE.parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -146,3 +150,38 @@ def test_warning_filters_are_entered_in_one_helper_only():
             for owner in uses_by_function(p.read_text(encoding="utf-8"),
                                           {"catch_warnings", "Unrecognized options detected"})}
     assert uses == {"solvers.highs_option_passthrough"}
+
+
+def readme_names(text: str) -> list[str]:
+    """Backticked dotted ``flexcep.…`` names in ``text``, a trailing ``()`` dropped."""
+    return re.findall(r"`(flexcep(?:\.\w+)+)(?:\(\))?`", text)
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or an attribute chain of its longest importable prefix."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_readme_name_checker():
+    text = "see `flexcep.pha.run_pha`, `flexcep.solvers.solve()`, `flexcep` and `x.y`"
+    assert readme_names(text) == ["flexcep.pha.run_pha", "flexcep.solvers.solve"]
+    assert resolves("flexcep.pha") and resolves("flexcep.pha.PHAConfig.max_iterations")
+    assert not resolves("flexcep.pha.no_such_name")
+    assert not resolves("flexcep.no_such_module.run_pha")
+
+
+def test_every_flexcep_name_in_the_readme_resolves():
+    names = readme_names(README.read_text(encoding="utf-8"))
+    assert names
+    assert [name for name in names if not resolves(name)] == []

@@ -26,12 +26,10 @@ from flexcep.pha import (
     PHAConfig,
     PHAError,
     PHAState,
-    check_first_stage_candidate,
     consensus_metric,
     exact_candidate_evaluation,
     lagrangian_lower_bound,
     run_pha,
-    round_and_repair,
     sigma_violation,
 )
 from flexcep.solvers import NO_PRIMAL_HEURISTICS, BackendCrashError, SolverConfig, solve
@@ -320,88 +318,6 @@ class TestWeakDualityPastOracleSize:
         assert len(solutions) == n_scen and all(x is not None for x in solutions)
 
 
-def _dc(info, x_hat, bus):
-    return x_hat[info.coords.index(("xD", bus, "datacenter"))]
-
-
-class TestRoundAndRepair:
-    def test_rounding_and_mandate_repair(self):
-        inst = generate("G2", 1)
-        info = first_stage_info(inst)
-        x_bar = np.zeros(len(info.coords))
-        x_hat = round_and_repair(inst, info, x_bar)
-        dc_total = sum(v for c, v in zip(info.coords, x_hat)
-                       if c[0] == "xD" and c[2] == "datacenter")
-        assert dc_total == 1.0  # equality mandate restored at the cheapest site
-        assert _dc(info, x_hat, "B1") == 1.0
-
-    def test_equality_mandate_trims_excess(self):
-        inst = generate("G2", 1)
-        info = first_stage_info(inst)
-        x_bar = np.zeros(len(info.coords))
-        for i, c in enumerate(info.coords):
-            if c[0] == "xD" and c[2] == "datacenter":
-                x_bar[i] = 1.0  # both sites at 1 violates the equality mandate
-        x_hat = round_and_repair(inst, info, x_bar)
-        dc_total = sum(v for c, v in zip(info.coords, x_hat)
-                       if c[0] == "xD" and c[2] == "datacenter")
-        assert dc_total == 1.0
-
-    def test_binary_threshold(self, g1):
-        info = first_stage_info(g1)
-        x_bar = np.zeros(len(info.coords))
-        li = info.coords.index(("xL", "L12"))
-        x_bar[li] = 0.49
-        assert round_and_repair(g1, info, x_bar)[li] == 0.0
-        x_bar[li] = 0.51
-        assert round_and_repair(g1, info, x_bar)[li] == 1.0
-
-    def test_relaxed_info_keeps_fractions_and_repairs_without_flooring(self):
-        # convex mode marks every coordinate continuous: nothing is rounded,
-        # the equality mandate (1 datacenter) is met by fractional moves
-        inst = generate("G2", 1)
-        info = first_stage_info(inst)
-        relaxed = dataclasses.replace(info, integer=np.zeros_like(info.integer))
-        li = info.coords.index(("xL", "L12"))
-        for b1, b2, want_b1, want_b2 in ((0.0, 0.4, 0.6, 0.4),   # raised
-                                         (0.7, 0.7, 0.7, 0.3)):  # trimmed
-            x_bar = np.zeros(len(info.coords))
-            x_bar[li] = 0.49
-            x_bar[info.coords.index(("xD", "B1", "datacenter"))] = b1
-            x_bar[info.coords.index(("xD", "B2", "datacenter"))] = b2
-            x_hat = round_and_repair(inst, relaxed, x_bar)
-            assert x_hat[li] == 0.49
-            assert _dc(info, x_hat, "B1") == pytest.approx(want_b1)
-            assert _dc(info, x_hat, "B2") == pytest.approx(want_b2)
-            check_first_stage_candidate(inst, relaxed, x_hat)
-            with pytest.raises(PHAError, match="integral"):
-                check_first_stage_candidate(inst, info, x_hat)
-            rounded = round_and_repair(inst, info, x_bar)
-            assert rounded[li] == 0.0
-            assert _dc(info, rounded, "B1") + _dc(info, rounded, "B2") == 1.0
-
-
-_FIXTURE_INSTANCES = {gen: generate(gen, 1) for gen in ("G1", "G2", "G3")}
-
-
-class TestRoundAndRepairProperty:
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), gen=st.sampled_from(sorted(_FIXTURE_INSTANCES)),
-           relaxed=st.booleans())
-    def test_repaired_candidate_passes_the_checks(self, data, gen, relaxed):
-        # validation guarantees every mandate fits the build limits, so any
-        # consensus, even one outside the boxes, rounds to a valid candidate
-        inst = _FIXTURE_INSTANCES[gen]
-        info = first_stage_info(inst)
-        if relaxed:
-            info = dataclasses.replace(info, integer=np.zeros_like(info.integer))
-        unit = data.draw(st.lists(st.floats(-0.5, 1.5, allow_nan=False),
-                                  min_size=len(info.coords), max_size=len(info.coords)))
-        x_bar = info.lb + np.array(unit) * np.maximum(info.ub - info.lb, 1.0)
-        x_hat = round_and_repair(inst, info, x_bar)
-        check_first_stage_candidate(inst, info, x_hat)
-
-
 def _vector(info, assignment):
     return np.array([assignment[c] for c in info.coords])
 
@@ -410,16 +326,8 @@ class TestExactCandidateEvaluation:
     def test_oracle_first_stage_reproduces_optimum(self, g1, g1_oracle, solver_cfg):
         info = first_stage_info(g1)
         x_hat = _vector(info, g1_oracle.assignment)
-        check_first_stage_candidate(g1, info, x_hat)
         objective, _, _ = exact_candidate_evaluation(g1, x_hat, x_hat, solver_cfg)
         assert objective == pytest.approx(g1_oracle.objective, rel=1e-9)
-
-    def test_infeasible_candidate_rejected_before_solving(self):
-        inst = generate("G2", 1)
-        info = first_stage_info(inst)
-        x_hat = np.zeros(len(info.coords))  # violates the datacenter mandate
-        with pytest.raises(PHAError, match="mandate"):
-            check_first_stage_candidate(inst, info, x_hat)
 
     def test_mandate_minimum_build_yields_large_bound(self, solver_cfg):
         # mandate satisfied with bare-bones generation: feasible but expensive
@@ -429,7 +337,6 @@ class TestExactCandidateEvaluation:
         x_hat = np.zeros(len(info.coords))
         x_hat[info.coords.index(("xD", "B1", "datacenter"))] = 1.0
         x_hat[info.coords.index(("xG", "B1", "gas"))] = 2.0  # enough committed power for the tranches
-        check_first_stage_candidate(inst, info, x_hat)
         objective, _, _ = exact_candidate_evaluation(inst, x_hat, x_hat, solver_cfg)
         assert objective >= oracle.objective - 1e-6
         assert objective > 2.0 * oracle.objective  # shed-heavy plan
@@ -481,8 +388,6 @@ class TestExactCandidateEvaluation:
     def test_wrong_length_candidate_or_box_rejected(self, g1):
         info = first_stage_info(g1)
         short = np.zeros(len(info.coords) - 1)
-        with pytest.raises(PHAError, match="one entry per first-stage coordinate"):
-            check_first_stage_candidate(g1, info, short)
         full = np.zeros(len(info.coords))
         for lo, hi in ((short, full), (full, short), (full, full[:, None])):
             with pytest.raises(ValueError, match="one entry per first-stage coordinate"):
@@ -800,9 +705,9 @@ def _record_evaluations(monkeypatch):
     evaluate = pha_module.exact_candidate_evaluation
 
     def naming(*args):
-        for source, x_hat, lo, hi in candidates(*args):
+        for source, lo, hi in candidates(*args):
             sources.setdefault(lo.tobytes() + hi.tobytes(), source)
-            yield source, x_hat, lo, hi
+            yield source, lo, hi
 
     def recording(inst, lo, hi, *args, **kwargs):
         result = evaluate(inst, lo, hi, *args, **kwargs)
@@ -834,7 +739,7 @@ class TestScenarioCandidates:
 
         def offering(*args):
             for candidate in candidates(*args):
-                offered.append(candidate[2][integer].tobytes())
+                offered.append(candidate[1][integer].tobytes())
                 yield candidate
         monkeypatch.setattr(pha_module, "_candidates", offering)
         calls = _record_evaluations(monkeypatch)
@@ -845,6 +750,13 @@ class TestScenarioCandidates:
         assert calls and all(source.startswith("scenario ") for source, *_ in calls)
         for _, lo, hi, _ in calls:
             assert np.array_equal(lo[integer], hi[integer])
+            # the pinned part is integral and inside its bounds, with no -0.0
+            # (the tried set keys boxes by their raw bytes)
+            assert np.array_equal(lo[integer], np.round(lo[integer]))
+            assert np.all(info.lb[integer] <= lo[integer])
+            assert np.all(lo[integer] <= info.ub[integer])
+            assert lo.tobytes() == (lo + 0.0).tobytes()
+            assert hi.tobytes() == (hi + 0.0).tobytes()
             assert np.array_equal(lo[~integer], info.lb[~integer])
             assert np.array_equal(hi[~integer], info.ub[~integer])
         pinned = [lo[integer].tobytes() for _, lo, _, _ in calls]

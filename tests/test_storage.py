@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flexcep.build import build_extensive_form
 from flexcep.core import (
@@ -68,6 +72,21 @@ class TestInstanceRoundTrip:
             assert np.allclose(a.obj, b.obj, rtol=1e-8, atol=1e-12)
             assert np.allclose(a.row_rhs, b.row_rhs, rtol=1e-8, atol=1e-12)
             assert np.allclose(a.a_data, b.a_data, rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(gen=st.sampled_from(["G1", "G2", "G3"]), seed=st.integers(0, 10_000),
+           scale=st.floats(0.5, 2.0))
+    def test_save_load_save_is_a_fixed_point(self, gen, seed, scale):
+        base = generate(gen, seed)
+        inst = dataclasses.replace(base, scenarios=tuple(
+            dataclasses.replace(s, demand=s.demand * scale) for s in base.scenarios))
+        assume(validate_instance(inst) == [])
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+            save_instance(inst, first)
+            save_instance(load_instance(first), second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
     def test_schema_version_mismatch(self, g1, tmp_path):
         p = tmp_path / "g1.json"
