@@ -27,9 +27,14 @@ its own multipliers and cuts; the hub never reads it:
 
 The candidate step gives the upper bound: first-stage boxes ``(lo, hi)``
 evaluated on the relaxed extensive form, which is built once and re-bounded
-per evaluation. It runs between the hub and the dual step; neither of
-those two reads the other, so an incumbent never waits for the iteration's
-lower-bound sweeps.
+per evaluation. In integer mode it consumes the hub sweep scenario by
+scenario: each scenario's box is evaluated as soon as that scenario's hub
+solve returns, before the next one is solved (or, in a thread pool, while
+the workers solve the rest), as mpi-sppy's xhat spokes try a scenario's
+solution once the hub publishes it. In convex mode it runs once after the
+whole sweep, since its box spans every scenario. Either way it runs before
+the dual step, and neither the hub nor the dual step reads it, so an
+incumbent never waits for the iteration's lower-bound sweeps.
 
 Every scenario model is assembled once per run. Each scenario's Lagrangian
 model is built before the first iteration; every hedging and lower-bound
@@ -44,12 +49,12 @@ and its slacks are the tail. The multipliers ``lam`` are keyed by
 expectation handle.
 
 Boxes follow one rule per mode. In integer mode, every iteration takes each
-scenario's own first stage, in scenario order; its box pins the integer part
-as the scenario MILP solved it (rounding drops only the solver's round-off)
-and leaves every continuous coordinate free in its bounds, so the
-extensive form optimizes the rest (the inner bound of mpi-sppy's xhat
-spokes). In convex mode, on ``INCUMBENT_SCHEDULE``, at convergence and at
-the last iteration, the consensus box is the band ``x_bar +- max_s |x_s -
+scenario's own first stage, in scenario order, as its hub solve returns;
+its box pins the integer part as the scenario MILP solved it (rounding
+drops only the solver's round-off) and leaves every continuous coordinate
+free in its bounds, so the extensive form optimizes the rest (the inner
+bound of mpi-sppy's xhat spokes). In convex mode, on ``INCUMBENT_SCHEDULE``,
+at convergence and at the last iteration, the consensus box is the band ``x_bar +- max_s |x_s -
 x_bar|``. Each box restricts the extensive form, so its LP optimum is a
 valid upper bound, and that LP is the one judge of a box: a box with no
 feasible completion gives no bound. A box is tried at most once per run,
@@ -63,6 +68,7 @@ incumbent with a gap, never as proven optimal.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import time
@@ -243,11 +249,15 @@ def _scenario_bases(inst: PlanningInstance) -> dict[str, tuple]:
 def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
                      w: Mapping[str, np.ndarray], solver: SolverConfig, workers: int,
                      anchor: np.ndarray | None = None, rho: np.ndarray | None = None):
-    """Price every scenario's base and solve it, in scenario order.
+    """Price every scenario's base and solve it; yield the results in scenario order.
 
     ``w`` maps scenario ids to weight vectors (a missing scenario has zero
     weights); ``anchor`` and ``rho``, when given, add the proximal term.
-    Returns one solve result per scenario.
+    Results are handed over one at a time: serially, each scenario is solved
+    when the caller asks for its result; in a thread pool, the workers go on
+    with the remaining scenarios while the caller handles a result. A caller
+    that may stop early closes the generator (``contextlib.closing``), which
+    ends the pool and the warning block at once.
 
     Scenario MILPs run without HiGHS's primal heuristics (see
     :mod:`flexcep.solvers`). The sweep holds one :func:`highs_option_passthrough`
@@ -272,8 +282,9 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
     with highs_option_passthrough():
         if workers > 1 and len(ids) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run_one, ids))
-        return [run_one(s) for s in ids]
+                yield from pool.map(run_one, ids)
+        else:
+            yield from map(run_one, ids)
 
 
 def _sweep_lower(inst: PlanningInstance, solved: list) -> float | None:
@@ -321,7 +332,7 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     _check_weight_balance(probabilities, w)
     if bases is None:
         bases = _scenario_bases(inst)
-    solved = _solve_scenarios(inst, bases, lam, w, solver, workers)
+    solved = list(_solve_scenarios(inst, bases, lam, w, solver, workers))
     return _sweep_lower(inst, solved), [res.x for res in solved]
 
 
@@ -572,26 +583,27 @@ class _DualSpoke:
 
 
 def _candidates(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
-                final: bool):
-    """This iteration's candidate boxes as ``(source, lo, hi)``, in evaluation order.
+                final: bool, scen_id: str | None):
+    """Candidate boxes as ``(source, lo, hi)``, in evaluation order.
 
-    In integer mode, one box per scenario, in scenario order: it pins the
-    integer part of the scenario's own first stage as its MILP solved it,
-    rounded only to drop the solver's round-off, and spans ``[info.lb,
-    info.ub]`` elsewhere. That MILP carries the first-stage bounds,
-    integrality and mandate rows, so the pinned part satisfies them; whether
-    the rest has a feasible completion is for the extensive form to say. In
-    convex mode, on ``INCUMBENT_SCHEDULE`` and when ``final``, the consensus
-    box: a trust region spanning the scenario disagreement, ``x_bar +- max_s
-    |x_s - x_bar|``, so near-consensus residue cannot push the evaluation
-    over a feasibility cliff.
+    In integer mode, the box of scenario ``scen_id``, whose hub solve has
+    just returned: it pins the integer part of the scenario's own first
+    stage as its MILP solved it, rounded only to drop the solver's
+    round-off, and spans ``[info.lb, info.ub]`` elsewhere. That MILP carries
+    the first-stage bounds, integrality and mandate rows, so the pinned part
+    satisfies them; whether the rest has a feasible completion is for the
+    extensive form to say. ``final`` is not known yet and not read. In
+    convex mode, after the sweep (``scen_id`` None), on
+    ``INCUMBENT_SCHEDULE`` and when ``final``, the consensus box: a trust
+    region spanning the scenario disagreement, ``x_bar +- max_s |x_s -
+    x_bar|``, so near-consensus residue cannot push the evaluation over a
+    feasibility cliff.
     """
     if info.integer.any():
-        for s in inst.scenarios:
-            # + 0.0 turns -0.0 into 0.0: the tried set keys boxes by their raw bytes
-            pinned = np.round(state.x[s.id]) + 0.0
-            yield (f"scenario {s.id}", np.where(info.integer, pinned, info.lb),
-                   np.where(info.integer, pinned, info.ub))
+        # + 0.0 turns -0.0 into 0.0: the tried set keys boxes by their raw bytes
+        pinned = np.round(state.x[scen_id]) + 0.0
+        yield (f"scenario {scen_id}", np.where(info.integer, pinned, info.lb),
+               np.where(info.integer, pinned, info.ub))
     elif state.iteration in INCUMBENT_SCHEDULE or final:
         spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios],
                         axis=0)
@@ -645,7 +657,10 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     Terminates on (consensus AND expected-slack feasibility), on the relative
     bound gap falling below the threshold, or on the iteration cap. The
     report's solution is the best incumbent found; when no candidate was ever
-    accepted the report says so instead of inventing one. Output that HiGHS
+    accepted the report says so instead of inventing one. A hub sweep whose
+    scenario solve fails raises PHAError while there is no incumbent; once
+    there is one, the run stops with termination ``sweep_failed`` and returns
+    it, with the trace of the iterations completed before. Output that HiGHS
     prints past ``sys.stdout`` goes to stderr for the whole run.
     """
     # one redirect around the run: per-solve ones would race in worker threads
@@ -655,6 +670,14 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
 
 def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
            collect_timing: bool) -> tuple[SolveReport, PHAState]:
+    """The hedging loop of :func:`run_pha`: per iteration the hub, candidate
+    and dual steps, one trace row and the stop tests.
+
+    In integer mode the candidate step consumes the hub sweep scenario by
+    scenario, from inside the hub step, so the first bound waits for one
+    scenario MILP, not the whole sweep. In convex mode it runs once after
+    the sweep, when the consensus band is known.
+    """
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)
@@ -680,13 +703,25 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
     tried: set[bytes] = set()  # every box seen this run, rejected and infeasible ones too
     trace: list[TraceRow] = []
     t_start = time.perf_counter()
+    integer = bool(info.integer.any())
+
+    def scenario_candidate(scen_id: str) -> None:
+        _candidate_step(inst, info, state, solver, tried, ef, False, scen_id)
 
     for _ in range(cfg.max_iterations):
-        solved = _hub_step(inst, bases, state, rho, beta, solver, cfg.workers)
+        try:
+            solved = _hub_step(inst, bases, state, rho, beta, solver, cfg.workers,
+                               on_solved=scenario_candidate if integer else None)
+        except PHAError:
+            if state.incumbent is None:
+                raise
+            state.termination = "sweep_failed"  # keep the certified incumbent
+            break
         metric, viol = consensus_metric(state), sigma_violation(state.sigma_bar)
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
         final = converged or state.iteration == cfg.max_iterations
-        _candidate_step(inst, info, state, solver, tried, ef, final)
+        if not integer:
+            _candidate_step(inst, info, state, solver, tried, ef, final)
         _dual_step(spoke, state, solved, final)
         trace.append(TraceRow(
             iteration=state.iteration, consensus=metric, sigma_violation=viol,
@@ -703,23 +738,36 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
 
 def _hub_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAState,
               rho: np.ndarray, beta: Mapping[str, float], solver: SolverConfig,
-              workers: int) -> list:
-    """Solve one hedging sweep; update ``x``, ``x_bar``, ``w``, ``sigma_bar`` and ``lam``.
+              workers: int, on_solved=None) -> list:
+    """Solve one hedging sweep; update ``iteration``, ``x``, ``x_bar``, ``w``,
+    ``sigma_bar`` and ``lam``.
 
-    Without a consensus to anchor on yet, the sweep has no proximal term.
+    ``state.iteration`` advances before the sweep. As each scenario's solve
+    returns, in scenario order, ``state.x`` takes its first stage and
+    ``on_solved(scen_id)``, when given, runs: integer mode's candidate step
+    consumes the sweep scenario by scenario. The other updates wait for the
+    whole sweep; a failed scenario solve raises PHAError and leaves them
+    undone. Without a consensus to anchor on yet, the sweep has no proximal
+    term.
     """
-    solved = _solve_scenarios(inst, bases, state.lam, state.w, solver, workers,
-                              anchor=state.x_bar, rho=None if state.x_bar is None else rho)
+    state.iteration += 1
+    sweep = _solve_scenarios(inst, bases, state.lam, state.w, solver, workers,
+                             anchor=state.x_bar, rho=None if state.x_bar is None else rho)
+    solved = []
+    with contextlib.closing(sweep):
+        for scen, res in zip(inst.scenarios, sweep):
+            solved.append(res)
+            state.x[scen.id] = res.x[:rho.size].copy()
+            if on_solved is not None:
+                on_solved(scen.id)
     state.sigma_bar = dict.fromkeys(state.lam, 0.0)  # handles in slack-tail order
     for scen, res in zip(inst.scenarios, solved):
-        state.x[scen.id] = res.x[:rho.size].copy()
         for h, val in zip(state.sigma_bar, res.x[res.x.size - len(state.sigma_bar):]):
             state.sigma_bar[h] += scen.probability * float(val)
     state.x_bar = sum(state.probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
     for s in inst.scenarios:
         state.w[s.id] = state.w[s.id] + rho * (state.x[s.id] - state.x_bar)
     state.lam = {h: max(0.0, state.lam[h] + beta[h] * state.sigma_bar[h]) for h in state.lam}
-    state.iteration += 1
     return solved
 
 
@@ -736,13 +784,16 @@ def _dual_step(spoke: _DualSpoke, state: PHAState, solved: list, final: bool) ->
 
 
 def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
-                    solver: SolverConfig, tried: set[bytes], ef, final: bool) -> None:
-    """Evaluate this iteration's untried boxes; a strictly better one becomes the incumbent.
+                    solver: SolverConfig, tried: set[bytes], ef, final: bool,
+                    scen_id: str | None = None) -> None:
+    """Evaluate untried boxes; a strictly better one becomes the incumbent.
 
-    ``ef()`` is the extensive form to re-bound; ``final`` when the hub stops
-    after this iteration (see ``_candidates``).
+    In integer mode the hub step calls this once per scenario, with
+    ``scen_id``, as that scenario's solve returns; in convex mode it runs
+    once after the sweep. ``ef()`` is the extensive form to re-bound;
+    ``final`` when the hub stops after this iteration (see ``_candidates``).
     """
-    for source, lo, hi in _candidates(inst, info, state, final):
+    for source, lo, hi in _candidates(inst, info, state, final, scen_id):
         key = lo.tobytes() + hi.tobytes()
         if key in tried:
             continue

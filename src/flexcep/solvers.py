@@ -15,11 +15,12 @@ against the original model so it is exact for the returned point.
 In process, LPs and MILPs go through one ``scipy.optimize.milp`` call.
 Two departures from HiGHS's defaults are decided here, by the kind of model:
 
-- Every model with integer columns runs without HiGHS's feasibility-jump,
-  RINS and RENS primal heuristics (``NO_PRIMAL_HEURISTICS``). The planning
-  problem's integer columns are all first stage, so branch and bound proves
-  its MILPs, scenario subproblems and extensive form alike, in a handful of
-  nodes, while the heuristics would take most of each solve.
+- Every model with integer columns runs without HiGHS's primal heuristics
+  (``NO_PRIMAL_HEURISTICS``): feasibility jump, RINS, RENS and the root
+  reduced-cost sub-MIP. The planning problem's integer columns are all first
+  stage, so branch and bound proves its MILPs, scenario subproblems and
+  extensive form alike, in a handful of nodes, while the heuristics would
+  take most of each solve.
 - ``solve(..., interior=True)`` runs an LP on HiGHS's interior-point method
   with crossover, which returns a vertex too; other LPs run on its dual
   simplex. Candidate boxes with a free coordinate, which couple every
@@ -79,7 +80,8 @@ PWL_SEGMENTS = 16  # proximal linearization fidelity of every quadratic solve
 # HiGHS options of every model with integer columns; scipy does not know them
 NO_PRIMAL_HEURISTICS = {"mip_heuristic_run_feasibility_jump": False,
                         "mip_heuristic_run_rins": False,
-                        "mip_heuristic_run_rens": False}
+                        "mip_heuristic_run_rens": False,
+                        "mip_heuristic_run_root_reduced_cost": False}
 
 
 class BackendError(RuntimeError):

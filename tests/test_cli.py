@@ -17,6 +17,7 @@ from flexcep.cli import (
     EXIT_BACKEND,
     EXIT_INVALID,
     EXIT_IO,
+    EXIT_LIMIT,
     EXIT_NO_INCUMBENT,
     EXIT_OK,
     RunManifest,
@@ -30,6 +31,9 @@ from flexcep.core import FULL_FLEX, INFLEXIBLE, Mandate
 from flexcep.oracle import DAC_MID_FLEX, generate
 from flexcep.pha import PHAConfig
 from flexcep.storage import instance_to_dict, save_instance
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "fixtures")
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +292,29 @@ class TestMainEntry:
         assert capsys.readouterr().out.splitlines() == [
             "hedging failure: scenario subproblem 's1' failed: limit_reached"]
         assert not out_dir.exists()
+
+    def test_failed_hedging_sweep_after_an_incumbent_writes_the_reports(
+            self, tmp_path, monkeypatch, capsys):
+        # only the proximal sweeps, from iteration 2 on, stop at their limit:
+        # iteration 1 certifies a candidate first
+        original = pha_module.solve
+
+        def failing(model, cfg=None, **kwargs):
+            if "-pha-" in model.name:
+                return SolveResult(status=LIMIT_REACHED)
+            return original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "solve", failing)
+        out_dir = tmp_path / "x"
+        code = main(["solve", "--instance", os.path.join(FIXTURES, "G1", "seed1.json"),
+                     "--method", "pha", "--out", str(out_dir)])
+        assert code == EXIT_LIMIT
+        lines = capsys.readouterr().out.splitlines()
+        assert "termination: sweep_failed" in lines
+        assert "incumbent:   scenario s1 @ iteration 1" in lines
+        assert sorted(os.listdir(out_dir)) == ["buildout.csv", "costs.csv", "emissions.csv",
+                                               "reliability.csv", "trace.csv"]
+        # one row: the iteration completed before the failure
+        assert len((out_dir / "trace.csv").read_text().splitlines()) == 2
 
 
 SETTING_ERRORS = [

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, and every
 top-level function, class and UPPER_CASE constant, and every method of a
 top-level class, is referenced somewhere in the package. Every backticked
-dotted ``flexcep.…`` name in README.md resolves.
+dotted ``flexcep.…`` name in README.md resolves. No module reads the
+environment except where the subprocess backend picks its solver command.
 
 A deletion that leaves an import or a helper behind shows up here;
 ``__init__.py`` is skipped as a module under check because its imports are
@@ -150,6 +151,31 @@ def test_warning_filters_are_entered_in_one_helper_only():
             for owner in uses_by_function(p.read_text(encoding="utf-8"),
                                           {"catch_warnings", "Unrecognized options detected"})}
     assert uses == {"solvers.highs_option_passthrough"}
+
+
+# the subprocess backend's command: FLEXCEP_LP_SOLVER and the child's PYTHONPATH
+ENVIRONMENT_READERS = {"solvers._solver_command"}
+
+
+def environment_readers(sources: dict[str, str]) -> set[str]:
+    """``module.function`` of each place that reads ``os.environ`` or ``os.getenv``."""
+    return {f"{module}.{owner}" for module, source in sources.items()
+            for owner in uses_by_function(source, {"environ", "getenv"})}
+
+
+def test_environment_checker_flags_a_read_outside_the_solver_command():
+    sources = {
+        "solvers": ("import os\n"
+                    "def _solver_command():\n    return os.environ.get('FLEXCEP_LP_SOLVER')\n"),
+        "pha": "import os\ndef _hedge():\n    return os.getenv('FLEXCEP_FAST')\n",
+    }
+    assert environment_readers(sources) - ENVIRONMENT_READERS == {"pha._hedge"}
+
+
+def test_no_hidden_switches():
+    # a setting belongs in a config dataclass or a CLI flag, not in the environment
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert environment_readers(sources) == ENVIRONMENT_READERS
 
 
 def readme_names(text: str) -> list[str]:

@@ -210,6 +210,51 @@ def _failing_spoke_sweeps(monkeypatch, failure):
     return lagrangian
 
 
+def _failing_hub_sweeps(monkeypatch, marker):
+    """Make every scenario solve whose model name contains ``marker`` stop
+    at its limit, as a tiny time limit would, but deterministically."""
+    original = pha_module.solve
+
+    def failing(model, cfg=None, **kwargs):
+        if marker in model.name:
+            return SolveResult(status=LIMIT_REACHED)
+        return original(model, cfg, **kwargs)
+    monkeypatch.setattr(pha_module, "solve", failing)
+
+
+class TestHubSweepFailure:
+    """A hub sweep that fails after a candidate was certified ends the run
+    with that incumbent."""
+
+    def test_the_incumbent_of_an_earlier_iteration_is_kept(self, g1, solver_cfg,
+                                                           monkeypatch):
+        one, _ = run_pha(g1, PHAConfig(max_iterations=1), solver_cfg)
+        _failing_hub_sweeps(monkeypatch, "-pha-")  # every proximal sweep, from iteration 2
+        report, state = run_pha(g1, PHAConfig(max_iterations=4, gap_threshold=1e-9),
+                                solver_cfg)
+        assert report.termination == state.termination == "sweep_failed"
+        assert report.status == FEASIBLE_WITH_GAP
+        assert state.iteration == 2
+        # the trace holds the iterations completed before the failure
+        assert report.trace == one.trace
+        assert report.upper_bound == one.upper_bound is not None
+        assert report.incumbent_source == one.incumbent_source
+        assert report.incumbent_source.endswith("@ iteration 1")
+
+    def test_the_incumbent_can_come_from_the_failing_sweep(self, solver_cfg, monkeypatch):
+        # S=8, T=24: no iteration-1 box has a feasible completion, and the
+        # first bound is scenario s1's box at iteration 2
+        inst = _tiled("G2", 1, 8, 6)
+        _failing_hub_sweeps(monkeypatch, "-pha-s2")
+        report, state = run_pha(inst, PHAConfig(rho_scale=0.1, beta_scale=0.1,
+                                                max_iterations=4), solver_cfg)
+        assert state.termination == "sweep_failed"
+        assert report.incumbent_source == "scenario s1 @ iteration 2"
+        assert [row.upper_bound for row in report.trace] == [None]
+        assert report.upper_bound is not None
+        assert report.lower_bound == report.trace[0].lower_bound <= report.upper_bound
+
+
 class TestDualSpoke:
     @pytest.mark.parametrize("failure", ["limit", "crash"])
     @pytest.mark.parametrize("relax", [False, True], ids=["integer", "convex"])
@@ -230,13 +275,10 @@ class TestDualSpoke:
         assert f_state.termination == "max_iterations"
 
     def test_hub_sweeps_still_raise(self, g1, solver_cfg, monkeypatch):
-        original = pha_module.solve
-
-        def failing(model, cfg=None, **kwargs):
-            if "-pha-" in model.name:
-                return SolveResult(status=LIMIT_REACHED)
-            return original(model, cfg, **kwargs)
-        monkeypatch.setattr(pha_module, "solve", failing)
+        # while no candidate is certified; TestHubSweepFailure has the rest
+        _failing_hub_sweeps(monkeypatch, "-pha-")
+        monkeypatch.setattr(pha_module, "exact_candidate_evaluation",
+                            lambda *args, **kwargs: None)
         with pytest.raises(PHAError, match="failed: limit_reached"):
             run_pha(g1, PHAConfig(max_iterations=2, gap_threshold=1e-9), solver_cfg)
 
@@ -771,6 +813,82 @@ class TestScenarioCandidates:
         assert [source for source, *_ in calls] == ["consensus", "consensus"]
         # iterations 5 and 6
         assert [row.upper_bound is None for row in report.trace] == [True] * 4 + [False] * 2
+
+    def test_each_box_is_evaluated_as_its_scenario_returns(self, solver_cfg, monkeypatch):
+        inst = generate("G2", 1)
+        steps, inside = [], []  # per hub step: its scenario solves and evaluations
+        hub_step, solve_model = pha_module._hub_step, pha_module.solve
+
+        def logging_hub_step(*args, **kwargs):
+            steps.append([])
+            inside.append(True)
+            try:
+                return hub_step(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def logging_solve(model, cfg=None, **kwargs):
+            if inside and not model.name.endswith("-ef"):
+                steps[-1].append(("solve", model.name.rsplit("-", 1)[1]))
+            return solve_model(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "_hub_step", logging_hub_step)
+        monkeypatch.setattr(pha_module, "solve", logging_solve)
+        calls = _record_evaluations(monkeypatch)
+        evaluate = pha_module.exact_candidate_evaluation
+
+        def logging_evaluation(*args, **kwargs):
+            result = evaluate(*args, **kwargs)
+            assert inside  # the hub step consumes the boxes
+            steps[-1].append(("evaluate", calls[-1][0].removeprefix("scenario ")))
+            return result
+        monkeypatch.setattr(pha_module, "exact_candidate_evaluation", logging_evaluation)
+        cfg = PHAConfig(rho_scale=0.1, max_iterations=6, gap_threshold=1e-9)
+        report, state = run_pha(inst, cfg, solver_cfg)
+
+        ids = [s.id for s in inst.scenarios]
+        assert len(steps) == state.iteration
+        assert sum(kind == "evaluate" for step in steps for kind, _ in step) == len(calls)
+        for step in steps:
+            assert [sid for kind, sid in step if kind == "solve"] == ids
+            for k, (kind, sid) in enumerate(step):
+                if kind == "evaluate":
+                    assert step[k - 1] == ("solve", sid)
+        # the first box is evaluated before the second scenario is solved
+        assert steps[0][:3] == [("solve", ids[0]), ("evaluate", ids[0]), ("solve", ids[1])]
+
+        # a pool hands the results over in the same order
+        serial = [(source, lo.tobytes(), hi.tobytes(), result and result[0])
+                  for source, lo, hi, result in calls]
+        monkeypatch.undo()
+        calls = _record_evaluations(monkeypatch)
+        pooled, p_state = run_pha(inst, dataclasses.replace(cfg, workers=2), solver_cfg)
+        assert [(source, lo.tobytes(), hi.tobytes(), result and result[0])
+                for source, lo, hi, result in calls] == serial
+        assert pooled.trace == report.trace
+        assert p_state.incumbent[0] == state.incumbent[0]
+        assert np.array_equal(p_state.incumbent[2], state.incumbent[2])
+        assert p_state.incumbent[3] == state.incumbent[3]
+
+    def test_convex_band_follows_the_whole_sweep(self, solver_cfg, monkeypatch):
+        inst = generate("G2", 1)
+        inside, evaluated = [], []
+        hub_step, evaluate = pha_module._hub_step, pha_module.exact_candidate_evaluation
+
+        def marking_hub_step(*args, **kwargs):
+            inside.append(True)
+            try:
+                return hub_step(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def marking_evaluation(*args, **kwargs):
+            evaluated.append(bool(inside))
+            return evaluate(*args, **kwargs)
+        monkeypatch.setattr(pha_module, "_hub_step", marking_hub_step)
+        monkeypatch.setattr(pha_module, "exact_candidate_evaluation", marking_evaluation)
+        run_pha(inst, PHAConfig(max_iterations=6, gap_threshold=1e-9,
+                                relax_integrality=True), solver_cfg)
+        assert evaluated == [False, False]  # iterations 5 and 6, after their sweeps
 
     @pytest.mark.parametrize("path", [f"G{g}/seed{s}.json" for g in (1, 2, 3)
                                       for s in (1, 2, 3)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeWarning
 
 from flexcep.canonical import (
     EQ,
@@ -162,11 +163,11 @@ class TestInteriorPoint:
 
 
 class TestPrimalHeuristics:
-    """Every model with integer columns runs without three HiGHS heuristics."""
+    """Every model with integer columns runs without four HiGHS heuristics."""
 
     DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
 
-    def test_milp_gets_exactly_the_three_options(self, monkeypatch):
+    def test_milp_gets_exactly_the_four_options(self, monkeypatch):
         seen = _record_options(monkeypatch)
         res = solve(_min_x_geq(2.5, integer=True))
         assert res.status == "optimal"
@@ -174,8 +175,20 @@ class TestPrimalHeuristics:
         assert seen == [{**self.DEFAULT, **NO_PRIMAL_HEURISTICS}]
         assert set(NO_PRIMAL_HEURISTICS) == {"mip_heuristic_run_feasibility_jump",
                                              "mip_heuristic_run_rins",
-                                             "mip_heuristic_run_rens"}
+                                             "mip_heuristic_run_rens",
+                                             "mip_heuristic_run_root_reduced_cost"}
         assert not any(NO_PRIMAL_HEURISTICS.values())
+
+    def test_highs_knows_every_option(self, monkeypatch):
+        # scipy passes an option it does not know on to HiGHS; HiGHS drops a
+        # name it does not know, and scipy then warns with an OptimizeWarning,
+        # which the pytest configuration does not turn into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizeWarning)
+            assert solve(_min_x_geq(2.5, integer=True)).status == "optimal"
+            monkeypatch.setitem(NO_PRIMAL_HEURISTICS, "mip_heuristic_run_misspelt", False)
+            with pytest.raises(OptimizeWarning, match="mip_heuristic_run_misspelt"):
+                solve(_min_x_geq(2.5, integer=True))
 
     def test_lp_is_solved_as_without_it(self, monkeypatch):
         seen = _record_options(monkeypatch)
