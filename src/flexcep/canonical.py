@@ -114,10 +114,6 @@ class ModelBuilder:
         self._obj: dict[int, float] = {}
         self._offset = 0.0
 
-    @property
-    def num_vars(self) -> int:
-        return len(self._lb)
-
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 integer: bool = False, obj: float = 0.0) -> int:
         col = len(self._lb)

@@ -102,18 +102,22 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
         print(f"unknown method '{manifest.method}'", file=out)
         return EXIT_INVALID
     solver = dataclasses.replace(manifest.solver, seed=manifest.seed)
+    sweep_error = ""
     try:
         with solver_output_to_stderr():
             if manifest.method == "ef":
                 report, code = _solve_ef(inst, solver)
             else:
-                report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing)
+                report, code, sweep_error = _solve_pha(inst, manifest.pha, solver,
+                                                       manifest.timing)
     except BackendError as exc:
         print(f"solver backend failure: {exc}", file=out)
         return EXIT_BACKEND
     except PHAError as exc:  # a hedging sweep whose scenario solve failed
         print(f"hedging failure: {exc}", file=out)
         return EXIT_BACKEND
+    if sweep_error:  # a later sweep failed; the incumbent found before stands
+        print(f"hedging failure: {sweep_error}", file=out)
     try:
         storage.save_report(report, manifest.out_dir)
     except OSError as exc:
@@ -146,13 +150,14 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
 
 
 def _solve_pha(inst, cfg: PHAConfig, solver: SolverConfig,
-               timing: bool) -> tuple[SolveReport, int]:
-    report, _ = run_pha(inst, cfg, solver, collect_timing=timing)
+               timing: bool) -> tuple[SolveReport, int, str]:
+    """The report, its exit code and the failure behind ``sweep_failed``."""
+    report, state = run_pha(inst, cfg, solver, collect_timing=timing)
     if report.status == NO_INCUMBENT:
-        return report, EXIT_NO_INCUMBENT
+        return report, EXIT_NO_INCUMBENT, ""
     if report.termination in ("consensus", "bound_gap"):
-        return report, EXIT_OK
-    return report, EXIT_LIMIT
+        return report, EXIT_OK, ""
+    return report, EXIT_LIMIT, state.sweep_error
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +280,13 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     default = SolverConfig()
     p.add_argument("--solver", choices=["inproc", "subprocess"], default=default.backend)
     p.add_argument("--solver-bin", default=None,
-                   help="subprocess solver binary (overrides FLEXCEP_LP_SOLVER)")
+                   help="subprocess solver binary (default: the bundled "
+                        "flexcep-lpsolve shim)")
     p.add_argument("--time-limit", type=float, default=default.time_limit_s)
     p.add_argument("--gap", type=float, default=default.mip_gap, help="MIP gap target")
     p.add_argument("--seed", type=int, default=default.seed,
-                   help="recorded in the run manifest; it does not reach HiGHS "
-                        "today, so it changes no result")
+                   help="HiGHS's random seed for in-process solves (0 is HiGHS's "
+                        "default); the subprocess binary is not given it")
 
 
 def _solver_from_args(args) -> SolverConfig:

@@ -2,18 +2,18 @@
 
 The writer emits a deterministic file: objective terms in column order, one
 constraint per line in row order, and a Bounds section listing every column
-in order; the parser reconstructs the exact model (same column order, names
-and coefficients) from such a file, which is what the subprocess solver
-backend and the golden-file tests rely on.
-
-Two dialect notes: a bare numeric term in the objective is read as a constant
-offset, and quadratic objectives are not representable here (expand them to
-their piecewise-linear form first).
+in order. The parser reads that output and nothing else (see
+:func:`parse_lp`), since the only LP file the program reads is one it wrote
+for the subprocess backend's solver binary; it reconstructs the exact model
+(same column order, names and coefficients), which is what that backend and
+the golden-file tests rely on. The objective may end in a constant offset;
+quadratic objectives are not representable here (expand them to their
+piecewise-linear form first).
 """
 
 from __future__ import annotations
 
-import re
+import math
 from typing import Iterable, TextIO
 
 from .canonical import (
@@ -25,8 +25,6 @@ from .canonical import (
     ModelBuilder,
     ModelError,
 )
-
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|inf)$")
 
 
 def _fmt(value: float) -> str:
@@ -92,201 +90,122 @@ def write_lp_file(model: CanonicalModel, path) -> None:
 
 
 class LpParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
+        super().__init__(f"line {line}: {message}")
 
 
-def _is_number(tok: str) -> bool:
-    return bool(_NUM_RE.match(tok))
+_SECTIONS = {"Minimize": "objective", "Subject To": "rows", "Bounds": "bounds",
+             "Generals": "generals", "End": "end"}
+_SENSES = {"<=": LE, "=": EQ, ">=": GE}
+_EMPTY = "dummy__"  # the writer's placeholder term of an empty expression
 
 
-def _to_float(tok: str) -> float:
-    t = tok.lower()
-    if t in ("inf", "+inf", "1e+30", "1e30"):
-        return INF
-    if t in ("-inf", "-1e+30", "-1e30"):
-        return -INF
-    return float(tok)
+def _number(tok: str, lineno: int) -> float:
+    try:
+        value = float(tok)
+    except ValueError:
+        raise LpParseError(f"expected a number, got '{tok}'", lineno) from None
+    return math.copysign(INF, value) if abs(value) == 1e30 else value
 
 
-_SECTIONS = {
-    "minimize": "objective", "minimise": "objective", "min": "objective",
-    "subject": "rows", "st": "rows", "s.t.": "rows", "such": "rows",
-    "bounds": "bounds", "bound": "bounds",
-    "generals": "generals", "general": "generals", "gen": "generals",
-    "binaries": "binaries", "binary": "binaries", "bin": "binaries",
-    "end": "end",
-}
+def _signed(sign: str, tok: str, lineno: int) -> float:
+    if sign not in ("+", "-"):
+        raise LpParseError(f"expected '+' or '-', got '{sign}'", lineno)
+    value = _number(tok, lineno)
+    return value if sign == "+" else -value
 
 
-def _section_of(stripped: str) -> str | None:
-    head = stripped.split()[0].lower() if stripped.split() else ""
-    return _SECTIONS.get(head)
+def _read_terms(tokens: list[str], lineno: int, columns: dict[str, int]):
+    """``+|- coef name`` triples as ``(column, coefficient)`` pairs."""
+    if len(tokens) % 3:
+        raise LpParseError("expected '+|- coefficient name' terms", lineno)
+    out = []
+    for sign, coef, name in zip(tokens[0::3], tokens[1::3], tokens[2::3]):
+        value = _signed(sign, coef, lineno)
+        if name == _EMPTY:
+            continue
+        if name not in columns:
+            raise LpParseError(f"column '{name}' is not declared in Bounds", lineno)
+        out.append((columns[name], value))
+    return out
 
 
-def _parse_expr(tokens: list[str], lineno: int):
-    """Parse '+ 2.5 x - y + 3' into (coeff terms, constant)."""
-    terms: list[tuple[str, float]] = []
-    constant = 0.0
-    sign = 1.0
-    coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            if coef is not None:
-                constant += sign * coef
-                coef = None
-            sign = 1.0
-        elif tok == "-":
-            if coef is not None:
-                constant += sign * coef
-                coef = None
-            sign = -1.0
-        elif _is_number(tok):
-            coef = _to_float(tok) if coef is None else coef * _to_float(tok)
-        else:
-            terms.append((tok, sign * (1.0 if coef is None else coef)))
-            sign, coef = 1.0, None
-    if coef is not None:
-        constant += sign * coef
-    return terms, constant
+def _label(tokens: list[str], lineno: int) -> tuple[str, list[str]]:
+    if not tokens[0].endswith(":"):
+        raise LpParseError(f"expected 'label:', got '{tokens[0]}'", lineno)
+    return tokens[0][:-1], tokens[1:]
+
+
+def _bound(tokens: list[str], lineno: int) -> tuple[str, float, float]:
+    """``(column, lb, ub)`` of one of the writer's three bound forms."""
+    if len(tokens) == 2 and tokens[1] == "free":
+        return tokens[0], -INF, INF
+    if len(tokens) == 3 and tokens[1] == "=":
+        value = _number(tokens[2], lineno)
+        return tokens[0], value, value
+    if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+        return tokens[2], _number(tokens[0], lineno), _number(tokens[4], lineno)
+    raise LpParseError(f"unrecognized bound line: {' '.join(tokens)}", lineno)
 
 
 def parse_lp(text: str) -> CanonicalModel:
-    """Rebuild a CanonicalModel from LP text produced by :func:`write_lp`.
+    """Rebuild a CanonicalModel from LP text written by :func:`write_lp`.
 
-    Columns are created in Bounds-section order when present (the writer
-    always lists every column there), otherwise in first-appearance order.
+    Only what the writer emits is read: its five section headers, unindented;
+    indented content lines; terms as ``+|- coef name`` triples and ``+-1e+30``
+    as +-inf; its three bound forms. Columns are created in Bounds order, and
+    every column a term or Generals names must be declared there. Anything
+    else raises :class:`LpParseError` naming its line.
     """
     name = "model"
     section = None
-    obj_tokens: list[str] = []
-    row_specs: list[tuple[str, list[str], int]] = []
-    bound_specs: list[tuple[list[str], int]] = []
-    integer_names: list[str] = []
-    binary_names: list[str] = []
-
+    lines: dict[str, list[tuple[int, list[str]]]] = {
+        "objective": [], "rows": [], "bounds": [], "generals": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("\\", 1)
-        if len(line) > 1 and lineno == 1 and not line[0].strip():
-            name = line[1].strip() or name
-        line = line[0].rstrip()
-        stripped = line.strip()
-        if not stripped:
+        if lineno == 1 and raw.startswith("\\"):
+            name = raw[1:].strip() or name
+        elif not raw.strip():
             continue
-        sec = _section_of(stripped)
-        if sec is not None and not raw.startswith(" "):
-            section = sec
+        elif not raw.startswith(" "):
+            section = _SECTIONS.get(raw.rstrip())
+            if section is None:
+                raise LpParseError(f"unknown section header '{raw.strip()}'", lineno)
             if section == "end":
                 break
-            continue
-        if section == "objective":
-            obj_tokens.extend(_strip_label(stripped)[1])
-        elif section == "rows":
-            label, tokens = _strip_label(stripped)
-            row_specs.append((label or f"c{len(row_specs)}", tokens, lineno))
-        elif section == "bounds":
-            # pad operators so foreign files without spaces still tokenize
-            bound_specs.append((stripped.replace("<", " < ").replace(">", " > ")
-                                .replace("=", " = ").split(), lineno))
-        elif section == "generals":
-            integer_names.extend(stripped.split())
-        elif section == "binaries":
-            binary_names.extend(stripped.split())
         elif section is None:
             raise LpParseError("content before any section header", lineno)
-
-    columns: dict[str, int] = {}
-    order: list[str] = []
-
-    def col_of(tok: str) -> int | None:
-        if tok == "dummy__":
-            return None
-        if tok not in columns:
-            columns[tok] = len(order)
-            order.append(tok)
-        return columns[tok]
-
-    # Bound lines define the canonical column order.
-    parsed_bounds: list[tuple[str, float, float]] = []
-    for tokens, lineno in bound_specs:
-        tokens = [t for t in tokens if t]
-        # normalize the '=' splits done above back into comparison operators
-        toks: list[str] = []
-        i = 0
-        while i < len(tokens):
-            if tokens[i] in ("<", ">") and i + 1 < len(tokens) and tokens[i + 1] == "=":
-                toks.append(tokens[i] + "=")
-                i += 2
-            else:
-                toks.append(tokens[i])
-                i += 1
-        if len(toks) == 2 and toks[1].lower() == "free":
-            parsed_bounds.append((toks[0], -INF, INF))
-        elif len(toks) == 3 and toks[1] == "=":
-            parsed_bounds.append((toks[0], _to_float(toks[2]), _to_float(toks[2])))
-        elif len(toks) == 3 and toks[1] == "<=":
-            parsed_bounds.append((toks[0], 0.0, _to_float(toks[2])))
-        elif len(toks) == 3 and toks[1] == ">=":
-            parsed_bounds.append((toks[0], _to_float(toks[2]), INF))
-        elif len(toks) == 5 and toks[1] == "<=" and toks[3] == "<=":
-            parsed_bounds.append((toks[2], _to_float(toks[0]), _to_float(toks[4])))
         else:
-            raise LpParseError(f"unrecognized bound line: {' '.join(toks)}", lineno)
-    for vname, _, _ in parsed_bounds:
-        if vname == "dummy__":
-            raise LpParseError("'dummy__' is reserved for empty expressions")
-        col_of(vname)
-
-    obj_terms, offset = _parse_expr(obj_tokens, 0)
-    for vname, _ in obj_terms:
-        col_of(vname)
-
-    rows = []
-    for label, tokens, lineno in row_specs:
-        sense, pivot = None, None
-        for i, tok in enumerate(tokens):
-            if tok in ("<=", ">=", "=", "<", ">"):
-                sense = {"<=": LE, "<": LE, ">=": GE, ">": GE, "=": EQ}[tok]
-                pivot = i
-                break
-        if sense is None:
-            raise LpParseError(f"constraint '{label}' has no comparison", lineno)
-        lhs, lhs_const = _parse_expr(tokens[:pivot], lineno)
-        rhs_terms, rhs_const = _parse_expr(tokens[pivot + 1:], lineno)
-        if rhs_terms:
-            raise LpParseError(f"constraint '{label}' has variables on the right side", lineno)
-        for vname, _ in lhs:
-            col_of(vname)
-        rows.append((label, lhs, sense, rhs_const - lhs_const))
+            lines[section].append((lineno, raw.split()))
 
     mb = ModelBuilder(name=name)
-    bound_map = {vname: (lb, ub) for vname, lb, ub in parsed_bounds}
-    int_set = set(integer_names)
-    bin_set = set(binary_names)
-    for vname in order:
-        lb, ub = bound_map.get(vname, (0.0, INF))
-        if vname in bin_set:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        mb.add_var(vname, lb=lb, ub=ub, integer=vname in int_set or vname in bin_set)
-    for vname, coef in obj_terms:
-        if vname == "dummy__":
-            continue
-        mb.add_obj(columns[vname], coef)
-    mb.add_obj_offset(offset)
-    for label, lhs, sense, rhs in rows:
-        coeffs = [(columns[v], c) for v, c in lhs if v != "dummy__"]
-        mb.add_row(label, coeffs, sense, rhs)
+    integer = {col: lineno for lineno, tokens in lines["generals"] for col in tokens}
+    columns: dict[str, int] = {}
+    for lineno, tokens in lines["bounds"]:
+        col, lb, ub = _bound(tokens, lineno)
+        if col == _EMPTY or col in columns:
+            raise LpParseError(f"column '{col}' is reserved or declared twice", lineno)
+        columns[col] = mb.add_var(col, lb=lb, ub=ub, integer=col in integer)
+    for col, lineno in integer.items():
+        if col not in columns:
+            raise LpParseError(f"column '{col}' is not declared in Bounds", lineno)
+
+    for lineno, tokens in lines["objective"]:
+        _, tokens = _label(tokens, lineno)
+        if len(tokens) % 3 == 2:  # a trailing constant offset
+            mb.add_obj_offset(_signed(*tokens[-2:], lineno))
+            tokens = tokens[:-2]
+        for col, coef in _read_terms(tokens, lineno, columns):
+            mb.add_obj(col, coef)
+    for lineno, tokens in lines["rows"]:
+        label, tokens = _label(tokens, lineno)
+        if len(tokens) < 2 or tokens[-2] not in _SENSES:
+            raise LpParseError(f"constraint '{label}' has no comparison", lineno)
+        mb.add_row(label, _read_terms(tokens[:-2], lineno, columns), _SENSES[tokens[-2]],
+                   _number(tokens[-1], lineno))
     return mb.freeze()
 
 
 def parse_lp_file(path) -> CanonicalModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_lp(fh.read())
-
-
-def _strip_label(stripped: str) -> tuple[str | None, list[str]]:
-    if ":" in stripped:
-        label, rest = stripped.split(":", 1)
-        return label.strip(), rest.split()
-    return None, stripped.split()

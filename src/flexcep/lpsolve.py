@@ -1,9 +1,11 @@
 """Standalone LP/MILP solver over LP files, used as the subprocess backend.
 
 Invocation contract (any external binary honoring it can replace this shim
-via the ``FLEXCEP_LP_SOLVER`` environment variable)::
+through ``SolverConfig.solver_bin``, the CLI's ``--solver-bin``)::
 
     <solver> <model.lp> <solution.out> [--time-limit S] [--mip-gap G]
+
+The binary is given no seed: this shim solves with HiGHS's default seed 0.
 
 The solution file is plain text: a ``status`` line, ``objective`` and
 optionally ``mip_gap`` lines, a ``columns N`` block of ``name value`` pairs,

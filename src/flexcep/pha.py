@@ -50,11 +50,12 @@ expectation handle.
 
 Boxes follow one rule per mode. In integer mode, every iteration takes each
 scenario's own first stage, in scenario order, as its hub solve returns;
-its box pins the integer part as the scenario MILP solved it (rounding
-drops only the solver's round-off) and leaves every continuous coordinate
-free in its bounds, so the extensive form optimizes the rest (the inner
-bound of mpi-sppy's xhat spokes). In convex mode, on ``INCUMBENT_SCHEDULE``,
-at convergence and at the last iteration, the consensus box is the band ``x_bar +- max_s |x_s -
+its box (``_scenario_box``) pins the integer part as the scenario MILP
+solved it (rounding drops only the solver's round-off) and leaves every
+continuous coordinate free in its bounds, so the extensive form optimizes
+the rest (the inner bound of mpi-sppy's xhat spokes). In convex mode, on
+``INCUMBENT_SCHEDULE``, at convergence and at the last iteration, the
+consensus box (``_consensus_band``) is the band ``x_bar +- max_s |x_s -
 x_bar|``. Each box restricts the extensive form, so its LP optimum is a
 valid upper bound, and that LP is the one judge of a box: a box with no
 feasible completion gives no bound. A box is tried at most once per run,
@@ -166,6 +167,7 @@ class PHAState:
     best_lower: float | None = None
     incumbent: tuple | None = None  # (objective, index, x, source) of the best candidate
     termination: str = ""
+    sweep_error: str = ""  # the PHAError message behind termination "sweep_failed"
 
     @property
     def best_upper(self) -> float | None:
@@ -582,32 +584,21 @@ class _DualSpoke:
 # ---------------------------------------------------------------------------
 
 
-def _candidates(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
-                final: bool, scen_id: str | None):
-    """Candidate boxes as ``(source, lo, hi)``, in evaluation order.
+def _scenario_box(info: FirstStageInfo, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer mode's box ``(lo, hi)`` of a scenario's first stage ``x``: the
+    integer part pinned as its MILP solved it, which satisfies the first-stage
+    bounds, integrality and mandate rows, and ``[info.lb, info.ub]`` elsewhere."""
+    # + 0.0 turns -0.0 into 0.0: the tried set keys boxes by their raw bytes
+    pinned = np.round(x) + 0.0
+    return np.where(info.integer, pinned, info.lb), np.where(info.integer, pinned, info.ub)
 
-    In integer mode, the box of scenario ``scen_id``, whose hub solve has
-    just returned: it pins the integer part of the scenario's own first
-    stage as its MILP solved it, rounded only to drop the solver's
-    round-off, and spans ``[info.lb, info.ub]`` elsewhere. That MILP carries
-    the first-stage bounds, integrality and mandate rows, so the pinned part
-    satisfies them; whether the rest has a feasible completion is for the
-    extensive form to say. ``final`` is not known yet and not read. In
-    convex mode, after the sweep (``scen_id`` None), on
-    ``INCUMBENT_SCHEDULE`` and when ``final``, the consensus box: a trust
-    region spanning the scenario disagreement, ``x_bar +- max_s |x_s -
-    x_bar|``, so near-consensus residue cannot push the evaluation over a
-    feasibility cliff.
-    """
-    if info.integer.any():
-        # + 0.0 turns -0.0 into 0.0: the tried set keys boxes by their raw bytes
-        pinned = np.round(state.x[scen_id]) + 0.0
-        yield (f"scenario {scen_id}", np.where(info.integer, pinned, info.lb),
-               np.where(info.integer, pinned, info.ub))
-    elif state.iteration in INCUMBENT_SCHEDULE or final:
-        spread = np.max([np.abs(state.x[s.id] - state.x_bar) for s in inst.scenarios],
-                        axis=0)
-        yield "consensus", state.x_bar - spread, state.x_bar + spread
+
+def _consensus_band(state: PHAState) -> tuple[np.ndarray, np.ndarray]:
+    """Convex mode's box ``(lo, hi)``: a trust region spanning the scenario
+    disagreement, ``x_bar +- max_s |x_s - x_bar|``, so near-consensus residue
+    cannot push the evaluation over a feasibility cliff."""
+    spread = np.max([np.abs(x - state.x_bar) for x in state.x.values()], axis=0)
+    return state.x_bar - spread, state.x_bar + spread
 
 
 def exact_candidate_evaluation(inst: PlanningInstance, lo: np.ndarray, hi: np.ndarray,
@@ -660,7 +651,8 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     accepted the report says so instead of inventing one. A hub sweep whose
     scenario solve fails raises PHAError while there is no incumbent; once
     there is one, the run stops with termination ``sweep_failed`` and returns
-    it, with the trace of the iterations completed before. Output that HiGHS
+    it, with the trace of the iterations completed before and the PHAError's
+    message in ``PHAState.sweep_error``. Output that HiGHS
     prints past ``sys.stdout`` goes to stderr for the whole run.
     """
     # one redirect around the run: per-solve ones would race in worker threads
@@ -706,22 +698,25 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
     integer = bool(info.integer.any())
 
     def scenario_candidate(scen_id: str) -> None:
-        _candidate_step(inst, info, state, solver, tried, ef, False, scen_id)
+        _candidate_step(inst, state, solver, tried, ef, f"scenario {scen_id}",
+                        *_scenario_box(info, state.x[scen_id]))
 
     for _ in range(cfg.max_iterations):
         try:
             solved = _hub_step(inst, bases, state, rho, beta, solver, cfg.workers,
                                on_solved=scenario_candidate if integer else None)
-        except PHAError:
+        except PHAError as exc:
             if state.incumbent is None:
                 raise
-            state.termination = "sweep_failed"  # keep the certified incumbent
+            # keep the certified incumbent, and say which scenario failed
+            state.termination, state.sweep_error = "sweep_failed", str(exc)
             break
         metric, viol = consensus_metric(state), sigma_violation(state.sigma_bar)
         converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
         final = converged or state.iteration == cfg.max_iterations
-        if not integer:
-            _candidate_step(inst, info, state, solver, tried, ef, final)
+        if not integer and (state.iteration in INCUMBENT_SCHEDULE or final):
+            _candidate_step(inst, state, solver, tried, ef, "consensus",
+                            *_consensus_band(state))
         _dual_step(spoke, state, solved, final)
         trace.append(TraceRow(
             iteration=state.iteration, consensus=metric, sigma_violation=viol,
@@ -783,25 +778,25 @@ def _dual_step(spoke: _DualSpoke, state: PHAState, solved: list, final: bool) ->
     state.best_lower = spoke.best
 
 
-def _candidate_step(inst: PlanningInstance, info: FirstStageInfo, state: PHAState,
-                    solver: SolverConfig, tried: set[bytes], ef, final: bool,
-                    scen_id: str | None = None) -> None:
-    """Evaluate untried boxes; a strictly better one becomes the incumbent.
+def _candidate_step(inst: PlanningInstance, state: PHAState, solver: SolverConfig,
+                    tried: set[bytes], ef, source: str, lo: np.ndarray,
+                    hi: np.ndarray) -> None:
+    """Evaluate the box ``(lo, hi)`` unless it was tried; a strictly better
+    result becomes the incumbent, labelled ``source @ iteration k``.
 
-    In integer mode the hub step calls this once per scenario, with
-    ``scen_id``, as that scenario's solve returns; in convex mode it runs
-    once after the sweep. ``ef()`` is the extensive form to re-bound;
-    ``final`` when the hub stops after this iteration (see ``_candidates``).
+    In integer mode the hub step calls this once per scenario, as that
+    scenario's solve returns; in convex mode it runs after the sweep on
+    ``INCUMBENT_SCHEDULE`` and in the final iteration. ``ef()`` is the
+    extensive form to re-bound.
     """
-    for source, lo, hi in _candidates(inst, info, state, final, scen_id):
-        key = lo.tobytes() + hi.tobytes()
-        if key in tried:
-            continue
-        tried.add(key)
-        evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef())
-        if evaluated is not None and (state.best_upper is None
-                                      or evaluated[0] < state.best_upper):
-            state.incumbent = (*evaluated, f"{source} @ iteration {state.iteration}")
+    key = lo.tobytes() + hi.tobytes()
+    if key in tried:
+        return
+    tried.add(key)
+    evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef())
+    if evaluated is not None and (state.best_upper is None
+                                  or evaluated[0] < state.best_upper):
+        state.incumbent = (*evaluated, f"{source} @ iteration {state.iteration}")
 
 
 def _assemble_report(inst, state: PHAState, trace) -> SolveReport:

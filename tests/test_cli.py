@@ -12,6 +12,7 @@ import pytest
 
 import flexcep
 import flexcep.pha as pha_module
+import flexcep.solvers as solvers_module
 from flexcep.canonical import LIMIT_REACHED, SolveResult
 from flexcep.cli import (
     EXIT_BACKEND,
@@ -273,6 +274,19 @@ class TestMainEntry:
         assert (tmp_path / "sub" / "costs.csv").read_text() == \
             (inproc / "costs.csv").read_text()
 
+    def test_seed_reaches_every_in_process_solve(self, g1_path, tmp_path, monkeypatch):
+        seeds = []
+        original = solvers_module.milp
+
+        def recording(*args, options, **kwargs):
+            seeds.append(options["random_seed"])
+            return original(*args, options=options, **kwargs)
+        monkeypatch.setattr(solvers_module, "milp", recording)
+        assert main(["solve", "--instance", g1_path, "--method", "pha",
+                     "--out", str(tmp_path / "o"), "--max-iters", "2", "--seed", "7"]) in (
+            EXIT_OK, EXIT_LIMIT)
+        assert len(seeds) > 1 and set(seeds) == {7}
+
     def test_broken_solver_bin_exits_backend_failure(self, g1_path, tmp_path):
         code = main(["solve", "--instance", g1_path, "--method", "ef",
                      "--out", str(tmp_path / "x"),
@@ -309,6 +323,9 @@ class TestMainEntry:
                      "--method", "pha", "--out", str(out_dir)])
         assert code == EXIT_LIMIT
         lines = capsys.readouterr().out.splitlines()
+        # the failed scenario is named ahead of the summary
+        assert lines[0] == "hedging failure: scenario subproblem 's1' failed: limit_reached"
+        assert lines[1].startswith("instance:")
         assert "termination: sweep_failed" in lines
         assert "incumbent:   scenario s1 @ iteration 1" in lines
         assert sorted(os.listdir(out_dir)) == ["buildout.csv", "costs.csv", "emissions.csv",
@@ -325,6 +342,7 @@ SETTING_ERRORS = [
     ["solve", "--method", "pha", "--workers", "0"],
     ["solve", "--time-limit", "0"],
     ["solve", "--gap", "1"],
+    ["solve", "--seed", "-1"],
     ["compare-flex", "--load-tech", "dac", "--variant", "fullflex", "--time-limit", "0"],
 ]
 

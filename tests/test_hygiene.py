@@ -2,7 +2,7 @@
 top-level function, class and UPPER_CASE constant, and every method of a
 top-level class, is referenced somewhere in the package. Every backticked
 dotted ``flexcep.…`` name in README.md resolves. No module reads the
-environment except where the subprocess backend picks its solver command.
+environment except where the subprocess backend builds its solver command.
 
 A deletion that leaves an import or a helper behind shows up here;
 ``__init__.py`` is skipped as a module under check because its imports are
@@ -153,7 +153,7 @@ def test_warning_filters_are_entered_in_one_helper_only():
     assert uses == {"solvers.highs_option_passthrough"}
 
 
-# the subprocess backend's command: FLEXCEP_LP_SOLVER and the child's PYTHONPATH
+# the subprocess backend's command: the bundled shim's PYTHONPATH
 ENVIRONMENT_READERS = {"solvers._solver_command"}
 
 
@@ -166,7 +166,7 @@ def environment_readers(sources: dict[str, str]) -> set[str]:
 def test_environment_checker_flags_a_read_outside_the_solver_command():
     sources = {
         "solvers": ("import os\n"
-                    "def _solver_command():\n    return os.environ.get('FLEXCEP_LP_SOLVER')\n"),
+                    "def _solver_command():\n    return os.environ.get('PYTHONPATH')\n"),
         "pha": "import os\ndef _hedge():\n    return os.getenv('FLEXCEP_FAST')\n",
     }
     assert environment_readers(sources) - ENVIRONMENT_READERS == {"pha._hedge"}

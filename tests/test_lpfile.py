@@ -70,13 +70,21 @@ def test_unrecognized_bound_line():
         parse_lp(text)
 
 
-def test_foreign_spacing_tolerated():
-    text = ("Minimize\n obj: 2 x + 3 y\nSubject To\n c1: x + y >= 1\n"
-            "Bounds\n 0<=x<=5\n y free\nEnd\n")
-    m = parse_lp(text)
-    assert m.var_names == ("x", "y")
-    assert m.var_ub[0] == 5.0
-    assert m.var_lb[1] == -INF
+_SMALL = "Minimize\n obj: + 1.0 x\nSubject To\n{rows}Bounds\n{bounds}End\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_SMALL.format(rows=" c: + 1.0 x + 1.0 y >= 1.0\n", bounds=" 0.0 <= x <= 5.0\n"),
+     4, "'y' is not declared"),
+    (_SMALL.format(rows="Binaries\n x\n", bounds=" 0.0 <= x <= 1.0\n"),
+     4, "unknown section header 'Binaries'"),
+    (_SMALL.format(rows="", bounds=" x <= 5\n"), 5, "unrecognized bound line"),
+], ids=["undeclared_column", "unknown_section", "one_sided_bound"])
+def test_only_what_the_writer_emits_is_read(text, line, message):
+    with pytest.raises(LpParseError, match=message) as raised:
+        parse_lp(text)
+    assert raised.value.line == line
+    assert str(raised.value).startswith(f"line {line}: ")
 
 
 @st.composite

@@ -617,7 +617,7 @@ class TestHighsOptions:
     """Every MILP runs without HiGHS's primal heuristics; every LP gets the
     defaults, and IPM when its box frees an integer column (convex mode only)."""
 
-    DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
+    DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True, "random_seed": 0}
     INTERIOR = {**DEFAULT, "solver": "ipm"}
 
     def _record(self, monkeypatch):
@@ -743,19 +743,18 @@ class TestHighsOptions:
 def _record_evaluations(monkeypatch):
     """Record the next run's candidate evaluations as ``(source, lo, hi, result)``."""
     sources, calls = {}, []
-    candidates = pha_module._candidates
+    candidate_step = pha_module._candidate_step
     evaluate = pha_module.exact_candidate_evaluation
 
-    def naming(*args):
-        for source, lo, hi in candidates(*args):
-            sources.setdefault(lo.tobytes() + hi.tobytes(), source)
-            yield source, lo, hi
+    def naming(inst, state, solver, tried, ef, source, lo, hi):
+        sources.setdefault(lo.tobytes() + hi.tobytes(), source)
+        candidate_step(inst, state, solver, tried, ef, source, lo, hi)
 
     def recording(inst, lo, hi, *args, **kwargs):
         result = evaluate(inst, lo, hi, *args, **kwargs)
         calls.append((sources[lo.tobytes() + hi.tobytes()], lo, hi, result))
         return result
-    monkeypatch.setattr(pha_module, "_candidates", naming)
+    monkeypatch.setattr(pha_module, "_candidate_step", naming)
     monkeypatch.setattr(pha_module, "exact_candidate_evaluation", recording)
     return calls
 
@@ -777,13 +776,13 @@ class TestScenarioCandidates:
         info = first_stage_info(inst)
         integer = info.integer
         offered = []
-        candidates = pha_module._candidates
+        scenario_box = pha_module._scenario_box
 
-        def offering(*args):
-            for candidate in candidates(*args):
-                offered.append(candidate[1][integer].tobytes())
-                yield candidate
-        monkeypatch.setattr(pha_module, "_candidates", offering)
+        def offering(info, x):
+            lo, hi = scenario_box(info, x)
+            offered.append(lo[integer].tobytes())
+            return lo, hi
+        monkeypatch.setattr(pha_module, "_scenario_box", offering)
         calls = _record_evaluations(monkeypatch)
         # G2 seed 1 offers some integer parts again in later iterations
         run_pha(inst, PHAConfig(rho_scale=0.1, max_iterations=12, gap_threshold=1e-9),
