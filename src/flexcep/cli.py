@@ -102,22 +102,19 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
         print(f"unknown method '{manifest.method}'", file=out)
         return EXIT_INVALID
     solver = dataclasses.replace(manifest.solver, seed=manifest.seed)
-    sweep_error = ""
     try:
         with solver_output_to_stderr():
             if manifest.method == "ef":
                 report, code = _solve_ef(inst, solver)
             else:
-                report, code, sweep_error = _solve_pha(inst, manifest.pha, solver,
-                                                       manifest.timing)
+                report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing,
+                                          out)
     except BackendError as exc:
         print(f"solver backend failure: {exc}", file=out)
         return EXIT_BACKEND
     except PHAError as exc:  # a hedging sweep whose scenario solve failed
         print(f"hedging failure: {exc}", file=out)
         return EXIT_BACKEND
-    if sweep_error:  # a later sweep failed; the incumbent found before stands
-        print(f"hedging failure: {sweep_error}", file=out)
     try:
         storage.save_report(report, manifest.out_dir)
     except OSError as exc:
@@ -149,15 +146,16 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
     return report, code
 
 
-def _solve_pha(inst, cfg: PHAConfig, solver: SolverConfig,
-               timing: bool) -> tuple[SolveReport, int, str]:
-    """The report, its exit code and the failure behind ``sweep_failed``."""
+def _solve_pha(inst, cfg: PHAConfig, solver: SolverConfig, timing: bool,
+               out) -> tuple[SolveReport, int]:
     report, state = run_pha(inst, cfg, solver, collect_timing=timing)
     if report.status == NO_INCUMBENT:
-        return report, EXIT_NO_INCUMBENT, ""
+        return report, EXIT_NO_INCUMBENT
     if report.termination in ("consensus", "bound_gap"):
-        return report, EXIT_OK, ""
-    return report, EXIT_LIMIT, state.sweep_error
+        return report, EXIT_OK
+    if state.sweep_error:  # a later sweep failed; the incumbent found before stands
+        print(f"hedging failure: {state.sweep_error}", file=out)
+    return report, EXIT_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +283,8 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=default.time_limit_s)
     p.add_argument("--gap", type=float, default=default.mip_gap, help="MIP gap target")
     p.add_argument("--seed", type=int, default=default.seed,
-                   help="HiGHS's random seed for in-process solves (0 is HiGHS's "
-                        "default); the subprocess binary is not given it")
+                   help="recorded in the run manifest; it does not reach HiGHS "
+                        "today, so it changes no result")
 
 
 def _solver_from_args(args) -> SolverConfig:

@@ -5,8 +5,6 @@ through ``SolverConfig.solver_bin``, the CLI's ``--solver-bin``)::
 
     <solver> <model.lp> <solution.out> [--time-limit S] [--mip-gap G]
 
-The binary is given no seed: this shim solves with HiGHS's default seed 0.
-
 The solution file is plain text: a ``status`` line, ``objective`` and
 optionally ``mip_gap`` lines, a ``columns N`` block of ``name value`` pairs,
 then ``end``. This shim writes no row values; the parser still accepts a

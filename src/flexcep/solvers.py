@@ -12,10 +12,8 @@ piecewise-linear outer approximation (tangent cuts on an epigraph variable,
 ``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
 
-In process, LPs and MILPs go through one ``scipy.optimize.milp`` call, and
-every solve passes ``SolverConfig.seed`` as HiGHS's ``random_seed`` (0 is
-HiGHS's default). Two departures from HiGHS's defaults are decided here, by
-the kind of model:
+In process, LPs and MILPs go through one ``scipy.optimize.milp`` call.
+Two departures from HiGHS's defaults are decided here, by the kind of model:
 
 - Every model with integer columns runs without HiGHS's primal heuristics
   (``NO_PRIMAL_HEURISTICS``): feasibility jump, RINS, RENS and the root
@@ -29,13 +27,12 @@ the kind of model:
   scenario block of the extensive form, are the only solves that ask for it
   (see :func:`flexcep.pha.exact_candidate_evaluation`).
 
-scipy passes the seed and these options on to HiGHS verbatim and warns
-that it did not recognize them. :func:`highs_option_passthrough` silences
-that warning, and :func:`solve` enters it around every call unless a
-caller's block is already open. Warning filters are process-wide, so code
-that solves from worker threads holds one block around all of them. The
-subprocess backend ignores the seed and both departures: its binary is
-given the time limit and the gap target only, and picks its own algorithm.
+scipy passes these options on to HiGHS verbatim and warns that it did not
+recognize them. :func:`highs_option_passthrough` silences that warning, and
+:func:`solve` enters it around such a call unless a caller's block is
+already open. Warning filters are process-wide, so code that solves from
+worker threads holds one block around all of them. The subprocess backend
+ignores both departures: its binary picks its own algorithm.
 
 HiGHS can print past ``sys.stdout`` on file descriptor 1;
 :func:`solver_output_to_stderr` sends such lines to stderr around a run.
@@ -114,8 +111,6 @@ class SolverConfig:
             raise ValueError("time limit must be > 0")
         if not (0.0 <= self.mip_gap < 1.0):
             raise ValueError("mip gap target must lie in [0, 1)")
-        if not (0 <= self.seed <= 2**31 - 1):
-            raise ValueError("seed must lie in [0, 2147483647], HiGHS's random_seed range")
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +256,14 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
         lo, hi = _row_bounds(model)
         kwargs["constraints"] = LinearConstraint(model.matrix(), lo, hi)
     options = {"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap,
-               "presolve": True, "random_seed": cfg.seed}
+               "presolve": True}
     if model.var_integer.any():
         options.update(NO_PRIMAL_HEURISTICS)
     elif interior:
         options["solver"] = "ipm"
-    # scipy warns that it passes random_seed and the rest on to HiGHS
-    with highs_option_passthrough() if not _open_passthroughs else contextlib.nullcontext():
+    unknown_to_scipy = len(options) > 3  # scipy warns that it passes them on
+    with (highs_option_passthrough() if unknown_to_scipy and not _open_passthroughs
+          else contextlib.nullcontext()):
         res = milp(c=model.obj, integrality=model.var_integer.astype(np.uint8),
                    bounds=Bounds(model.var_lb, model.var_ub), options=options, **kwargs)
     gap = getattr(res, "mip_gap", None)
@@ -435,14 +431,13 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
     The reported objective is re-evaluated against ``model`` at the returned
     point, so it always matches ``objective_value(model, result.x)``.
 
-    In process, HiGHS runs with ``cfg.seed`` as its random seed, a MILP runs
-    without its primal heuristics (``NO_PRIMAL_HEURISTICS``), and
-    ``interior`` runs an LP on its interior-point method, crossover on, for a
-    vertex still; it pays on LPs that couple many blocks, such as banded
-    candidate boxes (see ``pha.exact_candidate_evaluation``), and a MILP
-    raises ValueError. The subprocess backend's binary gets neither the seed
-    nor these options and picks its own algorithm. This call silences scipy's
-    warning about these options unless a caller's
+    In process, a MILP runs without HiGHS's primal heuristics
+    (``NO_PRIMAL_HEURISTICS``), and ``interior`` runs an LP on its
+    interior-point method, crossover on, for a vertex still; it pays on LPs
+    that couple many blocks, such as banded candidate boxes (see
+    ``pha.exact_candidate_evaluation``), and a MILP raises ValueError. The
+    subprocess backend's binary picks its own algorithm. This call silences
+    scipy's warning about these options unless a caller's
     :func:`highs_option_passthrough` block is open; code that solves from
     worker threads holds one block around all of them, as it holds
     :func:`solver_output_to_stderr`, since both are process-wide.

@@ -12,7 +12,6 @@ import pytest
 
 import flexcep
 import flexcep.pha as pha_module
-import flexcep.solvers as solvers_module
 from flexcep.canonical import LIMIT_REACHED, SolveResult
 from flexcep.cli import (
     EXIT_BACKEND,
@@ -274,19 +273,6 @@ class TestMainEntry:
         assert (tmp_path / "sub" / "costs.csv").read_text() == \
             (inproc / "costs.csv").read_text()
 
-    def test_seed_reaches_every_in_process_solve(self, g1_path, tmp_path, monkeypatch):
-        seeds = []
-        original = solvers_module.milp
-
-        def recording(*args, options, **kwargs):
-            seeds.append(options["random_seed"])
-            return original(*args, options=options, **kwargs)
-        monkeypatch.setattr(solvers_module, "milp", recording)
-        assert main(["solve", "--instance", g1_path, "--method", "pha",
-                     "--out", str(tmp_path / "o"), "--max-iters", "2", "--seed", "7"]) in (
-            EXIT_OK, EXIT_LIMIT)
-        assert len(seeds) > 1 and set(seeds) == {7}
-
     def test_broken_solver_bin_exits_backend_failure(self, g1_path, tmp_path):
         code = main(["solve", "--instance", g1_path, "--method", "ef",
                      "--out", str(tmp_path / "x"),
@@ -342,7 +328,6 @@ SETTING_ERRORS = [
     ["solve", "--method", "pha", "--workers", "0"],
     ["solve", "--time-limit", "0"],
     ["solve", "--gap", "1"],
-    ["solve", "--seed", "-1"],
     ["compare-flex", "--load-tech", "dac", "--variant", "fullflex", "--time-limit", "0"],
 ]
 

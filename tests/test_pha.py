@@ -617,7 +617,7 @@ class TestHighsOptions:
     """Every MILP runs without HiGHS's primal heuristics; every LP gets the
     defaults, and IPM when its box frees an integer column (convex mode only)."""
 
-    DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True, "random_seed": 0}
+    DEFAULT = {"time_limit": 300.0, "mip_rel_gap": 0.0, "presolve": True}
     INTERIOR = {**DEFAULT, "solver": "ipm"}
 
     def _record(self, monkeypatch):
