@@ -73,10 +73,6 @@ class CanonicalModel:
             shape=(self.num_rows, self.num_vars),
         )
 
-    def row_coeffs(self, i: int) -> list[tuple[int, float]]:
-        lo, hi = self.a_indptr[i], self.a_indptr[i + 1]
-        return [(int(c), float(v)) for c, v in zip(self.a_indices[lo:hi], self.a_data[lo:hi])]
-
     def with_objective(self, obj: np.ndarray, offset: float = 0.0,
                        quad: tuple[QuadTerm, ...] = ()) -> "CanonicalModel":
         """Copy with a replaced objective; constraints and bounds are shared."""
@@ -112,7 +108,6 @@ class ModelBuilder:
         self._sense: list[int] = []
         self._rhs: list[float] = []
         self._obj: dict[int, float] = {}
-        self._offset = 0.0
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 integer: bool = False, obj: float = 0.0) -> int:
@@ -125,15 +120,8 @@ class ModelBuilder:
             self._obj[col] = self._obj.get(col, 0.0) + float(obj)
         return col
 
-    def add_obj(self, col: int, coef: float) -> None:
-        if coef:
-            self._obj[col] = self._obj.get(col, 0.0) + float(coef)
-
-    def add_obj_offset(self, value: float) -> None:
-        self._offset += float(value)
-
     def add_row(self, name: str, coeffs: Iterable[tuple[int, float]], sense: int, rhs: float) -> int:
-        # Merge duplicate columns so emitted files have a single term per column.
+        # Merge duplicate columns so each row holds a single term per column.
         merged: dict[int, float] = {}
         for col, val in coeffs:
             if val:
@@ -175,7 +163,6 @@ class ModelBuilder:
             row_sense=_frozen(self._sense, np.int8),
             row_rhs=_frozen(self._rhs),
             obj=_frozen(obj),
-            obj_offset=self._offset,
             name=self.name,
         )
         model.check()

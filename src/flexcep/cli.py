@@ -5,8 +5,8 @@ form or the hedging engine and write the report set, and ``compare-flex`` to
 re-solve one instance under alternative flexibility assumptions for a load
 type.
 
-Exit codes: 0 solved/converged (or valid), 1 invalid instance or setting,
-2 I/O error, 3 stopped at a limit with an incumbent, 4 no feasible
+Exit codes: 0 solved/converged (or valid), 1 invalid instance, setting or
+command line, 2 I/O error, 3 stopped at a limit with an incumbent, 4 no feasible
 incumbent/infeasible, 5 solver backend failure or a failed hedging sweep.
 """
 
@@ -27,7 +27,7 @@ from .core import (
 )
 from .pha import NO_INCUMBENT, PHAConfig, PHAError, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
-from .solvers import (BackendError, SolverConfig, proven_lower_bound, solve,
+from .solvers import (BackendCrashError, SolverConfig, proven_lower_bound, solve,
                       solver_output_to_stderr)
 from . import storage
 
@@ -109,7 +109,7 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
             else:
                 report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing,
                                           out)
-    except BackendError as exc:
+    except BackendCrashError as exc:
         print(f"solver backend failure: {exc}", file=out)
         return EXIT_BACKEND
     except PHAError as exc:  # a hedging sweep whose scenario solve failed
@@ -211,7 +211,7 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
             except InvalidInstanceError as exc:
                 results.append((label, tiers, None, None, f"invalid: {exc.violations[0]}"))
                 continue
-            except BackendError as exc:
+            except BackendCrashError as exc:
                 results.append((label, tiers, None, None, f"backend failure: {exc}"))
                 continue
             if report.objective is None:
@@ -274,12 +274,16 @@ def _build_summary(report: SolveReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line exits EXIT_INVALID, not argparse's 2 (EXIT_IO)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     default = SolverConfig()
-    p.add_argument("--solver", choices=["inproc", "subprocess"], default=default.backend)
-    p.add_argument("--solver-bin", default=None,
-                   help="subprocess solver binary (default: the bundled "
-                        "flexcep-lpsolve shim)")
     p.add_argument("--time-limit", type=float, default=default.time_limit_s)
     p.add_argument("--gap", type=float, default=default.mip_gap, help="MIP gap target")
     p.add_argument("--seed", type=int, default=default.seed,
@@ -288,13 +292,11 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(backend=args.solver, time_limit_s=args.time_limit,
-                        mip_gap=args.gap, seed=args.seed,
-                        solver_bin=args.solver_bin)
+    return SolverConfig(time_limit_s=args.time_limit, mip_gap=args.gap, seed=args.seed)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="flexcep", description=__doc__)
+    ap = _ArgumentParser(prog="flexcep", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="validate an instance file")

@@ -1,18 +1,11 @@
-"""Uniform solve interface over interchangeable LP/MILP backends.
+"""The solve interface: LPs and MILPs on scipy's HiGHS bindings, in process.
 
-Two backends share one contract: an in-process backend on scipy's HiGHS
-bindings, and a subprocess backend that writes the model as an LP file,
-invokes an external solver binary and parses its solution file. The binary
-defaults to this package's own ``flexcep-lpsolve`` shim (run as
-``python -m flexcep.lpsolve``); ``SolverConfig.solver_bin`` (``--solver-bin``)
-names another.
-
-Diagonal quadratic objective terms are linearized here: backends receive a
+Diagonal quadratic objective terms are linearized here: HiGHS receives a
 piecewise-linear outer approximation (tangent cuts on an epigraph variable,
 ``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
 
-In process, LPs and MILPs go through one ``scipy.optimize.milp`` call.
+LPs and MILPs alike go through one ``scipy.optimize.milp`` call.
 Two departures from HiGHS's defaults are decided here, by the kind of model:
 
 - Every model with integer columns runs without HiGHS's primal heuristics
@@ -31,8 +24,7 @@ scipy passes these options on to HiGHS verbatim and warns that it did not
 recognize them. :func:`highs_option_passthrough` silences that warning, and
 :func:`solve` enters it around such a call unless a caller's block is
 already open. Warning filters are process-wide, so code that solves from
-worker threads holds one block around all of them. The subprocess backend
-ignores both departures: its binary picks its own algorithm.
+worker threads holds one block around all of them.
 
 HiGHS can print past ``sys.stdout`` on file descriptor 1;
 :func:`solver_output_to_stderr` sends such lines to stderr around a run.
@@ -41,12 +33,8 @@ HiGHS can print past ``sys.stdout`` on file descriptor 1;
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
-import shlex
-import subprocess
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -68,10 +56,6 @@ from .canonical import (
     SolveResult,
     objective_value,
 )
-from . import lpfile
-
-INPROC = "inproc"
-SUBPROCESS = "subprocess"
 
 PWL_SEGMENTS = 16  # proximal linearization fidelity of every quadratic solve
 
@@ -82,29 +66,15 @@ NO_PRIMAL_HEURISTICS = {"mip_heuristic_run_feasibility_jump": False,
                         "mip_heuristic_run_root_reduced_cost": False}
 
 
-class BackendError(RuntimeError):
-    """Base class for solver backend failures."""
-
-
-class BackendUnavailableError(BackendError):
-    pass
-
-
-class BackendCrashError(BackendError):
-    pass
-
-
-class ModelWriteError(BackendError):
-    pass
+class BackendCrashError(RuntimeError):
+    """HiGHS failed to solve a model (scipy.milp status 4)."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    backend: str = INPROC
     time_limit_s: float = 300.0
     mip_gap: float = 0.0
     seed: int = 0
-    solver_bin: str | None = None
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -284,105 +254,6 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# Subprocess backend
-# ---------------------------------------------------------------------------
-
-
-def _solver_command(cfg: SolverConfig) -> tuple[list[str], dict[str, str] | None]:
-    """The solver command line and the environment to run it in (None: inherit)."""
-    if cfg.solver_bin:
-        return shlex.split(cfg.solver_bin), None
-    # the bundled shim imports this package, which need not be installed:
-    # put the directory holding it first on the child's import path
-    parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(p for p in (parent, os.environ.get("PYTHONPATH")) if p)
-    return [sys.executable, "-m", "flexcep.lpsolve"], {**os.environ, "PYTHONPATH": path}
-
-
-def _solve_subprocess(model: CanonicalModel, cfg: SolverConfig) -> SolveResult:
-    with tempfile.TemporaryDirectory(prefix="flexcep_solve_") as tmp:
-        lp_path = os.path.join(tmp, "model.lp")
-        sol_path = os.path.join(tmp, "model.sol")
-        try:
-            lpfile.write_lp_file(model, lp_path)
-        except OSError as exc:
-            raise ModelWriteError(f"cannot write LP file: {exc}") from exc
-        cmd, env = _solver_command(cfg)
-        cmd += [lp_path, sol_path, "--time-limit", repr(cfg.time_limit_s),
-                "--mip-gap", repr(cfg.mip_gap)]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                                  timeout=cfg.time_limit_s * 3 + 60)
-        except FileNotFoundError as exc:
-            raise BackendUnavailableError(f"solver binary not found: {cmd[0]}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise BackendCrashError(f"solver subprocess timed out: {cmd[0]}") from exc
-        if proc.returncode != 0:
-            raise BackendCrashError(
-                f"solver subprocess failed (exit {proc.returncode}): "
-                f"{proc.stderr.strip() or proc.stdout.strip()}")
-        try:
-            with open(sol_path, "r", encoding="utf-8") as fh:
-                parsed = _parse_solution_file(fh.read())
-        except OSError as exc:
-            raise BackendCrashError(f"solver wrote no solution file: {exc}") from exc
-    status, objective, gap, col_values = parsed
-    x = None
-    if col_values is not None:
-        name_to_col = {name: i for i, name in enumerate(model.var_names)}
-        x = np.zeros(model.num_vars)
-        for name, val in col_values.items():
-            if name not in name_to_col:
-                raise BackendCrashError(f"solution references unknown column '{name}'")
-            x[name_to_col[name]] = val
-    return SolveResult(status=status, objective=objective, x=x, mip_gap=gap)
-
-
-def _block(lines, count: int) -> list[str]:
-    block = list(itertools.islice(lines, count))
-    if len(block) < count:
-        raise BackendCrashError("solution file ends inside a block")
-    return block
-
-
-def _parse_solution_file(text: str):
-    """``(status, objective, mip_gap, {column: value} or None)`` of a solution
-    file. A ``rows M`` block, which an external solver may still write, is
-    skipped whole so that none of its lines is read as a key."""
-    status = None
-    objective = None
-    gap = None
-    col_values = None
-    lines = iter(text.splitlines())
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        key = parts[0].lower()
-        if key == "status":
-            status = parts[1]
-        elif key == "objective":
-            objective = float(parts[1])
-        elif key == "mip_gap":
-            gap = float(parts[1])
-        elif key == "columns":
-            col_values = {}
-            for row in _block(lines, int(parts[1])):
-                name, val = row.split()
-                col_values[name] = float(val)
-        elif key == "rows":
-            _block(lines, int(parts[1]))
-        elif key == "end":
-            break
-    if status is None:
-        raise BackendCrashError("solution file has no status line")
-    known = {OPTIMAL, FEASIBLE_WITH_GAP, INFEASIBLE, UNBOUNDED, LIMIT_REACHED}
-    if status not in known:
-        raise BackendCrashError(f"solution file has unknown status '{status}'")
-    return status, objective, gap, col_values
-
-
-# ---------------------------------------------------------------------------
 # Public interface
 # ---------------------------------------------------------------------------
 
@@ -431,12 +302,12 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
     The reported objective is re-evaluated against ``model`` at the returned
     point, so it always matches ``objective_value(model, result.x)``.
 
-    In process, a MILP runs without HiGHS's primal heuristics
-    (``NO_PRIMAL_HEURISTICS``), and ``interior`` runs an LP on its
-    interior-point method, crossover on, for a vertex still; it pays on LPs
-    that couple many blocks, such as banded candidate boxes (see
-    ``pha.exact_candidate_evaluation``), and a MILP raises ValueError. The
-    subprocess backend's binary picks its own algorithm. This call silences
+    A MILP runs without HiGHS's primal heuristics (``NO_PRIMAL_HEURISTICS``),
+    and ``interior`` runs an LP on its interior-point method, crossover on,
+    for a vertex still; it pays on LPs that couple many blocks, such as
+    banded candidate boxes (see ``pha.exact_candidate_evaluation``), and a
+    MILP raises ValueError. A failure inside HiGHS raises
+    :class:`BackendCrashError`. This call silences
     scipy's warning about these options unless a caller's
     :func:`highs_option_passthrough` block is open; code that solves from
     worker threads holds one block around all of them, as it holds
@@ -448,12 +319,7 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
         raise ValueError("the interior-point method solves LPs only; "
                          "the model has integer columns")
     solved = expand_quadratic(model, PWL_SEGMENTS) if model.quad else model
-    if cfg.backend == INPROC:
-        res = _solve_inproc_milp(solved, cfg, interior)
-    elif cfg.backend == SUBPROCESS:
-        res = _solve_subprocess(solved, cfg)
-    else:
-        raise BackendUnavailableError(f"unknown backend '{cfg.backend}'")
+    res = _solve_inproc_milp(solved, cfg, interior)
     if model.quad and res.x is not None:
         x = res.x[: model.num_vars].copy()
         res = replace(res, x=x, objective=objective_value(model, x))

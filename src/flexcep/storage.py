@@ -192,7 +192,7 @@ def load_instance(path) -> PlanningInstance:
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         inst = instance_from_dict(doc, base_dir=base_dir)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (InstanceFormatError, InvalidInstanceError)):
             raise
         raise InstanceFormatError(f"{path}: malformed instance: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Shared test checks: model equality, and physical-solution invariants.
+"""Shared test checks: model equality, row access, and physical-solution invariants.
 
 The invariants deliberately re-derive every quantity from the instance data
 rather than reusing the builder's rows, so they catch formulation bugs.
@@ -18,6 +18,14 @@ def assert_same_model(got, want):
             assert not a.flags.writeable, f.name
         else:
             assert a == b, f.name
+
+
+def row_coeffs(model):
+    """Each row's ``[(column, coefficient), ...]``, read from ``model.matrix()``."""
+    a = model.matrix()
+    return [list(zip(a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
+                     a.data[a.indptr[i]:a.indptr[i + 1]].tolist()))
+            for i in range(model.num_rows)]
 
 
 def check_solution_invariants(inst, index, x, balance_tol=1e-6, cyclic_tol=1e-6,

@@ -33,6 +33,7 @@ from invariants import (
     assert_same_model,
     check_expectation_rows,
     check_solution_invariants,
+    row_coeffs,
 )
 
 
@@ -187,8 +188,9 @@ class TestSubproblems:
             mb.add_var(model.var_names[i], lb=float(model.var_lb[i]),
                        ub=float(model.var_ub[i]), integer=bool(model.var_integer[i]),
                        obj=float(model.obj[i]))
+        rows = row_coeffs(model)
         for i in keep:
-            mb.add_row(model.row_names[i], model.row_coeffs(i),
+            mb.add_row(model.row_names[i], rows[i],
                        int(model.row_sense[i]), float(model.row_rhs[i]))
         stripped = mb.freeze()
         res = solve(stripped, solver_cfg)

@@ -263,21 +263,24 @@ class TestMainEntry:
         assert captured.getvalue().startswith("instance:")
         assert captured.getvalue() == expected.getvalue()
 
-    def test_solve_with_subprocess_backend(self, g1_path, tmp_path):
+    def test_highs_failure_exits_backend_failure(self, g1_path, tmp_path, crashing_highs,
+                                                 capsys):
+        out_dir = tmp_path / "x"
         code = main(["solve", "--instance", g1_path, "--method", "ef",
-                     "--out", str(tmp_path / "sub"), "--solver", "subprocess"])
-        assert code == EXIT_OK
-        inproc = tmp_path / "inp"
-        assert main(["solve", "--instance", g1_path, "--method", "ef",
-                     "--out", str(inproc)]) == EXIT_OK
-        assert (tmp_path / "sub" / "costs.csv").read_text() == \
-            (inproc / "costs.csv").read_text()
+                     "--out", str(out_dir)])
+        assert code == EXIT_BACKEND == 5
+        assert capsys.readouterr().out.splitlines() == [
+            "solver backend failure: scipy.milp failed: Solve error"]
+        assert not out_dir.exists()
 
-    def test_broken_solver_bin_exits_backend_failure(self, g1_path, tmp_path):
-        code = main(["solve", "--instance", g1_path, "--method", "ef",
-                     "--out", str(tmp_path / "x"),
-                     "--solver", "subprocess", "--solver-bin", "/bin/false"])
-        assert code == 5
+    def test_highs_failure_is_a_compare_flex_row(self, g1_path, crashing_highs, capsys):
+        code = main(["compare-flex", "--instance", g1_path, "--load-tech", "dac",
+                     "--variant", "fullflex"])
+        assert code == EXIT_NO_INCUMBENT == 4
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.startswith("variant")
+        assert row.split()[:3] == ["fullflex", "n/a", "n/a"]
+        assert row.endswith("  backend failure: scipy.milp failed: Solve error")
 
     def test_failed_hedging_sweep_exits_backend_failure(self, g1_path, tmp_path,
                                                         monkeypatch, capsys):
@@ -348,6 +351,29 @@ class TestSettingErrors:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert not out_dir.exists()
+
+
+class TestUsageErrors:
+    """A malformed command line exits 1 (invalid setting), not argparse's 2,
+    which is the I/O error code here."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", "f.json"],
+        ["solve", "--instance", "f.json", "--out", "o", "--max-iters", "abc"],
+    ], ids=["missing_required_flag", "non_integer_value"])
+    def test_usage_error_exits_invalid(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("flexcep solve: error: ")
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--help"])
+        assert exit_info.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: flexcep solve")
 
 
 class TestSolverOutputKeptOffStdout:

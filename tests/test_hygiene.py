@@ -1,18 +1,20 @@
 """Every module-level import in the package is used by its module, and every
 top-level function, class and UPPER_CASE constant, and every method of a
 top-level class, is referenced somewhere in the package. Every backticked
-dotted ``flexcep.…`` name in README.md resolves. No module reads the
-environment except where the subprocess backend builds its solver command.
+dotted ``flexcep.…`` name in README.md resolves, and so does every console
+script in pyproject.toml. No module reads the environment.
 
 A deletion that leaves an import or a helper behind shows up here;
 ``__init__.py`` is skipped as a module under check because its imports are
 the package's re-exports. Names it exports, ``main`` (entry points) and
 ``oracle.py`` (the test oracle and fixture generator) are public surface
 without callers inside the package and are exempt from the reference check,
-as are dunder methods, which Python calls itself.
+as are dunder methods, which Python calls itself, and overrides of a method
+of a builtin or standard-library base class, which that base calls.
 """
 
 import ast
+import builtins
 import importlib
 import pathlib
 import re
@@ -22,6 +24,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "flexcep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 README = PACKAGE.parents[1] / "README.md"
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +40,23 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def base_attributes(node: ast.ClassDef) -> set[str]:
+    """Attribute names of the bases of ``node`` that are builtins or dotted
+    names in an importable module, such as ``argparse.ArgumentParser``."""
+    names = set()
+    for base in node.bases:
+        parts = ast.unparse(base).split(".")
+        try:
+            obj = (importlib.import_module(parts[0]) if len(parts) > 1
+                   else getattr(builtins, parts[0]))
+            for attr in parts[1:]:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            continue
+        names |= set(dir(obj))
+    return names
+
+
 def unreferenced_definitions(sources: dict[str, str], checked: set[str],
                              exempt: set[str]) -> list[str]:
     """``module.name`` of top-level functions, classes and UPPER_CASE
@@ -45,7 +65,8 @@ def unreferenced_definitions(sources: dict[str, str], checked: set[str],
 
     A name counts as read when some module loads it as a name or an
     attribute; its own ``def``/``class`` statement or assignment does not
-    count. Dunder methods are never reported.
+    count. Dunder methods and overrides of a base's method (see
+    :func:`base_attributes`) are never reported.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
@@ -68,10 +89,11 @@ def unreferenced_definitions(sources: dict[str, str], checked: set[str],
             if node.name not in exempt and node.name not in read:
                 unread.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
+                inherited = base_attributes(node)
                 unread += [f"{module}.{node.name}.{sub.name}" for sub in node.body
                            if isinstance(sub, ast.FunctionDef)
                            and not (sub.name.startswith("__") and sub.name.endswith("__"))
-                           and sub.name not in read]
+                           and sub.name not in read and sub.name not in inherited]
     return unread
 
 
@@ -101,12 +123,18 @@ def test_definition_checker_counts_names_and_attributes_only():
               "class Orphan:\n    def used(self):\n        pass\n"
               "class Kept:\n    def __init__(self):\n        pass\n"
               "    def called(self):\n        pass\n"
-              "    def uncalled(self):\n        pass\n"),
+              "    def uncalled(self):\n        pass\n"
+              "import argparse\n"
+              "class Parser(argparse.ArgumentParser):\n"
+              "    def error(self, message):\n        pass\n"
+              "    def uncalled(self):\n        pass\n"
+              "class Local(Kept):\n    def error(self):\n        pass\n"),
         "b": ("import a\nused()\na.via_attr()\na.Kept().called()\n"
-              "limit = a.LIMIT\n"),
+              "limit = a.LIMIT\na.Parser()\na.Local()\n"),
     }
     assert unreferenced_definitions(sources, {"a", "b"}, {"Exported", "EXPORTED"}) == [
-        "a.UNREAD", "a.only_defined", "a.Orphan", "a.Kept.uncalled"]
+        "a.UNREAD", "a.only_defined", "a.Orphan", "a.Kept.uncalled", "a.Parser.uncalled",
+        "a.Local.error"]
     assert unreferenced_definitions(sources, {"b"}, set()) == []
 
 
@@ -153,8 +181,8 @@ def test_warning_filters_are_entered_in_one_helper_only():
     assert uses == {"solvers.highs_option_passthrough"}
 
 
-# the subprocess backend's command: the bundled shim's PYTHONPATH
-ENVIRONMENT_READERS = {"solvers._solver_command"}
+# the package reads no environment variable
+ENVIRONMENT_READERS = set()
 
 
 def environment_readers(sources: dict[str, str]) -> set[str]:
@@ -163,13 +191,13 @@ def environment_readers(sources: dict[str, str]) -> set[str]:
             for owner in uses_by_function(source, {"environ", "getenv"})}
 
 
-def test_environment_checker_flags_a_read_outside_the_solver_command():
+def test_environment_checker_flags_every_read():
     sources = {
         "solvers": ("import os\n"
-                    "def _solver_command():\n    return os.environ.get('PYTHONPATH')\n"),
+                    "def _solver_path():\n    return os.environ.get('PYTHONPATH')\n"),
         "pha": "import os\ndef _hedge():\n    return os.getenv('FLEXCEP_FAST')\n",
     }
-    assert environment_readers(sources) - ENVIRONMENT_READERS == {"pha._hedge"}
+    assert environment_readers(sources) == {"solvers._solver_path", "pha._hedge"}
 
 
 def test_no_hidden_switches():
@@ -211,3 +239,13 @@ def test_every_flexcep_name_in_the_readme_resolves():
     names = readme_names(README.read_text(encoding="utf-8"))
     assert names
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_every_console_script_resolves():
+    # a script left pointing at a deleted module would fail only once installed
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), name

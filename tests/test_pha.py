@@ -3,7 +3,6 @@ import filecmp
 import functools
 import io
 import os
-import sys
 import threading
 import warnings
 
@@ -32,7 +31,7 @@ from flexcep.pha import (
     run_pha,
     sigma_violation,
 )
-from flexcep.solvers import NO_PRIMAL_HEURISTICS, BackendCrashError, SolverConfig, solve
+from flexcep.solvers import NO_PRIMAL_HEURISTICS, BackendCrashError, solve
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -143,27 +142,23 @@ class TestLagrangianBound:
             lb, _ = lagrangian_lower_bound(g1, lam, w, solver_cfg)
             assert lb <= g1_oracle.objective + 1e-6
 
-    def test_a_solve_stopped_without_a_gap_proves_no_bound(self, g1, tmp_path):
+    def test_a_solve_stopped_without_a_gap_proves_no_bound(self, g1, solver_cfg,
+                                                           monkeypatch):
         # a stopped solve's objective is an upper value, not a bound from below
-        script = tmp_path / "solver.py"
-        script.write_text(
-            "import sys\n"
-            "with open(sys.argv[2], 'w') as fh:\n"
-            "    fh.write('status feasible_with_gap\\nobjective 1e15\\nend\\n')\n")
-        cfg = SolverConfig(backend="subprocess", solver_bin=f"{sys.executable} {script}")
-        assert lagrangian_lower_bound(g1, {}, {}, cfg)[0] is None
+        stopped = SolveResult(status=FEASIBLE_WITH_GAP, objective=1e15)
+        monkeypatch.setattr(pha_module, "solve", lambda *args, **kwargs: stopped)
+        assert lagrangian_lower_bound(g1, {}, {}, solver_cfg)[0] is None
 
         # neither the hub's first sweep nor any spoke sweep proves a bound
         spoke = pha_module._DualSpoke(g1, first_stage_info(g1), pha_module._scenario_bases(g1),
-                                      cfg, 1)
+                                      solver_cfg, 1)
         state = PHAState(mw_scale=np.ones(1), probabilities={"s1": 0.5, "s2": 0.5},
                          iteration=1)
-        stopped = [SolveResult(status=FEASIBLE_WITH_GAP, objective=1e15)] * 2
-        pha_module._dual_step(spoke, state, stopped, final=False)
+        pha_module._dual_step(spoke, state, [stopped] * 2, final=False)
         assert state.best_lower is None
         # a bound an earlier sweep proved survives a sweep that proves none
         state.iteration, spoke.best = 2, 5.0
-        pha_module._dual_step(spoke, state, stopped, final=True)
+        pha_module._dual_step(spoke, state, [stopped] * 2, final=True)
         assert state.best_lower == 5.0
 
 

@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -22,19 +21,14 @@ import flexcep.solvers as solvers_module
 from flexcep.solvers import (
     NO_PRIMAL_HEURISTICS,
     BackendCrashError,
-    BackendError,
-    BackendUnavailableError,
     SolverConfig,
-    _parse_solution_file,
     _tangent_points,
     expand_quadratic,
     highs_option_passthrough,
     solve,
 )
 
-from invariants import assert_same_model
-
-BACKENDS = ["inproc", "subprocess"]
+from invariants import assert_same_model, row_coeffs
 
 
 def _with_quad(model, *terms):
@@ -62,40 +56,42 @@ def _min_x_geq(bound, integer=False):
     return mb.freeze()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBasicSolves:
-    def test_min_x_continuous(self, backend):
-        res = solve(_min_x_geq(3.0), SolverConfig(backend=backend))
+    def test_min_x_continuous(self):
+        res = solve(_min_x_geq(3.0), SolverConfig())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-8)
 
-    def test_min_x_integer_rounds_up(self, backend):
-        res = solve(_min_x_geq(2.5, integer=True), SolverConfig(backend=backend))
+    def test_min_x_integer_rounds_up(self):
+        res = solve(_min_x_geq(2.5, integer=True), SolverConfig())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-8)
 
-    def test_infeasible_toy(self, backend):
+    def test_infeasible_toy(self):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=0.0, obj=1.0)
         mb.add_row("lo", [(x, 1.0)], GE, 1.0)
-        res = solve(mb.freeze(), SolverConfig(backend=backend))
+        res = solve(mb.freeze(), SolverConfig())
         assert res.status == "infeasible"
 
-    def test_backends_agree_on_g1(self, backend, g1_ef, g1_ef_solution):
+    def test_g1_extensive_form_reaches_its_optimum(self, g1_ef, g1_ef_solution):
         model, _ = g1_ef
-        res = solve(model, SolverConfig(backend=backend))
+        res = solve(model, SolverConfig())
         assert res.objective == pytest.approx(g1_ef_solution.objective, rel=1e-5)
 
 
-def test_backends_agree_across_fixture_suite():
-    from flexcep.oracle import generate
-    from flexcep.build import build_extensive_form
-    for gen in ("G2", "G3"):
-        model, _ = build_extensive_form(generate(gen, 4))
-        a = solve(model, SolverConfig(backend="inproc"))
-        b = solve(model, SolverConfig(backend="subprocess"))
-        assert a.status == b.status == "optimal"
-        assert b.objective == pytest.approx(a.objective, rel=1e-5)
+@pytest.mark.parametrize("model", [_min_x_geq(2.5, integer=True), _min_x_geq(2.5)],
+                         ids=["milp", "lp"])
+def test_a_highs_failure_raises(model, crashing_highs):
+    with pytest.raises(BackendCrashError, match="^scipy.milp failed: Solve error$"):
+        solve(model)
+
+
+def test_config_validation():
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit_s=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(mip_gap=1.0)
 
 
 class TestQuadratic:
@@ -150,16 +146,9 @@ class TestInteriorPoint:
         assert "solver" not in seen[0]
         assert seen[1] == {**seen[0], "solver": "ipm"}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_milp_rejected(self, backend):
+    def test_milp_rejected(self):
         with pytest.raises(ValueError, match="integer columns"):
-            solve(_min_x_geq(2.5, integer=True), SolverConfig(backend=backend),
-                  interior=True)
-
-    def test_subprocess_backend_ignores_it(self):
-        res = solve(_min_x_geq(3.0), SolverConfig(backend="subprocess"), interior=True)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(3.0, abs=1e-8)
+            solve(_min_x_geq(2.5, integer=True), SolverConfig(), interior=True)
 
 
 class TestPrimalHeuristics:
@@ -222,72 +211,6 @@ class TestPrimalHeuristics:
         assert warnings.filters == before
         assert res.objective == pytest.approx(2.5 if interior else 3.0, abs=1e-8)
 
-    def test_subprocess_backend_ignores_it(self, monkeypatch):
-        # this process makes no backend call; the solver binary picks its options
-        seen = _record_options(monkeypatch)
-        res = solve(_min_x_geq(2.5, integer=True), SolverConfig(backend="subprocess"))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(3.0, abs=1e-8)
-        assert seen == []
-
-    def test_bundled_shim_solves_a_milp_without_them(self, monkeypatch, tmp_path):
-        from flexcep import lpfile, lpsolve
-        lp_path, sol_path = tmp_path / "model.lp", tmp_path / "model.sol"
-        lpfile.write_lp_file(_min_x_geq(2.5, integer=True), str(lp_path))
-        seen = _record_options(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert lpsolve.main([str(lp_path), str(sol_path)]) == 0
-        assert seen == [{**self.DEFAULT, **NO_PRIMAL_HEURISTICS}]
-        assert _parse_solution_file(sol_path.read_text())[:2] == ("optimal", 3.0)
-
-
-class TestSubprocessProtocol:
-    def test_missing_binary_is_unavailable(self, g1_ef):
-        model, _ = g1_ef
-        cfg = SolverConfig(backend="subprocess", solver_bin="/nonexistent/solver")
-        with pytest.raises(BackendUnavailableError):
-            solve(model, cfg)
-
-    def test_bundled_shim_runs_without_pythonpath(self, monkeypatch):
-        # the package need not be installed: the shim finds it anyway
-        monkeypatch.delenv("PYTHONPATH", raising=False)
-        res = solve(_min_x_geq(3.0), SolverConfig(backend="subprocess"))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(3.0, abs=1e-8)
-
-    def test_crashing_binary_reports_diagnostics(self, g1_ef):
-        model, _ = g1_ef
-        cfg = SolverConfig(backend="subprocess", solver_bin="/bin/false")
-        with pytest.raises(BackendError, match="exit"):
-            solve(model, cfg)
-
-    def test_rows_block_is_skipped_not_read_as_keys(self, tmp_path):
-        # an external solver may still write row values; a row named 'status'
-        # must not overwrite the status line
-        script = tmp_path / "solver.py"
-        script.write_text(
-            "import sys\n"
-            "with open(sys.argv[2], 'w') as fh:\n"
-            "    fh.write('status optimal\\nobjective 3.0\\ncolumns 1\\nx 3.0\\n'\n"
-            "             'rows 2\\nfloor 1.0\\nstatus 1.0\\nend\\n')\n")
-        cfg = SolverConfig(backend="subprocess", solver_bin=f"{sys.executable} {script}")
-        res = solve(_min_x_geq(3.0), cfg)
-        assert res.status == "optimal"
-        assert res.objective == 3.0
-        assert res.x.tolist() == [3.0]
-
-    def test_truncated_block_is_a_crash(self):
-        for block in ("columns 2\nx 3.0\n", "rows 2\nfloor 1.0\n"):
-            with pytest.raises(BackendCrashError, match="ends inside"):
-                _parse_solution_file("status optimal\n" + block)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(time_limit_s=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(mip_gap=1.0)
-
 
 def _reference_expand(model, segments):
     """``expand_quadratic`` rebuilt row by row through ModelBuilder."""
@@ -295,9 +218,8 @@ def _reference_expand(model, segments):
     for i in range(model.num_vars):
         mb.add_var(model.var_names[i], lb=float(model.var_lb[i]), ub=float(model.var_ub[i]),
                    integer=bool(model.var_integer[i]), obj=float(model.obj[i]))
-    mb.add_obj_offset(model.obj_offset)
-    for i in range(model.num_rows):
-        mb.add_row(model.row_names[i], model.row_coeffs(i),
+    for i, coeffs in enumerate(row_coeffs(model)):
+        mb.add_row(model.row_names[i], coeffs,
                    int(model.row_sense[i]), float(model.row_rhs[i]))
     for j, term in enumerate(model.quad):
         lo, hi = float(model.var_lb[term.col]), float(model.var_ub[term.col])
@@ -310,7 +232,8 @@ def _reference_expand(model, segments):
             slope = 2.0 * (p - term.anchor)
             mb.add_row(f"qcut{j}_{n}__", [(z, 1.0), (term.col, -slope)],
                        GE, term.anchor * term.anchor - p * p)
-    return mb.freeze()
+    reference = mb.freeze()
+    return reference.with_objective(reference.obj, model.obj_offset)
 
 
 @st.composite
@@ -329,7 +252,7 @@ def _quadratic_models(draw):
     for r in range(draw(st.integers(0, 3))):
         mb.add_row(f"r{r}", [(c, draw(coef)) for c in range(n)],
                    draw(st.sampled_from([LE, EQ, GE])), draw(st.sampled_from([0.0, 4.0, -1.5])))
-    mb.add_obj_offset(draw(st.sampled_from([0.0, 7.25])))
+    offset = draw(st.sampled_from([0.0, 7.25]))
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         col = draw(st.integers(0, n - 1))
@@ -337,7 +260,8 @@ def _quadratic_models(draw):
             st.integers(-8, 40).map(float),
             st.floats(-8.0, 40.0, allow_nan=False)))
         terms.append((col, draw(st.sampled_from([0.05, 1.0, 60.0])), anchor))
-    return _with_quad(mb.freeze(), *terms)
+    model = mb.freeze()
+    return model.with_objective(model.obj, offset, tuple(QuadTerm(*term) for term in terms))
 
 
 class TestExpandQuadraticProperty:

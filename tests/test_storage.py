@@ -113,6 +113,16 @@ class TestInstanceRoundTrip:
             load_instance(p)
         assert len(err.value.violations) >= 2
 
+    @pytest.mark.parametrize("section,key", [("buses", "existing_gen"), ("policies", "q")])
+    def test_map_given_as_a_list_is_malformed(self, g1, tmp_path, section, key):
+        doc = instance_to_dict(g1)
+        entry = doc[section][0]
+        entry[key] = list(entry[key].values())
+        p = tmp_path / "listed.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="malformed instance"):
+            load_instance(p)
+
     def test_wrong_period_count_names_table(self, g1, tmp_path):
         doc = instance_to_dict(g1)
         doc["scenarios"][0]["demand"]["B1"] = [1.0, 2.0]  # 2 periods instead of 4
