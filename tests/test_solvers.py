@@ -56,28 +56,46 @@ def _min_x_geq(bound, integer=False):
     return mb.freeze()
 
 
+@pytest.fixture(params=[SolverConfig()], ids=["inproc"])
+def config(request):
+    """Default settings of the in-process HiGHS solve."""
+    return request.param
+
+
 class TestBasicSolves:
-    def test_min_x_continuous(self):
-        res = solve(_min_x_geq(3.0), SolverConfig())
+    def test_min_x_continuous(self, config):
+        res = solve(_min_x_geq(3.0), config)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-8)
 
-    def test_min_x_integer_rounds_up(self):
-        res = solve(_min_x_geq(2.5, integer=True), SolverConfig())
+    def test_min_x_integer_rounds_up(self, config):
+        res = solve(_min_x_geq(2.5, integer=True), config)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-8)
 
-    def test_infeasible_toy(self):
+    def test_infeasible_toy(self, config):
         mb = ModelBuilder()
         x = mb.add_var("x", lb=0.0, ub=0.0, obj=1.0)
         mb.add_row("lo", [(x, 1.0)], GE, 1.0)
-        res = solve(mb.freeze(), SolverConfig())
+        res = solve(mb.freeze(), config)
         assert res.status == "infeasible"
 
-    def test_g1_extensive_form_reaches_its_optimum(self, g1_ef, g1_ef_solution):
+    def test_backends_agree_on_g1(self, config, g1_ef, g1_ef_solution):
         model, _ = g1_ef
-        res = solve(model, SolverConfig())
+        res = solve(model, config)
         assert res.objective == pytest.approx(g1_ef_solution.objective, rel=1e-5)
+
+
+def test_backends_agree_across_fixture_suite():
+    """HiGHS's simplex and interior-point methods agree on the relaxed G2 and G3 EFs."""
+    from flexcep.oracle import generate
+    from flexcep.build import build_extensive_form
+    for gen in ("G2", "G3"):
+        lp = relax_integrality(build_extensive_form(generate(gen, 4))[0])
+        a = solve(lp)
+        b = solve(lp, interior=True)
+        assert a.status == b.status == "optimal"
+        assert b.objective == pytest.approx(a.objective, rel=1e-5)
 
 
 @pytest.mark.parametrize("model", [_min_x_geq(2.5, integer=True), _min_x_geq(2.5)],
@@ -146,9 +164,9 @@ class TestInteriorPoint:
         assert "solver" not in seen[0]
         assert seen[1] == {**seen[0], "solver": "ipm"}
 
-    def test_milp_rejected(self):
+    def test_milp_rejected(self, config):
         with pytest.raises(ValueError, match="integer columns"):
-            solve(_min_x_geq(2.5, integer=True), SolverConfig(), interior=True)
+            solve(_min_x_geq(2.5, integer=True), config, interior=True)
 
 
 class TestPrimalHeuristics:
