@@ -49,7 +49,6 @@ from .canonical import (
     ModelBuilder,
     QuadTerm,
     VariableIndex,
-    render_name,
 )
 from .core import (
     EXPECTED_OUTPUT,
@@ -208,7 +207,7 @@ def _add_first_stage(mb: ModelBuilder, info: FirstStageInfo,
                      coords: list[Coord]) -> dict[Coord, int]:
     cols: dict[Coord, int] = {}
     for i, coord in enumerate(info.coords):
-        col = mb.add_var(render_name(coord), lb=float(info.lb[i]), ub=float(info.ub[i]),
+        col = mb.add_var(lb=float(info.lb[i]), ub=float(info.ub[i]),
                          integer=bool(info.integer[i]), obj=float(info.unit_cost[i]))
         cols[coord] = col
         coords.append(coord)
@@ -221,7 +220,7 @@ def _add_mandate_rows(mb: ModelBuilder, inst: PlanningInstance, cols: dict[Coord
             continue
         terms = [(cols[("xD", b.id, d.id)], 1.0) for b in inst.buses]
         sense = EQ if d.mandate.equality else GE
-        mb.add_row(f"man[{d.id}]", terms, sense, float(d.mandate.min_units))
+        mb.add_row(terms, sense, float(d.mandate.min_units))
 
 
 def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
@@ -242,7 +241,7 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
     gen_idx = {g.id: i for i, g in enumerate(inst.gen_techs)}
 
     def new_var(coord, lb=0.0, ub=INF, obj=0.0):
-        col = mb.add_var(render_name(coord), lb=lb, ub=ub, obj=obj)
+        col = mb.add_var(lb=lb, ub=ub, obj=obj)
         cols[coord] = col
         coords.append(coord)
         return col
@@ -290,8 +289,7 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
             existing = b.existing_gen.get(g.id, 0.0)
             for t in range(T):
                 alpha = float(scen.availability[bi, gi, t])
-                mb.add_row(f"avail[{b.id},{g.id},{t},{w}]",
-                           [(cols[("pG", b.id, g.id, t, w)], 1.0),
+                mb.add_row([(cols[("pG", b.id, g.id, t, w)], 1.0),
                             (cols[("xG", b.id, g.id)], -alpha * g.capacity_per_unit)],
                            LE, alpha * existing)
 
@@ -301,19 +299,13 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
             existing = b.existing_storage.get(s.id, 0.0)
             xs = cols[("xS", b.id, s.id)]
             for t in range(T):
-                mb.add_row(f"chcap[{b.id},{s.id},{t},{w}]",
-                           [(cols[("pSch", b.id, s.id, t, w)], 1.0), (xs, -1.0)],
-                           LE, existing)
-                mb.add_row(f"dchcap[{b.id},{s.id},{t},{w}]",
-                           [(cols[("pSdch", b.id, s.id, t, w)], 1.0), (xs, -1.0)],
-                           LE, existing)
-                mb.add_row(f"ecap[{b.id},{s.id},{t},{w}]",
-                           [(cols[("pS", b.id, s.id, t, w)], 1.0), (xs, -s.duration_h)],
+                mb.add_row([(cols[("pSch", b.id, s.id, t, w)], 1.0), (xs, -1.0)], LE, existing)
+                mb.add_row([(cols[("pSdch", b.id, s.id, t, w)], 1.0), (xs, -1.0)], LE, existing)
+                mb.add_row([(cols[("pS", b.id, s.id, t, w)], 1.0), (xs, -s.duration_h)],
                            LE, s.duration_h * existing)
             for t in range(T):
                 prev = (t - 1) % T
-                mb.add_row(f"sdyn[{b.id},{s.id},{t},{w}]",
-                           [(cols[("pS", b.id, s.id, t, w)], 1.0),
+                mb.add_row([(cols[("pS", b.id, s.id, t, w)], 1.0),
                             (cols[("pS", b.id, s.id, prev, w)], -1.0),
                             (cols[("pSch", b.id, s.id, t, w)], -tau * s.eff_charge),
                             (cols[("pSdch", b.id, s.id, t, w)], tau)],
@@ -326,16 +318,14 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
                       (cols[("theta", l.from_bus, t, w)], -l.susceptance),
                       (cols[("theta", l.to_bus, t, w)], l.susceptance)]
             if not l.is_candidate:
-                mb.add_row(f"flow[{l.id},{t},{w}]", fterms, EQ, 0.0)
+                mb.add_row(fterms, EQ, 0.0)
             else:
                 big_m = abs(l.susceptance) * spread
                 xl = cols[("xL", l.id)]
-                mb.add_row(f"bigm_hi[{l.id},{t},{w}]", fterms + [(xl, big_m)], LE, big_m)
-                mb.add_row(f"bigm_lo[{l.id},{t},{w}]", fterms + [(xl, -big_m)], GE, -big_m)
-                mb.add_row(f"fcap_hi[{l.id},{t},{w}]",
-                           [(cols[("f", l.id, t, w)], 1.0), (xl, -l.capacity_mw)], LE, 0.0)
-                mb.add_row(f"fcap_lo[{l.id},{t},{w}]",
-                           [(cols[("f", l.id, t, w)], 1.0), (xl, l.capacity_mw)], GE, 0.0)
+                mb.add_row(fterms + [(xl, big_m)], LE, big_m)
+                mb.add_row(fterms + [(xl, -big_m)], GE, -big_m)
+                mb.add_row([(cols[("f", l.id, t, w)], 1.0), (xl, -l.capacity_mw)], LE, 0.0)
+                mb.add_row([(cols[("f", l.id, t, w)], 1.0), (xl, l.capacity_mw)], GE, 0.0)
 
     # tranche caps
     for b in inst.buses:
@@ -345,9 +335,7 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
             for k in range(1, len(d.tiers) + 1):
                 cap = widths[k - 1] * d.unit_size_mw
                 for t in range(T):
-                    mb.add_row(f"tiercap[{b.id},{d.id},{k},{t},{w}]",
-                               [(cols[("pDK", b.id, d.id, k, t, w)], 1.0), (xd, -cap)],
-                               LE, 0.0)
+                    mb.add_row([(cols[("pDK", b.id, d.id, k, t, w)], 1.0), (xd, -cap)], LE, 0.0)
 
     # nodal balance
     for b in inst.buses:
@@ -368,7 +356,7 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
             for d in inst.load_techs:
                 for k in range(1, len(d.tiers) + 1):
                     terms.append((cols[("pDK", b.id, d.id, k, t, w)], -1.0))
-            mb.add_row(f"bal[{b.id},{t},{w}]", terms, EQ, float(scen.demand[bi, t]))
+            mb.add_row(terms, EQ, float(scen.demand[bi, t]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +384,7 @@ def build_extensive_form(inst: PlanningInstance) -> tuple[CanonicalModel, Variab
         terms = [(cols[c], v) for c, v in fs_terms]
         for scen in inst.scenarios:
             terms.extend((cols[c], scen.probability * v) for c, v in scen_terms(scen.id))
-        name = f"pol[{spec.handle}]" if spec.kind == EXPECTED_OUTPUT else f"rel[{spec.handle}]"
-        mb.add_row(name, terms, GE, rhs)
+        mb.add_row(terms, GE, rhs)
     return mb.freeze(), VariableIndex(coords=tuple(coords))
 
 
@@ -435,13 +422,13 @@ def build_scenario_subproblem(inst: PlanningInstance,
     for c_spec in enumerate_expectation_constraints(inst):
         fs_terms, scen_terms, rhs = expectation_terms(inst, c_spec)
         coord = ("sigma", c_spec.handle, scen.id)
-        col = mb.add_var(render_name(coord), lb=-INF, ub=INF)
+        col = mb.add_var(lb=-INF, ub=INF)
         cols[coord] = col
         coords.append(coord)
         terms = [(col, 1.0)]
         terms.extend((cols[c], v) for c, v in fs_terms)
         terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
-        mb.add_row(f"sig[{c_spec.handle},{scen.id}]", terms, EQ, rhs)
+        mb.add_row(terms, EQ, rhs)
 
     return mb.freeze(), VariableIndex(coords=tuple(coords))
 
@@ -501,5 +488,5 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
         quad = tuple(QuadTerm(col=col, coef=float(r) / 2.0, anchor=float(a))
                      for col, r, a in zip(range(n_fs), rho, anchor))
         mode = "pha"
-    priced = model.with_objective(obj, model.obj_offset, quad)
+    priced = model.with_objective(obj, quad)
     return replace(priced, name=f"{inst.name}-{mode}-{scenario}")

@@ -8,8 +8,8 @@ proximal terms. Models are immutable after construction; transformations
 share untouched arrays.
 
 The :class:`VariableIndex` maps solver columns to semantic coordinates such
-as ``("xG", bus, tech)`` or ``("pDK", bus, tech, k, t, scenario)`` and renders
-the deterministic variable names used by the LP writer.
+as ``("xG", bus, tech)`` or ``("pDK", bus, tech, k, t, scenario)``; it is the
+one record of what a model's columns mean.
 """
 
 from __future__ import annotations
@@ -47,15 +47,12 @@ class CanonicalModel:
     var_lb: np.ndarray
     var_ub: np.ndarray
     var_integer: np.ndarray  # bool per column
-    var_names: tuple[str, ...]
-    row_names: tuple[str, ...]
     a_indptr: np.ndarray
     a_indices: np.ndarray
     a_data: np.ndarray
     row_sense: np.ndarray  # int8 of LE/EQ/GE
     row_rhs: np.ndarray
     obj: np.ndarray
-    obj_offset: float = 0.0
     quad: tuple[QuadTerm, ...] = ()
     name: str = "model"
 
@@ -73,25 +70,22 @@ class CanonicalModel:
             shape=(self.num_rows, self.num_vars),
         )
 
-    def with_objective(self, obj: np.ndarray, offset: float = 0.0,
-                       quad: tuple[QuadTerm, ...] = ()) -> "CanonicalModel":
+    def with_objective(self, obj: np.ndarray, quad: tuple[QuadTerm, ...] = ()) -> "CanonicalModel":
         """Copy with a replaced objective; constraints and bounds are shared."""
         obj = np.asarray(obj, dtype=float)
         if obj.shape != (self.num_vars,):
             raise ModelError(f"objective length {obj.shape} does not match {self.num_vars} columns")
         obj = obj.copy()
         obj.setflags(write=False)
-        return replace(self, obj=obj, obj_offset=float(offset), quad=tuple(quad))
+        return replace(self, obj=obj, quad=tuple(quad))
 
     def check(self) -> None:
         """Raise ModelError on structural defects (bad bounds, bad column refs)."""
         if np.any(self.var_lb > self.var_ub + 1e-15):
             bad = int(np.argmax(self.var_lb > self.var_ub + 1e-15))
-            raise ModelError(f"variable '{self.var_names[bad]}' has lower bound above upper")
+            raise ModelError(f"column {bad} has lower bound above upper")
         if self.a_indices.size and (self.a_indices.min() < 0 or self.a_indices.max() >= self.num_vars):
             raise ModelError("constraint row references a nonexistent column")
-        if len(set(self.var_names)) != len(self.var_names):
-            raise ModelError("variable names must be unique")
 
 
 class ModelBuilder:
@@ -102,32 +96,26 @@ class ModelBuilder:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
-        self._vnames: list[str] = []
-        self._rnames: list[str] = []
+        self._obj: list[float] = []
         self._rows: list[list[tuple[int, float]]] = []
         self._sense: list[int] = []
         self._rhs: list[float] = []
-        self._obj: dict[int, float] = {}
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
+    def add_var(self, lb: float = 0.0, ub: float = INF,
                 integer: bool = False, obj: float = 0.0) -> int:
-        col = len(self._lb)
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._integer.append(bool(integer))
-        self._vnames.append(name)
-        if obj:
-            self._obj[col] = self._obj.get(col, 0.0) + float(obj)
-        return col
+        self._obj.append(float(obj))
+        return len(self._lb) - 1
 
-    def add_row(self, name: str, coeffs: Iterable[tuple[int, float]], sense: int, rhs: float) -> int:
+    def add_row(self, coeffs: Iterable[tuple[int, float]], sense: int, rhs: float) -> int:
         # Merge duplicate columns so each row holds a single term per column.
         merged: dict[int, float] = {}
         for col, val in coeffs:
             if val:
                 merged[col] = merged.get(col, 0.0) + float(val)
         row = sorted(merged.items())
-        self._rnames.append(name)
         self._rows.append(row)
         self._sense.append(int(sense))
         self._rhs.append(float(rhs))
@@ -143,26 +131,21 @@ class ModelBuilder:
         for i, row in enumerate(self._rows):
             for col, val in row:
                 if not (0 <= col < n):
-                    raise ModelError(f"row '{self._rnames[i]}' references missing column {col}")
+                    raise ModelError(f"row {i} references missing column {col}")
                 indices[pos] = col
                 data[pos] = val
                 pos += 1
             indptr[i + 1] = pos
-        obj = np.zeros(n, dtype=float)
-        for col, val in self._obj.items():
-            obj[col] = val
         model = CanonicalModel(
             var_lb=_frozen(self._lb),
             var_ub=_frozen(self._ub),
             var_integer=_frozen(self._integer, bool),
-            var_names=tuple(self._vnames),
-            row_names=tuple(self._rnames),
             a_indptr=_frozen(indptr, np.int64),
             a_indices=_frozen(indices, np.int64),
             a_data=_frozen(data),
             row_sense=_frozen(self._sense, np.int8),
             row_rhs=_frozen(self._rhs),
-            obj=_frozen(obj),
+            obj=_frozen(self._obj),
             name=self.name,
         )
         model.check()
@@ -180,14 +163,6 @@ def _frozen(values, dtype=float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 Coord = tuple
-
-
-def render_name(coord: Coord) -> str:
-    """Deterministic variable name: kind followed by bracketed indices."""
-    kind, *rest = coord
-    if not rest:
-        return str(kind)
-    return f"{kind}[{','.join(str(r) for r in rest)}]"
 
 
 @dataclass(frozen=True)
@@ -262,11 +237,11 @@ def fix_variables(model: CanonicalModel, assignments: Mapping[int, float]) -> Ca
             snapped = round(v)
             if abs(v - snapped) > INTEGRAL_TOL:
                 raise ModelError(
-                    f"column '{model.var_names[col]}' is integer; cannot fix to {v!r}")
+                    f"column {col} is integer; cannot fix to {v!r}")
             v = float(snapped)
         if v < model.var_lb[col] - 1e-9 or v > model.var_ub[col] + 1e-9:
             raise ModelError(
-                f"value {v!r} for '{model.var_names[col]}' is outside bounds "
+                f"value {v!r} for column {col} is outside bounds "
                 f"[{model.var_lb[col]!r}, {model.var_ub[col]!r}]")
         lb[col] = v
         ub[col] = v
@@ -295,7 +270,7 @@ def restrict_bounds(model: CanonicalModel,
         hi = min(float(hi), ub[col])
         if lo > hi + 1e-12:
             raise ModelError(
-                f"band for '{model.var_names[col]}' is empty within its box")
+                f"band for column {col} is empty within its box")
         lb[col] = lo
         ub[col] = max(hi, lo)
     lb.setflags(write=False)
@@ -305,7 +280,7 @@ def restrict_bounds(model: CanonicalModel,
 
 def objective_value(model: CanonicalModel, x: np.ndarray) -> float:
     """Evaluate the model objective (including quadratic terms) at ``x``."""
-    val = float(model.obj @ x) + model.obj_offset
+    val = float(model.obj @ x)
     for term in model.quad:
         dx = x[term.col] - term.anchor
         val += term.coef * dx * dx

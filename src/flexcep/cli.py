@@ -46,7 +46,7 @@ class RunManifest:
     instance_path: str
     method: str  # "ef" | "pha"
     out_dir: str
-    seed: int = 0
+    seed: int = 0  # recorded only: no solve reads it
     solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
     pha: PHAConfig = dataclasses.field(default_factory=PHAConfig)
     timing: bool = False
@@ -101,14 +101,13 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
     if manifest.method not in ("ef", "pha"):
         print(f"unknown method '{manifest.method}'", file=out)
         return EXIT_INVALID
-    solver = dataclasses.replace(manifest.solver, seed=manifest.seed)
     try:
         with solver_output_to_stderr():
             if manifest.method == "ef":
-                report, code = _solve_ef(inst, solver)
+                report, code = _solve_ef(inst, manifest.solver)
             else:
-                report, code = _solve_pha(inst, manifest.pha, solver, manifest.timing,
-                                          out)
+                report, code = _solve_pha(inst, manifest.pha, manifest.solver,
+                                          manifest.timing, out)
     except BackendCrashError as exc:
         print(f"solver backend failure: {exc}", file=out)
         return EXIT_BACKEND
@@ -286,13 +285,10 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     default = SolverConfig()
     p.add_argument("--time-limit", type=float, default=default.time_limit_s)
     p.add_argument("--gap", type=float, default=default.mip_gap, help="MIP gap target")
-    p.add_argument("--seed", type=int, default=default.seed,
-                   help="recorded in the run manifest; it does not reach HiGHS "
-                        "today, so it changes no result")
 
 
 def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(time_limit_s=args.time_limit, mip_gap=args.gap, seed=args.seed)
+    return SolverConfig(time_limit_s=args.time_limit, mip_gap=args.gap)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -307,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--method", choices=["ef", "pha"], default="ef")
     p_solve.add_argument("--out", required=True, help="report output directory")
     _add_solver_args(p_solve)
+    p_solve.add_argument("--seed", type=int, default=0,
+                         help="recorded in the run manifest only; it changes no result")
     pha_default = PHAConfig()
     # differs from PHAConfig.rho_scale (1.0): aligning them changes the
     # results of every run on either default, so it is a change of its own

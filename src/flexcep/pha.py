@@ -405,9 +405,6 @@ class _DualSpoke:
         self.g_w = np.zeros((0, n))
         self.exact = np.zeros(0, dtype=bool)
         self.idle = np.zeros(0, dtype=np.int64)
-        self.names = tuple([f"dlam[{h}]" for h in self.handles]
-                           + [f"dw[{s.id},{i}]" for s in inst.scenarios for i in range(n)]
-                           + [f"theta[{s.id}]" for s in inst.scenarios])
 
     # -- one iteration --------------------------------------------------------
 
@@ -503,7 +500,7 @@ class _DualSpoke:
                 continue
             base = self.bases[s.id][0]
             self.scen = np.append(self.scen, i)
-            self.const = np.append(self.const, float(base.obj @ x) + base.obj_offset)
+            self.const = np.append(self.const, float(base.obj @ x))
             self.g_lam = np.vstack([self.g_lam, x[x.size - n_lam:]])
             self.g_w = np.vstack([self.g_w, x[:n]])
             self.exact = np.append(self.exact, exact)
@@ -554,9 +551,7 @@ class _DualSpoke:
             var_lb=np.concatenate([np.maximum(-lam_box, lam_floor), -box,
                                    np.full(n_scen, -INF)]),
             var_ub=np.concatenate([lam_box, box, np.full(n_scen, INF)]),
-            var_integer=np.zeros(t0 + n_scen, dtype=bool), var_names=self.names,
-            row_names=(tuple(f"cut{k}" for k in range(n_cut))
-                       + tuple(f"balance{i}" for i in range(n))),
+            var_integer=np.zeros(t0 + n_scen, dtype=bool),
             a_indptr=matrix.indptr.astype(np.int64),
             a_indices=matrix.indices.astype(np.int64), a_data=matrix.data,
             row_sense=np.r_[np.full(n_cut, LE), np.full(n, EQ)].astype(np.int8),

@@ -74,7 +74,6 @@ class BackendCrashError(RuntimeError):
 class SolverConfig:
     time_limit_s: float = 300.0
     mip_gap: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -124,21 +123,17 @@ def expand_quadratic(model: CanonicalModel, segments: int = PWL_SEGMENTS) -> Can
     cut_term: list[int] = []  # quad term of each cut row
     cut_slope: list[float] = []
     cut_rhs: list[float] = []
-    cut_names: list[str] = []
     for j, term in enumerate(model.quad):
         lo, hi = float(model.var_lb[term.col]), float(model.var_ub[term.col])
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ModelError(
-                f"quadratic term on unbounded column '{model.var_names[term.col]}' "
-                "cannot be linearized")
+            raise ModelError(f"quadratic term on unbounded column {term.col} cannot be linearized")
         points = _tangent_points(lo, hi, term.anchor, segments,
                                  bool(model.var_integer[term.col]))
-        for k, p in enumerate(points):
+        for p in points:
             # z >= (x-a)^2 linearized at x=p: z - slope*x >= a^2 - p^2
             cut_term.append(j)
             cut_slope.append(2.0 * (p - term.anchor))
             cut_rhs.append(term.anchor * term.anchor - p * p)
-            cut_names.append(f"qcut{j}_{k}__")
 
     # each cut row holds (x, -slope) then (z, 1); a zero slope drops the x entry
     terms = np.array(cut_term, dtype=np.int64)
@@ -162,15 +157,12 @@ def expand_quadratic(model: CanonicalModel, segments: int = PWL_SEGMENTS) -> Can
         var_lb=_frozen_concat(model.var_lb, np.zeros(n_quad)),
         var_ub=_frozen_concat(model.var_ub, np.full(n_quad, INF)),
         var_integer=_frozen_concat(model.var_integer, np.zeros(n_quad, dtype=bool)),
-        var_names=model.var_names + tuple(f"qz{j}__" for j in range(n_quad)),
-        row_names=model.row_names + tuple(cut_names),
         a_indptr=_frozen_concat(model.a_indptr, ends),
         a_indices=_frozen_concat(model.a_indices, cut_indices),
         a_data=_frozen_concat(model.a_data, cut_data),
         row_sense=_frozen_concat(model.row_sense, np.full(len(cut_rhs), GE, dtype=np.int8)),
         row_rhs=_frozen_concat(model.row_rhs, np.array(cut_rhs, dtype=float)),
         obj=_frozen_concat(model.obj, np.array([t.coef for t in model.quad], dtype=float)),
-        obj_offset=float(model.obj_offset),
         name=model.name,
     )
     expanded.check()
@@ -248,7 +240,7 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
     else:
         raise BackendCrashError(f"scipy.milp failed: {res.message}")
     x = np.asarray(res.x, dtype=float) if res.x is not None else None
-    objective = float(res.fun) + model.obj_offset if res.fun is not None else None
+    objective = float(res.fun) if res.fun is not None else None
     return SolveResult(status=status, objective=objective, x=x,
                        mip_gap=float(gap) if gap is not None else None)
 

@@ -191,6 +191,7 @@ def load_instance(path) -> PlanningInstance:
             f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
+        _check_identifiers(doc, path)
         inst = instance_from_dict(doc, base_dir=base_dir)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (InstanceFormatError, InvalidInstanceError)):
@@ -200,6 +201,27 @@ def load_instance(path) -> PlanningInstance:
     if violations:
         raise InvalidInstanceError(violations)
     return inst
+
+
+# Fields that key the validator's sets and dicts, by section of the document.
+_IDENTIFIER_FIELDS = (
+    ("buses", ("id",)), ("gen_techs", ("id",)), ("storage_techs", ("id",)),
+    ("load_techs", ("id",)), ("branches", ("id", "from_bus", "to_bus")),
+    ("scenarios", ("id",)), ("policies", ("handle",)),
+)
+
+
+def _check_identifiers(doc: dict, path) -> None:
+    """Reject an identifier given as a JSON array or object, which cannot key a set or dict."""
+    for section, keys in _IDENTIFIER_FIELDS:
+        for i, entry in enumerate(doc.get(section, ())):
+            for key in keys:
+                value = entry.get(key) if isinstance(entry, dict) else None
+                if isinstance(value, (list, dict)):
+                    shape = "array" if isinstance(value, list) else "object"
+                    raise InstanceFormatError(
+                        f"{path}: {section}[{i}].{key}: identifier must be a string, "
+                        f"not a JSON {shape}")
 
 
 def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:

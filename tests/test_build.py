@@ -11,6 +11,7 @@ from flexcep.build import (
     price_scenario_subproblem,
 )
 from flexcep.canonical import (
+    GE,
     ModelBuilder,
     QuadTerm,
     fix_variables,
@@ -167,6 +168,35 @@ class TestSubproblems:
             with pytest.raises(BuildError, match=match):
                 price_scenario_subproblem(g1, base, index, {}, **prices)
 
+    def test_ef_closes_with_expectation_rows(self, g1, g1_ef):
+        # one >= row per handle, in handle order; re-derived from the data:
+        # a tranche row holds -phi * width * unit_size * tau * T on its xD and
+        # its own tranche's pDK, a policy row no first-stage term but pG and pDK
+        model, index = g1_ef
+        handles = enumerate_expectation_constraints(g1)
+        n_fs = len(first_stage_info(g1).coords)
+        rows = row_coeffs(model)[model.num_rows - len(handles):]
+        horizon = g1.period_length_h * g1.num_periods
+        assert {h.kind for h in handles} == {"tier_reliability", "expected_output"}
+        for spec, row, sense in zip(handles, rows, model.row_sense[-len(handles):]):
+            want = np.zeros(n_fs)
+            if spec.kind == "tier_reliability":
+                d, k = g1.load_tech(spec.load_tech), spec.tier
+                u = (0.0,) + tuple(d.tiers.u)
+                want[index.column(("xD", spec.bus, d.id))] = (
+                    -d.tiers.phi[k - 1] * (u[k] - u[k - 1]) * d.unit_size_mw * horizon)
+            got = np.zeros(n_fs)
+            for col, val in row:
+                if col < n_fs:
+                    got[col] = val
+            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=spec.handle)
+            assert sense == GE, spec.handle
+            ops = {index.coord(col)[:4] for col, _ in row if col >= n_fs}
+            if spec.kind == "tier_reliability":
+                assert ops == {("pDK", spec.bus, spec.load_tech, spec.tier)}, spec.handle
+            else:
+                assert {op[0] for op in ops} == {"pG", "pDK"}, spec.handle
+
     def test_sigma_columns_follow_handles(self, g1):
         model, index = build_scenario_subproblem(g1, "s1")
         handles = enumerate_expectation_constraints(g1)
@@ -177,21 +207,19 @@ class TestSubproblems:
 
     def test_zero_multiplier_sum_matches_ef_without_expectations(
             self, g1, g1_ef, g1_ef_solution, solver_cfg):
-        # drop the expectation rows from the EF, solve, then force its first
-        # stage into each lambda=0 subproblem: probability-weighted optima
-        # must reproduce the stripped objective
+        # drop the expectation rows (the EF's last rows, see
+        # test_ef_closes_with_expectation_rows) from the EF, solve, then force
+        # its first stage into each lambda=0 subproblem: probability-weighted
+        # optima must reproduce the stripped objective
         model, index = g1_ef
-        keep = [i for i, name in enumerate(model.row_names)
-                if not (name.startswith("rel[") or name.startswith("pol["))]
+        n_keep = model.num_rows - len(enumerate_expectation_constraints(g1))
         mb = ModelBuilder(name="stripped")
         for i in range(model.num_vars):
-            mb.add_var(model.var_names[i], lb=float(model.var_lb[i]),
-                       ub=float(model.var_ub[i]), integer=bool(model.var_integer[i]),
-                       obj=float(model.obj[i]))
+            mb.add_var(lb=float(model.var_lb[i]), ub=float(model.var_ub[i]),
+                       integer=bool(model.var_integer[i]), obj=float(model.obj[i]))
         rows = row_coeffs(model)
-        for i in keep:
-            mb.add_row(model.row_names[i], rows[i],
-                       int(model.row_sense[i]), float(model.row_rhs[i]))
+        for i in range(n_keep):
+            mb.add_row(rows[i], int(model.row_sense[i]), float(model.row_rhs[i]))
         stripped = mb.freeze()
         res = solve(stripped, solver_cfg)
         assert res.status == "optimal"

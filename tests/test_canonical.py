@@ -9,6 +9,7 @@ from flexcep.canonical import (
     ModelBuilder,
     ModelError,
     QuadTerm,
+    VariableIndex,
     fix_variables,
     objective_value,
     relax_integrality,
@@ -19,12 +20,12 @@ from flexcep.solvers import solve
 
 def _toy_model():
     mb = ModelBuilder(name="toy")
-    x = mb.add_var("x", lb=0.0, ub=10.0, integer=True, obj=1.0)
-    y = mb.add_var("y", lb=0.0, ub=5.0, obj=2.0)
-    z = mb.add_var("z", lb=-INF, ub=INF, integer=True)
-    mb.add_row("r1", [(x, 1.0), (y, 1.0)], GE, 3.0)
-    mb.add_row("r2", [(y, 2.0), (z, -1.0)], LE, 4.0)
-    mb.add_row("r3", [(x, 1.0), (z, 1.0)], EQ, 2.0)
+    x = mb.add_var(lb=0.0, ub=10.0, integer=True, obj=1.0)
+    y = mb.add_var(lb=0.0, ub=5.0, obj=2.0)
+    z = mb.add_var(lb=-INF, ub=INF, integer=True)
+    mb.add_row([(x, 1.0), (y, 1.0)], GE, 3.0)
+    mb.add_row([(y, 2.0), (z, -1.0)], LE, 4.0)
+    mb.add_row([(x, 1.0), (z, 1.0)], EQ, 2.0)
     return mb.freeze()
 
 
@@ -112,21 +113,19 @@ class TestObjectiveValue:
 
     def test_quadratic_terms_included(self):
         mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=4.0, obj=1.0)
+        x = mb.add_var(lb=0.0, ub=4.0, obj=1.0)
         m = mb.freeze()
         m = m.with_objective(m.obj, quad=(QuadTerm(col=x, coef=2.0, anchor=1.0),))
         assert objective_value(m, np.array([3.0])) == pytest.approx(3.0 + 2.0 * 4.0)
 
-    def test_duplicate_names_rejected(self):
-        mb = ModelBuilder()
-        mb.add_var("x")
-        mb.add_var("x")
-        with pytest.raises(ModelError, match="unique"):
-            mb.freeze()
+    def test_duplicate_coordinate_rejected(self):
+        with pytest.raises(ModelError, match="duplicate"):
+            VariableIndex(coords=(("xG", "B1", "gas"), ("xS", "B1", "bat"),
+                                  ("xG", "B1", "gas")))
 
     def test_row_with_unknown_column_rejected(self):
         mb = ModelBuilder()
-        mb.add_var("x")
-        mb.add_row("r", [(3, 1.0)], LE, 1.0)
+        mb.add_var()
+        mb.add_row([(3, 1.0)], LE, 1.0)
         with pytest.raises(ModelError):
             mb.freeze()

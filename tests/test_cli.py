@@ -74,6 +74,22 @@ class TestValidate:
         assert cmd_validate(str(p), out=out) == EXIT_INVALID
         assert "exceeds total buildable" in out.getvalue()
 
+    @pytest.mark.parametrize("shape", [[], {"a": 1}], ids=["array", "object"])
+    @pytest.mark.parametrize("section,key", [
+        ("storage_techs", "id"), ("load_techs", "id"), ("branches", "id"),
+        ("scenarios", "id"), ("policies", "handle"), ("branches", "from_bus"),
+        ("branches", "to_bus")])
+    def test_unhashable_identifier_exits_invalid_with_one_line(self, tmp_path, capsys,
+                                                               section, key, shape):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        doc[section][0][key] = shape
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", str(p)]) == EXIT_INVALID
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and f"{section}[0].{key}" in lines[0], lines
+
 
 def _half_unit(v: float) -> float:
     """Largest rounding error of ``storage.fmt_num``'s 9 significant digits at ``v``."""

@@ -33,8 +33,7 @@ from invariants import assert_same_model, row_coeffs
 
 def _with_quad(model, *terms):
     """``model`` with the quadratic terms ``(col, coef, anchor)`` added."""
-    return model.with_objective(model.obj, model.obj_offset,
-                                quad=tuple(QuadTerm(*term) for term in terms))
+    return model.with_objective(model.obj, quad=tuple(QuadTerm(*term) for term in terms))
 
 
 def _record_options(monkeypatch):
@@ -51,8 +50,8 @@ def _record_options(monkeypatch):
 
 def _min_x_geq(bound, integer=False):
     mb = ModelBuilder()
-    x = mb.add_var("x", lb=0.0, ub=100.0, integer=integer, obj=1.0)
-    mb.add_row("floor", [(x, 1.0)], GE, bound)
+    x = mb.add_var(lb=0.0, ub=100.0, integer=integer, obj=1.0)
+    mb.add_row([(x, 1.0)], GE, bound)
     return mb.freeze()
 
 
@@ -75,8 +74,8 @@ class TestBasicSolves:
 
     def test_infeasible_toy(self, config):
         mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=0.0, obj=1.0)
-        mb.add_row("lo", [(x, 1.0)], GE, 1.0)
+        x = mb.add_var(lb=0.0, ub=0.0, obj=1.0)
+        mb.add_row([(x, 1.0)], GE, 1.0)
         res = solve(mb.freeze(), config)
         assert res.status == "infeasible"
 
@@ -115,13 +114,13 @@ def test_config_validation():
 class TestQuadratic:
     def test_expand_requires_finite_box(self):
         mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=INF, obj=1.0)
+        x = mb.add_var(lb=0.0, ub=INF, obj=1.0)
         with pytest.raises(ModelError, match="unbounded"):
             expand_quadratic(_with_quad(mb.freeze(), (x, 1.0, 0.0)))
 
     def test_prox_solve_lands_near_anchor(self):
         mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=100.0, obj=1.0)
+        x = mb.add_var(lb=0.0, ub=100.0, obj=1.0)
         m = _with_quad(mb.freeze(), (x, 50.0, 40.0))
         res = solve(m, SolverConfig())
         assert res.status == "optimal"
@@ -131,13 +130,13 @@ class TestQuadratic:
 
     def test_integer_quadratic_exact_on_lattice(self):
         mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=3.0, integer=True, obj=0.0)
+        x = mb.add_var(lb=0.0, ub=3.0, integer=True, obj=0.0)
         res = solve(_with_quad(mb.freeze(), (x, 10.0, 1.8)))
         assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_reported_objective_matches_original_model(self):
         mb = ModelBuilder()
-        x = mb.add_var("x", lb=0.0, ub=10.0, obj=-1.0)
+        x = mb.add_var(lb=0.0, ub=10.0, obj=-1.0)
         m = _with_quad(mb.freeze(), (x, 3.0, 2.0))
         res = solve(m)
         assert res.objective == pytest.approx(objective_value(m, res.x), rel=1e-12)
@@ -234,24 +233,21 @@ def _reference_expand(model, segments):
     """``expand_quadratic`` rebuilt row by row through ModelBuilder."""
     mb = ModelBuilder(name=model.name)
     for i in range(model.num_vars):
-        mb.add_var(model.var_names[i], lb=float(model.var_lb[i]), ub=float(model.var_ub[i]),
+        mb.add_var(lb=float(model.var_lb[i]), ub=float(model.var_ub[i]),
                    integer=bool(model.var_integer[i]), obj=float(model.obj[i]))
     for i, coeffs in enumerate(row_coeffs(model)):
-        mb.add_row(model.row_names[i], coeffs,
-                   int(model.row_sense[i]), float(model.row_rhs[i]))
-    for j, term in enumerate(model.quad):
+        mb.add_row(coeffs, int(model.row_sense[i]), float(model.row_rhs[i]))
+    for term in model.quad:
         lo, hi = float(model.var_lb[term.col]), float(model.var_ub[term.col])
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ModelError("unbounded")
-        z = mb.add_var(f"qz{j}__", lb=0.0, ub=INF, obj=term.coef)
+        z = mb.add_var(lb=0.0, ub=INF, obj=term.coef)
         points = _tangent_points(lo, hi, term.anchor, segments,
                                  bool(model.var_integer[term.col]))
-        for n, p in enumerate(points):
+        for p in points:
             slope = 2.0 * (p - term.anchor)
-            mb.add_row(f"qcut{j}_{n}__", [(z, 1.0), (term.col, -slope)],
-                       GE, term.anchor * term.anchor - p * p)
-    reference = mb.freeze()
-    return reference.with_objective(reference.obj, model.obj_offset)
+            mb.add_row([(z, 1.0), (term.col, -slope)], GE, term.anchor * term.anchor - p * p)
+    return mb.freeze()
 
 
 @st.composite
@@ -264,13 +260,12 @@ def _quadratic_models(draw):
         lo = draw(st.integers(-5, 5))
         width = draw(st.sampled_from([0, 0, 1, 2, 3, 7, 12, 30]))
         hi = INF if draw(st.integers(0, 15)) == 0 else float(lo + width)
-        mb.add_var(f"x{i}", lb=float(lo), ub=hi, integer=draw(st.booleans()),
+        mb.add_var(lb=float(lo), ub=hi, integer=draw(st.booleans()),
                    obj=draw(st.sampled_from([0.0, 1.0, -2.5])))
     coef = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0])
-    for r in range(draw(st.integers(0, 3))):
-        mb.add_row(f"r{r}", [(c, draw(coef)) for c in range(n)],
+    for _ in range(draw(st.integers(0, 3))):
+        mb.add_row([(c, draw(coef)) for c in range(n)],
                    draw(st.sampled_from([LE, EQ, GE])), draw(st.sampled_from([0.0, 4.0, -1.5])))
-    offset = draw(st.sampled_from([0.0, 7.25]))
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         col = draw(st.integers(0, n - 1))
@@ -279,7 +274,7 @@ def _quadratic_models(draw):
             st.floats(-8.0, 40.0, allow_nan=False)))
         terms.append((col, draw(st.sampled_from([0.05, 1.0, 60.0])), anchor))
     model = mb.freeze()
-    return model.with_objective(model.obj, offset, tuple(QuadTerm(*term) for term in terms))
+    return model.with_objective(model.obj, tuple(QuadTerm(*term) for term in terms))
 
 
 class TestExpandQuadraticProperty:

@@ -65,7 +65,7 @@ def split_lp(inst, bases):
                                 np.concatenate([m.var_ub for m in models] + [free])]),
         method="highs-ipm")
     assert res.status == 0, res.message
-    value = res.fun + float(p @ [m.obj_offset for m in models])
+    value = res.fun
     lam = {c: max(0.0, -float(v)) for c, v in zip(handles, res.ineqlin.marginals[-h:])}
     w = -res.eqlin.marginals[int(eq.sum()):].reshape(k, n) / p[:, None]
     w -= p @ w  # exact balance: sum_s p_s w_s = 0
