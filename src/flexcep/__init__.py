@@ -27,9 +27,9 @@ from .canonical import (
     CanonicalModel,
     SolveResult,
     VariableIndex,
-    fix_variables,
     objective_value,
     relax_integrality,
+    restrict_bounds,
 )
 from .build import (
     build_extensive_form,
@@ -44,7 +44,7 @@ from .pha import (
     lagrangian_lower_bound,
     run_pha,
 )
-from .oracle import OracleInstanceSpec, brute_force_optimum, generate
+from .oracle import brute_force_optimum, generate
 from .report import SolveReport
 from .storage import load_instance, save_instance, save_report
 

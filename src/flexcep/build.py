@@ -47,6 +47,7 @@ from .canonical import (
     CanonicalModel,
     Coord,
     ModelBuilder,
+    ModelError,
     QuadTerm,
     VariableIndex,
 )
@@ -59,10 +60,6 @@ from .core import (
     enumerate_expectation_constraints,
     validate_instance,
 )
-
-
-class BuildError(ValueError):
-    """Raised for invalid build or pricing requests."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def expectation_terms(inst: PlanningInstance, spec: ExpectationConstraintSpec):
 
         return [], scen_terms, -spec.threshold if spec.threshold else 0.0
 
-    raise BuildError(f"unknown expectation constraint kind '{spec.kind}'")
+    raise ModelError(f"unknown expectation constraint kind '{spec.kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +406,7 @@ def build_scenario_subproblem(inst: PlanningInstance,
     try:
         scen = inst.scenario(scenario_id)
     except KeyError:
-        raise BuildError(f"unknown scenario id '{scenario_id}'") from None
+        raise ModelError(f"unknown scenario id '{scenario_id}'") from None
 
     info = first_stage_info(inst)
     mb = ModelBuilder(name=f"{inst.name}-lr-{scen.id}")
@@ -455,19 +452,19 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
     known = {h.handle for h in handles}
     for handle, val in lam.items():
         if handle not in known:
-            raise BuildError(f"multiplier for unknown constraint handle '{handle}'")
+            raise ModelError(f"multiplier for unknown constraint handle '{handle}'")
         if val < 0:
-            raise BuildError(f"multiplier for '{handle}' must be >= 0, got {val!r}")
+            raise ModelError(f"multiplier for '{handle}' must be >= 0, got {val!r}")
     info = first_stage_info(inst)
     n_fs = len(info.coords)
     for label, vec in (("w", w), ("anchor", anchor), ("rho", rho)):
         if vec is not None and np.shape(vec) != (n_fs,):
-            raise BuildError(f"{label} must have one entry per first-stage coordinate "
+            raise ModelError(f"{label} must have one entry per first-stage coordinate "
                              f"({n_fs}), got shape {np.shape(vec)}")
     if (anchor is None) != (rho is None):
-        raise BuildError("the proximal term needs both an anchor and rho")
+        raise ModelError("the proximal term needs both an anchor and rho")
     if rho is not None and not np.all(np.asarray(rho) > 0):
-        raise BuildError("rho must be > 0 for every first-stage coordinate")
+        raise ModelError("rho must be > 0 for every first-stage coordinate")
 
     n = len(index)
     last_block = index.coords[n - len(handles) - 1]
@@ -476,7 +473,7 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
     if (n != model.num_vars or index.coords[:n_fs] != info.coords
             or index.coords[n - len(sigma):] != sigma
             or last_block[0] == "sigma" or index.coords[n_fs][-1] != scenario):
-        raise BuildError(f"model is not a scenario subproblem of instance '{inst.name}'")
+        raise ModelError(f"model is not a scenario subproblem of instance '{inst.name}'")
 
     obj = model.obj.copy()
     obj[:n_fs] = info.unit_cost if w is None else info.unit_cost + w

@@ -4,8 +4,9 @@ A :class:`CanonicalModel` stores variables (bounds + integrality), sparse
 linear constraints in CSR form, and a linear objective with an optional
 diagonal quadratic part of the form ``sum coef * (x - anchor)^2`` used for
 proximal terms. Models are immutable after construction; transformations
-(`fix_variables`, `relax_integrality`, objective swaps) return copies that
-share untouched arrays.
+(`restrict_bounds`, which also pins a column with a ``(v, v)`` band,
+`relax_integrality`, objective swaps) return copies that share untouched
+arrays.
 
 The :class:`VariableIndex` maps solver columns to semantic coordinates such
 as ``("xG", bus, tech)`` or ``("pDK", bus, tech, k, t, scenario)``; it is the
@@ -23,8 +24,6 @@ from scipy import sparse
 INF = float("inf")
 
 LE, EQ, GE = -1, 0, 1
-
-INTEGRAL_TOL = 1e-6
 
 
 class ModelError(ValueError):
@@ -122,7 +121,6 @@ class ModelBuilder:
         return len(self._rows) - 1
 
     def freeze(self) -> CanonicalModel:
-        n = len(self._lb)
         indptr = np.zeros(len(self._rows) + 1, dtype=np.int64)
         nnz = sum(len(r) for r in self._rows)
         indices = np.zeros(nnz, dtype=np.int64)
@@ -130,8 +128,6 @@ class ModelBuilder:
         pos = 0
         for i, row in enumerate(self._rows):
             for col, val in row:
-                if not (0 <= col < n):
-                    raise ModelError(f"row {i} references missing column {col}")
                 indices[pos] = col
                 data[pos] = val
                 pos += 1
@@ -220,36 +216,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def fix_variables(model: CanonicalModel, assignments: Mapping[int, float]) -> CanonicalModel:
-    """Pin columns to values by collapsing their bounds; the input is unchanged.
-
-    Values must respect the column's bounds, and integer columns must receive
-    integral values within ``INTEGRAL_TOL`` (they are snapped exactly).
-    """
-    lb = model.var_lb.copy()
-    ub = model.var_ub.copy()
-    for col, value in assignments.items():
-        col = int(col)
-        if not (0 <= col < model.num_vars):
-            raise ModelError(f"cannot fix unknown column {col}")
-        v = float(value)
-        if model.var_integer[col]:
-            snapped = round(v)
-            if abs(v - snapped) > INTEGRAL_TOL:
-                raise ModelError(
-                    f"column {col} is integer; cannot fix to {v!r}")
-            v = float(snapped)
-        if v < model.var_lb[col] - 1e-9 or v > model.var_ub[col] + 1e-9:
-            raise ModelError(
-                f"value {v!r} for column {col} is outside bounds "
-                f"[{model.var_lb[col]!r}, {model.var_ub[col]!r}]")
-        lb[col] = v
-        ub[col] = v
-    lb.setflags(write=False)
-    ub.setflags(write=False)
-    return replace(model, var_lb=lb, var_ub=ub)
-
-
 def relax_integrality(model: CanonicalModel) -> CanonicalModel:
     """Clear every integrality flag; bounds and rows unchanged. Idempotent."""
     if not model.var_integer.any():
@@ -261,11 +227,17 @@ def relax_integrality(model: CanonicalModel) -> CanonicalModel:
 
 def restrict_bounds(model: CanonicalModel,
                     bands: Mapping[int, tuple[float, float]]) -> CanonicalModel:
-    """Narrow column boxes; the result is a restriction of the input model."""
+    """Narrow column boxes; the result is a restriction of the input model.
+
+    A ``(v, v)`` band pins a column to ``v``. A band that leaves a column's
+    box empty, or names a column the model does not have, raises ModelError.
+    """
     lb = model.var_lb.copy()
     ub = model.var_ub.copy()
     for col, (lo, hi) in bands.items():
         col = int(col)
+        if not (0 <= col < model.num_vars):
+            raise ModelError(f"cannot restrict unknown column {col}")
         lo = max(float(lo), lb[col])
         hi = min(float(hi), ub[col])
         if lo > hi + 1e-12:

@@ -82,7 +82,7 @@ def _print_summary(report: SolveReport, out) -> None:
     print(f"status:      {report.status}", file=out)
     print(f"termination: {report.termination}", file=out)
     print(f"objective:   {num(report.objective)}", file=out)
-    print(f"bounds:      lower={num(report.lower_bound)} upper={num(report.upper_bound)} "
+    print(f"bounds:      lower={num(report.lower_bound)} upper={num(report.objective)} "
           f"gap={num(report.gap)}", file=out)
     print(f"incumbent:   {report.incumbent_source or 'n/a'}", file=out)
     for row in report.policies:
@@ -131,7 +131,7 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
         lower = proven_lower_bound(res)
         report = report_from_solution(
             inst, index, res.x, method="ef", status=res.status,
-            objective=res.objective, lower_bound=lower, upper_bound=res.objective,
+            objective=res.objective, lower_bound=lower,
             gap=res.mip_gap if res.status == FEASIBLE_WITH_GAP else 0.0,
             termination=termination, incumbent_source="extensive form",
             trace=[TraceRow(iteration=0, consensus=0.0, sigma_violation=0.0,
@@ -139,8 +139,7 @@ def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
         return report, EXIT_OK if res.status == OPTIMAL else EXIT_LIMIT
     report = SolveReport(
         instance_name=inst.name, method="ef", status=res.status, objective=None,
-        lower_bound=None, upper_bound=None, gap=None, termination=res.status,
-        costs=None)
+        lower_bound=None, gap=None, termination=res.status, costs=None)
     code = EXIT_NO_INCUMBENT if res.status in (INFEASIBLE, LIMIT_REACHED) else EXIT_BACKEND
     return report, code
 
@@ -303,8 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--method", choices=["ef", "pha"], default="ef")
     p_solve.add_argument("--out", required=True, help="report output directory")
     _add_solver_args(p_solve)
-    p_solve.add_argument("--seed", type=int, default=0,
-                         help="recorded in the run manifest only; it changes no result")
     pha_default = PHAConfig()
     # differs from PHAConfig.rho_scale (1.0): aligning them changes the
     # results of every run on either default, so it is a change of its own
@@ -344,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "solve":
         return cmd_solve(RunManifest(
             instance_path=args.instance, method=args.method, out_dir=args.out,
-            seed=args.seed, solver=solver, pha=pha, timing=args.timing))
+            solver=solver, pha=pha, timing=args.timing))
     return cmd_compare_flexibility(args.instance, args.load_tech, variants, solver)
 
 

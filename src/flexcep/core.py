@@ -11,8 +11,9 @@ policy coefficients. Periods are 0-based within a representative horizon.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -337,6 +338,25 @@ def _check_unique(out, path, ids, what):
         seen.add(i)
 
 
+def _check_finite(out, path, value):
+    """One violation per numeric field under ``value`` holding NaN or an infinity."""
+    if isinstance(value, np.ndarray):
+        if not np.all(np.isfinite(value)):
+            out.append(Violation(path, "must be finite"))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            out.append(Violation(path, "must be finite"))
+    elif isinstance(value, Mapping):
+        for key, v in value.items():
+            _check_finite(out, f"{path}[{key}]", v)
+    elif isinstance(value, tuple):  # items with an id are named by it, as elsewhere
+        for i, v in enumerate(value):
+            _check_finite(out, f"{path}[{getattr(v, 'id', i)}]", v)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _check_finite(out, f"{path}.{f.name}" if path else f.name, getattr(value, f.name))
+
+
 def _validate_tiers(out, path, tiers: TierSpec):
     if len(tiers.u) != len(tiers.phi):
         out.append(Violation(path, "u and phi must have the same length"))
@@ -363,12 +383,14 @@ def _validate_tiers(out, path, tiers: TierSpec):
 
 
 def validate_instance(inst: PlanningInstance) -> list[Violation]:
-    """Check every structural invariant; an empty list means the instance is valid.
+    """Check every structural invariant, and that every number is finite; an
+    empty list means the instance is valid.
 
     Violations are data, not errors: all of them are collected and returned in
     deterministic order (lexicographic by path, then message).
     """
     out: list[Violation] = []
+    _check_finite(out, "", inst)
 
     if not inst.buses:
         out.append(Violation("buses", "at least one bus is required"))
@@ -539,7 +561,7 @@ def _validate_bus_maps(out, path, b: Bus, gen_ids, storage_ids, load_ids, inst):
             out.append(Violation(f"{path}.build_limit_storage[{tech}]",
                                  "build limit below existing capacity"))
     for tech, cap in b.build_limit_load.items():
-        if tech in load_ids and abs(cap - round(cap)) > 1e-9:
+        if tech in load_ids and math.isfinite(cap) and abs(cap - round(cap)) > 1e-9:
             out.append(Violation(f"{path}.build_limit_load[{tech}]",
                                  "load build limits are unit counts and must be integral"))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .build import build_extensive_form, first_stage_info
-from .canonical import INFEASIBLE, OPTIMAL, UNBOUNDED, fix_variables, relax_integrality
+from .canonical import INFEASIBLE, OPTIMAL, UNBOUNDED, relax_integrality, restrict_bounds
 from .core import (
     CANDIDATE,
     CONTINUOUS,
@@ -49,15 +49,6 @@ DAC_MID_FLEX = TierSpec(u=(0.5, 0.75, 1.0), phi=(1.0, 0.5, 0.0))
 DATACENTER_MID_FLEX = TierSpec(u=(0.5, 0.9, 1.0), phi=(1.0, 0.85, 0.0))
 
 LATTICE_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class OracleInstanceSpec:
-    name: str  # one of GENERATORS
-
-    def __post_init__(self):
-        if self.name not in GENERATORS:
-            raise ValueError(f"unknown oracle generator '{self.name}'")
 
 
 @dataclass(frozen=True)
@@ -234,9 +225,8 @@ def _generate_g3(seed: int) -> PlanningInstance:
     )
 
 
-def generate(spec: OracleInstanceSpec | str, seed: int) -> PlanningInstance:
+def generate(name: str, seed: int) -> PlanningInstance:
     """Deterministic synthetic instance for (generator, seed); always valid."""
-    name = spec.name if isinstance(spec, OracleInstanceSpec) else str(spec)
     if name == "G1":
         inst = _generate_g1(seed)
     elif name == "G2":
@@ -319,7 +309,7 @@ def brute_force_optimum(inst: PlanningInstance, solver: SolverConfig | None = No
     best_assign: dict = {}
     feasible = 0
     for point in itertools.product(*ranges):
-        lp = fix_variables(lp_template, dict(zip(cols, map(float, point))))
+        lp = restrict_bounds(lp_template, {c: (v, v) for c, v in zip(cols, point)})
         res = solve(lp, solver)
         if res.status == INFEASIBLE:
             continue

@@ -135,10 +135,10 @@ class PHAConfig:
     relax_integrality: bool = False  # drop integrality everywhere (convex mode)
 
     def __post_init__(self):
-        if self.rho_scale <= 0 or self.beta_scale <= 0:
-            raise ValueError("rho_scale and beta_scale must be > 0")
-        if self.gap_threshold <= 0:
-            raise ValueError("gap_threshold must be > 0")
+        if not (0 < self.rho_scale < math.inf and 0 < self.beta_scale < math.inf):
+            raise ValueError("rho_scale and beta_scale must be finite and > 0")
+        if not 0 < self.gap_threshold < math.inf:
+            raise ValueError("gap_threshold must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.workers < 1:
@@ -324,9 +324,6 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     scenario solve that fails raises PHAError, as in a hedging sweep.
     """
     solver = solver or SolverConfig()
-    for handle, val in lam.items():
-        if val < 0:
-            raise ValueError(f"multiplier for '{handle}' must be >= 0")
     probabilities = {s.id: s.probability for s in inst.scenarios}
     unknown = sorted(set(w) - set(probabilities))
     if unknown:
@@ -798,13 +795,12 @@ def _assemble_report(inst, state: PHAState, trace) -> SolveReport:
     if state.incumbent is None:
         return SolveReport(
             instance_name=inst.name, method="pha", status=NO_INCUMBENT,
-            objective=None, lower_bound=state.best_lower, upper_bound=None,
-            gap=None, termination=state.termination, costs=None,
+            objective=None, lower_bound=state.best_lower, gap=None,
+            termination=state.termination, costs=None,
             trace=tuple(trace), sigma_bar=dict(state.sigma_bar))
     _, index, x, source = state.incumbent
     return report_from_solution(
         inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,
         objective=state.best_upper, lower_bound=state.best_lower,
-        upper_bound=state.best_upper,
         gap=_relative_gap(state.best_lower, state.best_upper), termination=state.termination,
         trace=trace, incumbent_source=source)

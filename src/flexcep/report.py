@@ -88,9 +88,8 @@ class SolveReport:
     instance_name: str
     method: str  # "ef" | "pha"
     status: str
-    objective: float | None
+    objective: float | None  # the incumbent's cost, which is the upper bound
     lower_bound: float | None
-    upper_bound: float | None
     gap: float | None
     termination: str
     costs: CostBreakdown | None
@@ -219,16 +218,22 @@ def reliability_rows(inst: PlanningInstance, x_first: Mapping,
     return tuple(rows)
 
 
+def _expected_lhs(inst: PlanningInstance, spec, x_first: Mapping, value) -> tuple[float, float]:
+    """``(expected lhs, rhs)`` of one expectation constraint in its >= form."""
+    fs_terms, scen_terms, rhs = expectation_terms(inst, spec)
+    lhs = sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
+    for scen in inst.scenarios:
+        lhs += scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
+    return lhs, rhs
+
+
 def policy_rows(inst: PlanningInstance, x_first: Mapping,
                 value) -> tuple[PolicyRow, ...]:
     """Expected-output policy totals in their original <= orientation."""
     rows: list[PolicyRow] = []
     for spec in inst.expectation_policies:
-        fs_terms, scen_terms, rhs = expectation_terms(inst, spec)
-        # expectation_terms yields the negated >= form; undo the negation here
-        lhs = -sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
-        for scen in inst.scenarios:
-            lhs += -scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
+        # the >= form is the policy negated; negating back is exact
+        lhs = -_expected_lhs(inst, spec, x_first, value)[0]
         rows.append(PolicyRow(handle=spec.handle, lhs=lhs, threshold=spec.threshold,
                               sigma_bar=lhs - spec.threshold))
     return tuple(rows)
@@ -239,10 +244,7 @@ def sigma_bar_of_solution(inst: PlanningInstance, x_first: Mapping,
     """Expected slack per expectation handle; positive means violated."""
     out: dict[str, float] = {}
     for spec in enumerate_expectation_constraints(inst):
-        fs_terms, scen_terms, rhs = expectation_terms(inst, spec)
-        lhs = sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
-        for scen in inst.scenarios:
-            lhs += scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
+        lhs, rhs = _expected_lhs(inst, spec, x_first, value)
         out[spec.handle] = rhs - lhs
     return out
 
@@ -265,7 +267,6 @@ def value_reader(index: VariableIndex, x: np.ndarray):
 def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.ndarray,
                          method: str, status: str, objective: float | None,
                          lower_bound: float | None = None,
-                         upper_bound: float | None = None,
                          gap: float | None = None,
                          termination: str = "",
                          trace: Sequence[TraceRow] = (),
@@ -283,7 +284,6 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
         status=status,
         objective=objective,
         lower_bound=lower_bound,
-        upper_bound=upper_bound,
         gap=gap,
         termination=termination,
         costs=costs,

@@ -76,7 +76,7 @@ class SolverConfig:
     mip_gap: float = 0.0
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN fails too; inf means no limit
             raise ValueError("time limit must be > 0")
         if not (0.0 <= self.mip_gap < 1.0):
             raise ValueError("mip gap target must lie in [0, 1)")

@@ -183,6 +183,8 @@ def load_instance(path) -> PlanningInstance:
         raise InstanceFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
     version = doc.get("schema_version")
@@ -193,7 +195,7 @@ def load_instance(path) -> PlanningInstance:
     try:
         _check_identifiers(doc, path)
         inst = instance_from_dict(doc, base_dir=base_dir)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         if isinstance(exc, (InstanceFormatError, InvalidInstanceError)):
             raise
         raise InstanceFormatError(f"{path}: malformed instance: {exc}") from exc

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flexcep.build import (
-    BuildError,
     build_extensive_form,
     build_scenario_subproblem,
     first_stage_info,
@@ -13,9 +12,10 @@ from flexcep.build import (
 from flexcep.canonical import (
     GE,
     ModelBuilder,
+    ModelError,
     QuadTerm,
-    fix_variables,
     objective_value,
+    restrict_bounds,
 )
 from flexcep.core import (
     Bus,
@@ -139,18 +139,18 @@ class TestExtensiveForm:
 
 class TestSubproblems:
     def test_unknown_scenario_rejected(self, g1):
-        with pytest.raises(BuildError, match="scenario"):
+        with pytest.raises(ModelError, match="scenario"):
             build_scenario_subproblem(g1, "nope")
 
     def test_unknown_handle_rejected(self, g1):
         base, index = build_scenario_subproblem(g1, "s1")
-        with pytest.raises(BuildError, match="handle"):
+        with pytest.raises(ModelError, match="handle"):
             price_scenario_subproblem(g1, base, index, {"bogus": 1.0})
 
     def test_negative_multiplier_rejected(self, g1):
         base, index = build_scenario_subproblem(g1, "s1")
         handle = enumerate_expectation_constraints(g1)[0].handle
-        with pytest.raises(BuildError, match=">= 0"):
+        with pytest.raises(ModelError, match=">= 0"):
             price_scenario_subproblem(g1, base, index, {handle: -1.0})
 
     def test_pha_needs_full_rho_and_anchor(self, g1):
@@ -165,7 +165,7 @@ class TestSubproblems:
             ("both an anchor and rho", {"rho": ones}),
         ]
         for match, prices in bad:
-            with pytest.raises(BuildError, match=match):
+            with pytest.raises(ModelError, match=match):
                 price_scenario_subproblem(g1, base, index, {}, **prices)
 
     def test_ef_closes_with_expectation_rows(self, g1, g1_ef):
@@ -223,13 +223,15 @@ class TestSubproblems:
         stripped = mb.freeze()
         res = solve(stripped, solver_cfg)
         assert res.status == "optimal"
-        x_first = extract_first_stage(index, res.x)
+        # integer values rounded and continuous ones clipped, so each pin lies in its box
+        x = np.clip(res.x, stripped.var_lb, stripped.var_ub)
+        x_first = extract_first_stage(index, np.where(stripped.var_integer, np.round(x), x))
 
         total = 0.0
         for scen in g1.scenarios:
             sub, sub_index = build_scenario_subproblem(g1, scen.id)
-            assign = {sub_index.column(c): v for c, v in x_first.items()}
-            fixed = fix_variables(sub, assign)
+            fixed = restrict_bounds(sub, {sub_index.column(c): (v, v)
+                                          for c, v in x_first.items()})
             sub_res = solve(fixed, solver_cfg)
             assert sub_res.status == "optimal"
             total += scen.probability * sub_res.objective
@@ -348,10 +350,10 @@ class TestRepricing:
             ("rho must be > 0", {}, {"anchor": ones, "rho": -ones}),
         ]
         for match, lam, prices in bad:
-            with pytest.raises(BuildError, match=match):
+            with pytest.raises(ModelError, match=match):
                 price_scenario_subproblem(g1, base, index, lam, **prices)
 
     def test_extensive_form_is_not_a_scenario_subproblem(self, g1, g1_ef):
         model, index = g1_ef
-        with pytest.raises(BuildError, match="not a scenario subproblem"):
+        with pytest.raises(ModelError, match="not a scenario subproblem"):
             price_scenario_subproblem(g1, model, index, {})

@@ -10,7 +10,6 @@ from flexcep.canonical import (
     ModelError,
     QuadTerm,
     VariableIndex,
-    fix_variables,
     objective_value,
     relax_integrality,
     restrict_bounds,
@@ -32,21 +31,20 @@ def _toy_model():
 class TestFixRelax:
     def test_fix_pins_bounds_and_leaves_original(self):
         m = _toy_model()
-        fixed = fix_variables(m, {0: 4.0})
+        fixed = restrict_bounds(m, {0: (4.0, 4.0)})
         assert fixed.var_lb[0] == fixed.var_ub[0] == 4.0
         assert m.var_lb[0] == 0.0 and m.var_ub[0] == 10.0
 
-    def test_fix_non_integral_on_integer_column_errors(self):
-        with pytest.raises(ModelError, match="integer"):
-            fix_variables(_toy_model(), {0: 2.5})
-
     def test_fix_out_of_bounds_errors(self):
-        with pytest.raises(ModelError, match="outside bounds"):
-            fix_variables(_toy_model(), {1: 6.0})
+        with pytest.raises(ModelError, match="empty"):
+            restrict_bounds(_toy_model(), {1: (6.0, 6.0)})
 
-    def test_fix_snaps_near_integral_values(self):
-        fixed = fix_variables(_toy_model(), {0: 3.0000004})
-        assert fixed.var_lb[0] == 3.0
+    @pytest.mark.parametrize("col", [-1, 3], ids=["minus_one", "num_vars"])
+    def test_restrict_bounds_rejects_unknown_columns(self, col):
+        m = _toy_model()
+        assert m.num_vars == 3
+        with pytest.raises(ModelError, match=f"unknown column {col}"):
+            restrict_bounds(m, {col: (0.0, 1.0)})
 
     def test_relax_clears_flags_keeps_rows(self):
         m = _toy_model()
@@ -61,8 +59,8 @@ class TestFixRelax:
 
     def test_fix_then_relax_commutes(self):
         m = _toy_model()
-        a = relax_integrality(fix_variables(m, {0: 2.0}))
-        b = fix_variables(relax_integrality(m), {0: 2.0})
+        a = relax_integrality(restrict_bounds(m, {0: (2.0, 2.0)}))
+        b = restrict_bounds(relax_integrality(m), {0: (2.0, 2.0)})
         assert np.array_equal(a.var_lb, b.var_lb)
         assert np.array_equal(a.var_ub, b.var_ub)
         assert np.array_equal(a.var_integer, b.var_integer)
@@ -84,8 +82,10 @@ class TestFixRelax:
     def test_fixing_all_first_stage_leaves_pure_lp(self, g1_ef, g1_ef_solution):
         model, index = g1_ef
         fs_cols = index.columns_of_kind("xL", "xG", "xS", "xD")
-        assign = {c: float(g1_ef_solution.x[c]) for c in fs_cols}
-        lp = relax_integrality(fix_variables(model, assign))
+        # integer values rounded and continuous ones clipped, so each pin lies in its box
+        x = np.clip(g1_ef_solution.x, model.var_lb, model.var_ub)
+        x = np.where(model.var_integer, np.round(x), x)
+        lp = relax_integrality(restrict_bounds(model, {c: (x[c], x[c]) for c in fs_cols}))
         assert not lp.var_integer.any()
         res = solve(lp)
         assert res.status == "optimal"
@@ -93,7 +93,7 @@ class TestFixRelax:
 
     def test_big_m_collapses_when_line_fixed_built(self, g1, g1_ef, solver_cfg):
         model, index = g1_ef
-        fixed = fix_variables(model, {index.column(("xL", "L12")): 1.0})
+        fixed = restrict_bounds(model, {index.column(("xL", "L12")): (1.0, 1.0)})
         res = solve(fixed, solver_cfg)
         assert res.status == "optimal"
         line = g1.branches[0]

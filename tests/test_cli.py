@@ -91,6 +91,50 @@ class TestValidate:
         assert len(lines) == 1 and f"{section}[0].{key}" in lines[0], lines
 
 
+    @pytest.mark.parametrize("edit,line", [
+        (lambda doc: doc.update(shed_cost=math.nan), "shed_cost: must be finite"),
+        (lambda doc: doc.update(period_length_h=math.nan), "period_length_h: must be finite"),
+        (lambda doc: doc["gen_techs"][0].update(fixed_cost=math.inf),
+         "gen_techs[gas].fixed_cost: must be finite"),
+        (lambda doc: doc["load_techs"][0].update(mandate={"min_units": math.inf}),
+         "malformed instance: cannot convert float infinity to integer"),
+    ], ids=["nan_shed_cost", "nan_period_length", "infinite_fixed_cost", "infinite_mandate"])
+    def test_non_finite_number_is_invalid(self, tmp_path, capsys, edit, line):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))  # NaN and Infinity, as json.load accepts them
+        for argv in (["validate"], ["solve", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--instance", str(p)]) == EXIT_INVALID
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and lines[0].endswith(line), lines
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_csv_cell_is_invalid(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        demand = doc["scenarios"][0]["demand"]
+        rows = [",".join(map(str, cells)) for cells in zip(demand["B1"], demand["B2"])]
+        rows[1] = "nan," + rows[1].split(",")[1]
+        (tmp_path / "demand.csv").write_text("\n".join(["B1,B2", *rows]) + "\n")
+        doc["scenarios"][0]["demand"] = {"csv": "demand.csv"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", str(p)]) == EXIT_INVALID
+        assert capsys.readouterr().out.splitlines() == ["scenarios[s1].demand: must be finite"]
+
+    def test_latin1_byte_is_invalid(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json"), "rb") as fh:
+            raw = fh.read().replace(b'"G1-seed1"', b'"G1-seed1 caf\xe9"', 1)
+        p = tmp_path / "latin1.json"
+        p.write_bytes(raw)
+        for argv in (["validate"], ["solve", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--instance", str(p)]) == EXIT_INVALID
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and "not UTF-8 text" in lines[0], lines
+
+
 def _half_unit(v: float) -> float:
     """Largest rounding error of ``storage.fmt_num``'s 9 significant digits at ``v``."""
     return 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 8) if v else 0.0
@@ -264,7 +308,7 @@ class TestMainEntry:
 
     def test_solve_subcommand(self, g1_path, tmp_path):
         code = main(["solve", "--instance", g1_path, "--method", "ef",
-                     "--out", str(tmp_path / "o"), "--seed", "1"])
+                     "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
 
     def test_solve_summary_follows_redirected_stdout(self, g1_path, tmp_path):
@@ -345,7 +389,13 @@ SETTING_ERRORS = [
     ["solve", "--method", "pha", "--max-iters", "0"],
     ["solve", "--method", "pha", "--pha-gap", "0"],
     ["solve", "--method", "pha", "--workers", "0"],
+    ["solve", "--method", "pha", "--rho", "nan"],
+    ["solve", "--method", "pha", "--rho", "inf"],
+    ["solve", "--method", "pha", "--beta", "nan"],
+    ["solve", "--method", "pha", "--beta", "inf"],
+    ["solve", "--method", "pha", "--pha-gap", "inf"],
     ["solve", "--time-limit", "0"],
+    ["solve", "--time-limit", "nan"],
     ["solve", "--gap", "1"],
     ["compare-flex", "--load-tech", "dac", "--variant", "fullflex", "--time-limit", "0"],
 ]

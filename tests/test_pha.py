@@ -232,7 +232,7 @@ class TestHubSweepFailure:
         assert state.iteration == 2
         # the trace holds the iterations completed before the failure
         assert report.trace == one.trace
-        assert report.upper_bound == one.upper_bound is not None
+        assert report.objective == one.objective is not None
         assert report.incumbent_source == one.incumbent_source
         assert report.incumbent_source.endswith("@ iteration 1")
 
@@ -246,8 +246,8 @@ class TestHubSweepFailure:
         assert state.termination == "sweep_failed"
         assert report.incumbent_source == "scenario s1 @ iteration 2"
         assert [row.upper_bound for row in report.trace] == [None]
-        assert report.upper_bound is not None
-        assert report.lower_bound == report.trace[0].lower_bound <= report.upper_bound
+        assert report.objective is not None
+        assert report.lower_bound == report.trace[0].lower_bound <= report.objective
 
 
 class TestDualSpoke:
@@ -265,7 +265,7 @@ class TestDualSpoke:
         assert [row.lower_bound for row in failed.trace] == [first] * 4
         assert report.trace[-1].lower_bound > first
         # the hub and the incumbent do not depend on the spoke
-        assert failed.upper_bound == report.upper_bound
+        assert failed.objective == report.objective
         assert np.array_equal(f_state.x_bar, state.x_bar)
         assert f_state.termination == "max_iterations"
 
