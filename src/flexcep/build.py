@@ -50,6 +50,7 @@ from .canonical import (
     ModelError,
     QuadTerm,
     VariableIndex,
+    read_only_array,
 )
 from .core import (
     EXPECTED_OUTPUT,
@@ -129,14 +130,9 @@ def first_stage_info(inst: PlanningInstance) -> FirstStageInfo:
             scale.append(d.unit_size_mw)
             cost.append(d.fixed_cost)
 
-    def frz(vals, dtype=float):
-        arr = np.array(vals, dtype=dtype)
-        arr.setflags(write=False)
-        return arr
-
-    return FirstStageInfo(coords=tuple(coords), lb=frz(lb), ub=frz(ub),
-                          integer=frz(integer, bool), mw_scale=frz(scale),
-                          unit_cost=frz(cost))
+    return FirstStageInfo(coords=tuple(coords), lb=read_only_array(lb),
+                          ub=read_only_array(ub), integer=read_only_array(integer, bool),
+                          mw_scale=read_only_array(scale), unit_cost=read_only_array(cost))
 
 
 # ---------------------------------------------------------------------------

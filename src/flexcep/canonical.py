@@ -1,12 +1,13 @@
 """Solver-agnostic linear/mixed-integer program representation.
 
-A :class:`CanonicalModel` stores variables (bounds + integrality), sparse
-linear constraints in CSR form, and a linear objective with an optional
-diagonal quadratic part of the form ``sum coef * (x - anchor)^2`` used for
-proximal terms. Models are immutable after construction; transformations
-(`restrict_bounds`, which also pins a column with a ``(v, v)`` band,
-`relax_integrality`, objective swaps) return copies that share untouched
-arrays.
+A :class:`CanonicalModel` stores variables (bounds + integrality), linear
+constraints as one scipy CSR matrix ``a`` in canonical form (sorted columns,
+one entry per column of a row) with read-only arrays, and a linear objective
+with an optional diagonal quadratic part of the form
+``sum coef * (x - anchor)^2`` used for proximal terms. Models are immutable
+after construction; transformations (`restrict_bounds`, which also pins a
+column with a ``(v, v)`` band, `relax_integrality`, objective swaps) return
+copies that share untouched arrays and the matrix.
 
 The :class:`VariableIndex` maps solver columns to semantic coordinates such
 as ``("xG", bus, tech)`` or ``("pDK", bus, tech, k, t, scenario)``; it is the
@@ -41,14 +42,13 @@ class QuadTerm:
 
 @dataclass(frozen=True)
 class CanonicalModel:
-    """Immutable LP/MILP in minimize form."""
+    """Immutable LP/MILP in minimize form. Constructing one makes the arrays
+    of its matrix ``a`` read-only."""
 
     var_lb: np.ndarray
     var_ub: np.ndarray
     var_integer: np.ndarray  # bool per column
-    a_indptr: np.ndarray
-    a_indices: np.ndarray
-    a_data: np.ndarray
+    a: sparse.csr_array  # num_rows x num_vars; read-only data, indices and indptr
     row_sense: np.ndarray  # int8 of LE/EQ/GE
     row_rhs: np.ndarray
     obj: np.ndarray
@@ -63,11 +63,10 @@ class CanonicalModel:
     def num_rows(self) -> int:
         return int(self.row_rhs.shape[0])
 
-    def matrix(self) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
-            (self.a_data, self.a_indices, self.a_indptr),
-            shape=(self.num_rows, self.num_vars),
-        )
+    def __post_init__(self):
+        # copies share the matrix, so no copy may write to it
+        for arr in (self.a.data, self.a.indices, self.a.indptr):
+            arr.setflags(write=False)
 
     def with_objective(self, obj: np.ndarray, quad: tuple[QuadTerm, ...] = ()) -> "CanonicalModel":
         """Copy with a replaced objective; constraints and bounds are shared."""
@@ -79,12 +78,14 @@ class CanonicalModel:
         return replace(self, obj=obj, quad=tuple(quad))
 
     def check(self) -> None:
-        """Raise ModelError on structural defects (bad bounds, bad column refs)."""
+        """Raise ModelError on structural defects (bad bounds, a matrix of the
+        wrong shape)."""
         if np.any(self.var_lb > self.var_ub + 1e-15):
             bad = int(np.argmax(self.var_lb > self.var_ub + 1e-15))
             raise ModelError(f"column {bad} has lower bound above upper")
-        if self.a_indices.size and (self.a_indices.min() < 0 or self.a_indices.max() >= self.num_vars):
-            raise ModelError("constraint row references a nonexistent column")
+        if self.a.shape != (self.num_rows, self.num_vars):
+            raise ModelError(f"constraint matrix of shape {self.a.shape} does not match "
+                             f"{self.num_rows} rows and {self.num_vars} columns")
 
 
 class ModelBuilder:
@@ -96,7 +97,9 @@ class ModelBuilder:
         self._ub: list[float] = []
         self._integer: list[bool] = []
         self._obj: list[float] = []
-        self._rows: list[list[tuple[int, float]]] = []
+        self._entry_row: list[int] = []
+        self._entry_col: list[int] = []
+        self._entry_val: list[float] = []
         self._sense: list[int] = []
         self._rhs: list[float] = []
 
@@ -109,46 +112,40 @@ class ModelBuilder:
         return len(self._lb) - 1
 
     def add_row(self, coeffs: Iterable[tuple[int, float]], sense: int, rhs: float) -> int:
-        # Merge duplicate columns so each row holds a single term per column.
-        merged: dict[int, float] = {}
+        # Zero coefficients are dropped; freeze sums a column repeated in a row.
+        row = len(self._rhs)
         for col, val in coeffs:
             if val:
-                merged[col] = merged.get(col, 0.0) + float(val)
-        row = sorted(merged.items())
-        self._rows.append(row)
+                self._entry_row.append(row)
+                self._entry_col.append(col)
+                self._entry_val.append(float(val))
         self._sense.append(int(sense))
         self._rhs.append(float(rhs))
-        return len(self._rows) - 1
+        return row
 
     def freeze(self) -> CanonicalModel:
-        indptr = np.zeros(len(self._rows) + 1, dtype=np.int64)
-        nnz = sum(len(r) for r in self._rows)
-        indices = np.zeros(nnz, dtype=np.int64)
-        data = np.zeros(nnz, dtype=float)
-        pos = 0
-        for i, row in enumerate(self._rows):
-            for col, val in row:
-                indices[pos] = col
-                data[pos] = val
-                pos += 1
-            indptr[i + 1] = pos
+        cols = np.array(self._entry_col, dtype=np.int64)
+        if cols.size and (cols.min() < 0 or cols.max() >= len(self._lb)):
+            raise ModelError("constraint row references a nonexistent column")
+        a = sparse.coo_array((np.array(self._entry_val, dtype=float),
+                              (np.array(self._entry_row, dtype=np.int64), cols)),
+                             shape=(len(self._rhs), len(self._lb))).tocsr()
         model = CanonicalModel(
-            var_lb=_frozen(self._lb),
-            var_ub=_frozen(self._ub),
-            var_integer=_frozen(self._integer, bool),
-            a_indptr=_frozen(indptr, np.int64),
-            a_indices=_frozen(indices, np.int64),
-            a_data=_frozen(data),
-            row_sense=_frozen(self._sense, np.int8),
-            row_rhs=_frozen(self._rhs),
-            obj=_frozen(self._obj),
+            var_lb=read_only_array(self._lb),
+            var_ub=read_only_array(self._ub),
+            var_integer=read_only_array(self._integer, bool),
+            a=a,
+            row_sense=read_only_array(self._sense, np.int8),
+            row_rhs=read_only_array(self._rhs),
+            obj=read_only_array(self._obj),
             name=self.name,
         )
         model.check()
         return model
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
+def read_only_array(values, dtype=float) -> np.ndarray:
+    """A new array of ``values`` that cannot be written to."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr

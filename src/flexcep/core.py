@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# Identifiers are embedded in solver variable names and CSV headers, so the
-# charset is restricted; ':' and ',' and brackets stay available as separators.
+# Identifiers are embedded in CSV headers (``bus:tech`` columns) and in the
+# ``tier[bus,tech,k]`` handles, so the charset is restricted; ':' and ',' and
+# brackets stay available as separators.
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 PROBABILITY_TOL = 1e-9

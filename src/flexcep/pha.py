@@ -543,14 +543,12 @@ class _DualSpoke:
         np.logical_or.at(seen, self.scen, self.g_w != 0)
         box = np.where(seen, self.box, 0.0).ravel()
         lam_floor = -self.lam / self.lam_scale
-        matrix = sparse.csr_matrix(a)
         model = CanonicalModel(
             var_lb=np.concatenate([np.maximum(-lam_box, lam_floor), -box,
                                    np.full(n_scen, -INF)]),
             var_ub=np.concatenate([lam_box, box, np.full(n_scen, INF)]),
             var_integer=np.zeros(t0 + n_scen, dtype=bool),
-            a_indptr=matrix.indptr.astype(np.int64),
-            a_indices=matrix.indices.astype(np.int64), a_data=matrix.data,
+            a=sparse.csr_array(a),
             row_sense=np.r_[np.full(n_cut, LE), np.full(n, EQ)].astype(np.int8),
             row_rhs=rhs, obj=np.r_[np.zeros(t0), -self.p],
             name=f"{self.inst.name}-dual-master")

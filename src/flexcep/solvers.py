@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .canonical import (
@@ -55,6 +56,7 @@ from .canonical import (
     ModelError,
     SolveResult,
     objective_value,
+    read_only_array,
 )
 
 PWL_SEGMENTS = 16  # proximal linearization fidelity of every quadratic solve
@@ -114,8 +116,7 @@ def expand_quadratic(model: CanonicalModel, segments: int = PWL_SEGMENTS) -> Can
     tight where the term is near its minimum. It underestimates the true
     quadratic everywhere, is exact at the tangent points, and requires the
     column's box to be finite. The model's own columns and rows are kept as
-    they are; the new ones are appended to its arrays, so the work is
-    proportional to the number of cuts.
+    they are; the cut rows are stacked under its matrix as one block.
     """
     if not model.quad:
         return model
@@ -135,31 +136,22 @@ def expand_quadratic(model: CanonicalModel, segments: int = PWL_SEGMENTS) -> Can
             cut_slope.append(2.0 * (p - term.anchor))
             cut_rhs.append(term.anchor * term.anchor - p * p)
 
-    # each cut row holds (x, -slope) then (z, 1); a zero slope drops the x entry
+    # each cut row holds (x, -slope) and (z, 1); a zero slope drops the x entry
+    n_quad, rows = len(model.quad), np.arange(len(cut_term))
     terms = np.array(cut_term, dtype=np.int64)
     slope = np.array(cut_slope, dtype=float)
     has_x = slope != 0.0
     x_cols = np.array([t.col for t in model.quad], dtype=np.int64)[terms]
-    length = 1 + has_x.astype(np.int64)
-    start = int(model.a_indptr[-1])
-    ends = start + np.cumsum(length)
-    z_pos = ends - 1
-    x_pos = (z_pos - 1)[has_x]
-    cut_indices = np.empty(int(length.sum()), dtype=np.int64)
-    cut_data = np.empty(cut_indices.size, dtype=float)
-    cut_indices[z_pos - start] = n + terms
-    cut_data[z_pos - start] = 1.0
-    cut_indices[x_pos - start] = x_cols[has_x]
-    cut_data[x_pos - start] = -slope[has_x]
-
-    n_quad = len(model.quad)
+    cuts = sparse.csr_array(
+        (np.r_[-slope[has_x], np.ones(rows.size)],
+         (np.r_[rows[has_x], rows], np.r_[x_cols[has_x], n + terms])),
+        shape=(rows.size, n + n_quad))
+    widened = sparse.hstack([model.a, sparse.csr_array((model.num_rows, n_quad))])
     expanded = CanonicalModel(
         var_lb=_frozen_concat(model.var_lb, np.zeros(n_quad)),
         var_ub=_frozen_concat(model.var_ub, np.full(n_quad, INF)),
         var_integer=_frozen_concat(model.var_integer, np.zeros(n_quad, dtype=bool)),
-        a_indptr=_frozen_concat(model.a_indptr, ends),
-        a_indices=_frozen_concat(model.a_indices, cut_indices),
-        a_data=_frozen_concat(model.a_data, cut_data),
+        a=sparse.vstack([widened, cuts], format="csr"),
         row_sense=_frozen_concat(model.row_sense, np.full(len(cut_rhs), GE, dtype=np.int8)),
         row_rhs=_frozen_concat(model.row_rhs, np.array(cut_rhs, dtype=float)),
         obj=_frozen_concat(model.obj, np.array([t.coef for t in model.quad], dtype=float)),
@@ -170,9 +162,7 @@ def expand_quadratic(model: CanonicalModel, segments: int = PWL_SEGMENTS) -> Can
 
 
 def _frozen_concat(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    arr = np.concatenate([head, tail]).astype(tail.dtype, copy=False)
-    arr.setflags(write=False)
-    return arr
+    return read_only_array(np.concatenate([head, tail]), tail.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +206,7 @@ def _solve_inproc_milp(model: CanonicalModel, cfg: SolverConfig,
     kwargs = {}
     if model.num_rows:
         lo, hi = _row_bounds(model)
-        kwargs["constraints"] = LinearConstraint(model.matrix(), lo, hi)
+        kwargs["constraints"] = LinearConstraint(model.a, lo, hi)
     options = {"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.mip_gap,
                "presolve": True}
     if model.var_integer.any():

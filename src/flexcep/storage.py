@@ -228,37 +228,26 @@ def _check_identifiers(doc: dict, path) -> None:
 
 def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
     gens = tuple(GenTech(
-        id=g["id"], integrality=g["integrality"], fixed_cost=float(g["fixed_cost"]),
-        variable_cost=float(g["variable_cost"]),
-        emission_factor=float(g.get("emission_factor", 0.0)),
-        unit_size_mw=(float(g["unit_size_mw"]) if g.get("unit_size_mw") is not None else None),
+        id=g["id"], integrality=g["integrality"],
+        **_numbers(g, f"gen_techs[{g['id']}]", "fixed_cost", "variable_cost",
+                   emission_factor=0.0),
+        unit_size_mw=(_number(g["unit_size_mw"], f"gen_techs[{g['id']}].unit_size_mw")
+                      if g.get("unit_size_mw") is not None else None),
     ) for g in doc.get("gen_techs", ()))
     stos = tuple(StorageTech(
-        id=s["id"], fixed_cost=float(s["fixed_cost"]), variable_cost=float(s["variable_cost"]),
-        duration_h=float(s["duration_h"]), eff_charge=float(s["eff_charge"]),
-        eff_discharge=float(s["eff_discharge"]),
+        id=s["id"], **_numbers(s, f"storage_techs[{s['id']}]", "fixed_cost", "variable_cost",
+                               "duration_h", "eff_charge", "eff_discharge"),
     ) for s in doc.get("storage_techs", ()))
-    loads = tuple(LargeLoadTech(
-        id=d["id"], unit_size_mw=float(d["unit_size_mw"]), fixed_cost=float(d["fixed_cost"]),
-        variable_cost=float(d["variable_cost"]),
-        tiers=TierSpec(u=tuple(d["tiers"]["u"]), phi=tuple(d["tiers"]["phi"])),
-        capture_factor=float(d.get("capture_factor", 0.0)),
-        mandate=(None if d.get("mandate") is None else
-                 Mandate(min_units=int(d["mandate"]["min_units"]),
-                         equality=bool(d["mandate"].get("equality", False)))),
-    ) for d in doc.get("load_techs", ()))
+    loads = tuple(_load_from_dict(d) for d in doc.get("load_techs", ()))
     branches = tuple(Branch(
         id=l["id"], from_bus=l["from_bus"], to_bus=l["to_bus"],
-        susceptance=float(l["susceptance"]), capacity_mw=float(l["capacity_mw"]),
-        status=l.get("status", EXISTING), fixed_cost=float(l.get("fixed_cost", 0.0)),
+        status=l.get("status", EXISTING),
+        **_numbers(l, f"branches[{l['id']}]", "susceptance", "capacity_mw", fixed_cost=0.0),
     ) for l in doc.get("branches", ()))
     buses = tuple(Bus(
-        id=b["id"],
-        existing_gen={k: float(v) for k, v in b.get("existing_gen", {}).items()},
-        existing_storage={k: float(v) for k, v in b.get("existing_storage", {}).items()},
-        build_limit_gen={k: float(v) for k, v in b.get("build_limit_gen", {}).items()},
-        build_limit_storage={k: float(v) for k, v in b.get("build_limit_storage", {}).items()},
-        build_limit_load={k: float(v) for k, v in b.get("build_limit_load", {}).items()},
+        id=b["id"], **{key: _number_map(b.get(key, {}), f"buses[{b['id']}].{key}") for key in (
+            "existing_gen", "existing_storage", "build_limit_gen", "build_limit_storage",
+            "build_limit_load")},
     ) for b in doc.get("buses", ()))
     bus_ids = [b.id for b in buses]
     gen_ids = [g.id for g in gens]
@@ -267,19 +256,56 @@ def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
     policies = tuple(ExpectationConstraintSpec(
         kind=EXPECTED_OUTPUT,
         handle=p["handle"],
-        q={k: float(v) for k, v in p.get("q", {}).items()},
-        r={k: float(v) for k, v in p.get("r", {}).items()},
-        threshold=float(p.get("threshold", 0.0)),
+        q=_number_map(p.get("q", {}), f"policies[{p['handle']}].q"),
+        r=_number_map(p.get("r", {}), f"policies[{p['handle']}].r"),
+        **_numbers(p, f"policies[{p['handle']}]", threshold=0.0),
     ) for p in doc.get("policies", ()))
     return PlanningInstance(
         name=doc.get("name", "instance"),
         buses=buses, gen_techs=gens, storage_techs=stos, load_techs=loads,
-        branches=branches, scenarios=scenarios,
-        period_length_h=float(doc["period_length_h"]),
-        shed_cost=float(doc["shed_cost"]),
-        annualization_days=float(doc.get("annualization_days", 365.0)),
-        expectation_policies=policies,
-        big_m_angle_spread=float(doc.get("big_m_angle_spread", 2.0 * math.pi)),
+        branches=branches, scenarios=scenarios, expectation_policies=policies,
+        **_numbers(doc, "", "period_length_h", "shed_cost", annualization_days=365.0,
+                   big_m_angle_spread=2.0 * math.pi),
+    )
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a float. Anything else, a boolean or a string of
+    digits too, is an InstanceFormatError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceFormatError(f"{where}: must be a JSON number")
+    return float(value)
+
+
+def _numbers(entry: dict, where: str, *required: str, **defaults: float) -> dict:
+    """``{key: float}`` of the JSON numbers ``entry`` holds under each required
+    key and each key of ``defaults``, whose value stands in when it is absent."""
+    values = {key: entry[key] for key in required}
+    values.update((key, entry.get(key, default)) for key, default in defaults.items())
+    return {key: _number(v, f"{where}.{key}" if where else key) for key, v in values.items()}
+
+
+def _number_map(mapping: Mapping, where: str) -> dict:
+    return {k: _number(v, f"{where}.{k}") for k, v in mapping.items()}
+
+
+def _load_from_dict(d: dict) -> LargeLoadTech:
+    where = f"load_techs[{d['id']}]"
+    mandate = d.get("mandate")
+    if mandate is not None:
+        units = _number(mandate["min_units"], f"{where}.mandate.min_units")
+        if units != int(units):  # int() rejects a non-finite count itself
+            raise InstanceFormatError(f"{where}.mandate.min_units: must be a whole number")
+        equality = mandate.get("equality", False)
+        if not isinstance(equality, bool):
+            raise InstanceFormatError(f"{where}.mandate.equality: must be true or false")
+        mandate = Mandate(min_units=int(units), equality=equality)
+    return LargeLoadTech(
+        id=d["id"], mandate=mandate,
+        tiers=TierSpec(**{key: tuple(_number(v, f"{where}.tiers.{key}")
+                                     for v in d["tiers"][key]) for key in ("u", "phi")}),
+        **_numbers(d, where, "unit_size_mw", "fixed_cost", "variable_cost",
+                   capture_factor=0.0),
     )
 
 
@@ -291,10 +317,13 @@ def _scenario_from_dict(s: dict, bus_ids, gen_ids, base_dir) -> Scenario:
         demand = _read_demand_csv(os.path.join(base_dir, demand_src["csv"]), bus_ids, sid)
     else:
         try:
-            demand = np.array([[float(v) for v in demand_src[b]] for b in bus_ids])
+            demand = np.array([[_number(v, f"scenarios[{sid}].demand.{b}")
+                                for v in demand_src[b]] for b in bus_ids])
         except KeyError as exc:
             raise InstanceFormatError(
                 f"scenarios[{sid}].demand: missing series for bus {exc}") from exc
+        except InstanceFormatError:
+            raise
         except ValueError as exc:
             raise InstanceFormatError(
                 f"scenarios[{sid}].demand: series lengths disagree across buses "
@@ -304,17 +333,20 @@ def _scenario_from_dict(s: dict, bus_ids, gen_ids, base_dir) -> Scenario:
                                        bus_ids, gen_ids, sid)
     else:
         try:
-            avail = np.array([[[float(v) for v in avail_src[b][g]] for g in gen_ids]
+            avail = np.array([[[_number(v, f"scenarios[{sid}].availability.{b}.{g}")
+                                 for v in avail_src[b][g]] for g in gen_ids]
                               for b in bus_ids])
         except KeyError as exc:
             raise InstanceFormatError(
                 f"scenarios[{sid}].availability: missing series for {exc}") from exc
+        except InstanceFormatError:
+            raise
         except ValueError as exc:
             raise InstanceFormatError(
                 f"scenarios[{sid}].availability: series lengths disagree "
                 f"({exc})") from exc
-    return Scenario(id=sid, probability=float(s["probability"]),
-                    demand=demand, availability=avail)
+    return Scenario(id=sid, demand=demand, availability=avail,
+                    **_numbers(s, f"scenarios[{sid}]", "probability"))
 
 
 def _read_csv_table(path, table_name):

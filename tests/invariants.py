@@ -7,22 +7,30 @@ rather than reusing the builder's rows, so they catch formulation bugs.
 import dataclasses
 
 import numpy as np
+from scipy import sparse
 
 
 def assert_same_model(got, want):
-    """Field by field; arrays must match in dtype and value and be read-only."""
+    """Field by field; arrays, the matrix's included, must match in dtype and
+    value and be read-only."""
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-            assert not a.flags.writeable, f.name
+        if sparse.issparse(b):
+            assert a.shape == b.shape, f.name
+            pairs = [(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr")]
         else:
-            assert a == b, f.name
+            pairs = [(a, b)]
+        for x, y in pairs:
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                assert not x.flags.writeable, f.name
+            else:
+                assert x == y, f.name
 
 
 def row_coeffs(model):
-    """Each row's ``[(column, coefficient), ...]``, read from ``model.matrix()``."""
-    a = model.matrix()
+    """Each row's ``[(column, coefficient), ...]``, read from ``model.a``."""
+    a = model.a
     return [list(zip(a.indices[a.indptr[i]:a.indptr[i + 1]].tolist(),
                      a.data[a.indptr[i]:a.indptr[i + 1]].tolist()))
             for i in range(model.num_rows)]

@@ -313,8 +313,7 @@ class TestRepricing:
                 for i, col in enumerate(fs))
             assert priced.quad == expected_quad
             assert priced.name == f"{inst.name}-{mode}-{scen.id}"
-            for f in ("var_lb", "var_ub", "var_integer", "a_indptr", "a_indices",
-                      "a_data", "row_sense", "row_rhs"):
+            for f in ("var_lb", "var_ub", "var_integer", "a", "row_sense", "row_rhs"):
                 assert getattr(priced, f) is getattr(base, f), f  # shared, not copied
 
     @pytest.mark.parametrize("gen", ["G1", "G2"])

@@ -28,6 +28,49 @@ def _toy_model():
     return mb.freeze()
 
 
+class TestMatrix:
+    """Rows are stored as one canonical scipy CSR matrix ``model.a``."""
+
+    def _one_row(self, coeffs):
+        mb = ModelBuilder()
+        for _ in range(3):
+            mb.add_var()
+        mb.add_row(coeffs, LE, 1.0)
+        return mb.freeze()
+
+    def test_repeated_column_becomes_one_summed_entry(self):
+        a = self._one_row([(2, 1.5), (0, 1.0), (2, 2.0)]).a
+        assert a.indices.tolist() == [0, 2] and a.data.tolist() == [1.0, 3.5]
+
+    def test_repeat_summing_to_zero_stays_an_explicit_zero(self):
+        # a storage row over one period, s[0] - s[T-1] with T = 1, has such an entry
+        a = self._one_row([(1, 1.0), (0, 2.0), (1, -1.0)]).a
+        assert a.indices.tolist() == [0, 1] and a.data.tolist() == [2.0, 0.0]
+        assert a.nnz == 2
+
+    def test_zero_coefficients_are_dropped(self):
+        a = self._one_row([(0, 0.0), (1, 4.0), (2, -0.0)]).a
+        assert a.indices.tolist() == [1] and a.data.tolist() == [4.0]
+
+    def test_unknown_column_rejected_at_freeze(self):
+        for col in (-1, 3):
+            with pytest.raises(ModelError, match="nonexistent column"):
+                self._one_row([(col, 1.0)])
+
+    def test_matrix_arrays_are_read_only(self):
+        a = _toy_model().a
+        for arr in (a.data, a.indices, a.indptr):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_copies_share_the_matrix(self):
+        m = _toy_model()
+        assert restrict_bounds(m, {0: (1.0, 2.0)}).a is m.a
+        assert relax_integrality(m).a is m.a
+        assert m.with_objective(np.ones(m.num_vars)).a is m.a
+
+
 class TestFixRelax:
     def test_fix_pins_bounds_and_leaves_original(self):
         m = _toy_model()
@@ -64,7 +107,7 @@ class TestFixRelax:
         assert np.array_equal(a.var_lb, b.var_lb)
         assert np.array_equal(a.var_ub, b.var_ub)
         assert np.array_equal(a.var_integer, b.var_integer)
-        assert np.array_equal(a.a_data, b.a_data)
+        assert np.array_equal(a.a.data, b.a.data)
 
     def test_restrict_bounds_narrows_only(self):
         m = _toy_model()

@@ -111,6 +111,38 @@ class TestValidate:
             assert len(lines) == 1 and lines[0].endswith(line), lines
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit,line", [
+        (lambda doc: doc.update(shed_cost=True), "shed_cost: must be a JSON number"),
+        (lambda doc: doc.update(shed_cost="8e3"), "shed_cost: must be a JSON number"),
+        (lambda doc: doc["scenarios"][0].update(probability="0.5"),
+         "scenarios[s1].probability: must be a JSON number"),
+        (lambda doc: doc["load_techs"][0]["tiers"]["u"].__setitem__(-1, True),
+         "load_techs[dac].tiers.u: must be a JSON number"),
+        (lambda doc: doc["scenarios"][1]["demand"]["B2"].__setitem__(0, None),
+         "scenarios[s2].demand.B2: must be a JSON number"),
+        (lambda doc: doc["load_techs"][0].update(mandate={"min_units": 1.6}),
+         "load_techs[dac].mandate.min_units: must be a whole number"),
+        (lambda doc: doc["load_techs"][0].update(mandate={"min_units": 1, "equality": "no"}),
+         "load_techs[dac].mandate.equality: must be true or false"),
+    ], ids=["true_shed_cost", "string_shed_cost", "string_probability", "true_tier_breakpoint",
+            "null_demand", "fractional_min_units", "string_equality"])
+    def test_non_number_is_invalid(self, tmp_path, capsys, edit, line):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", str(p)]) == EXIT_INVALID
+        assert capsys.readouterr().out.splitlines() == [line]
+
+    def test_whole_float_min_units_is_valid(self, tmp_path):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        doc["load_techs"][0]["mandate"] = {"min_units": 1.0}
+        p = tmp_path / "whole.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", str(p)]) == EXIT_OK
+
     def test_non_finite_csv_cell_is_invalid(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
             doc = json.load(fh)

@@ -39,7 +39,7 @@ def split_lp(inst, bases):
     k, h = len(models), len(handles)
     starts = np.cumsum([0] + [m.num_vars for m in models])  # z follows the last block
     cols = starts[-1] + n
-    blocks = sparse.hstack([sparse.block_diag([m.matrix() for m in models]),
+    blocks = sparse.hstack([sparse.block_diag([m.a for m in models]),
                             sparse.csr_matrix((sum(m.num_rows for m in models), n))]).tocsr()
     # x_s - z = 0 per scenario: first-stage columns lead each block
     r = np.arange(k * n)

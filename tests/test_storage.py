@@ -71,7 +71,7 @@ class TestInstanceRoundTrip:
             # the schema carries 9 significant digits, so models agree to 1e-8
             assert np.allclose(a.obj, b.obj, rtol=1e-8, atol=1e-12)
             assert np.allclose(a.row_rhs, b.row_rhs, rtol=1e-8, atol=1e-12)
-            assert np.allclose(a.a_data, b.a_data, rtol=1e-8, atol=1e-12)
+            assert np.allclose(a.a.data, b.a.data, rtol=1e-8, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(gen=st.sampled_from(["G1", "G2", "G3"]), seed=st.integers(0, 10_000),
