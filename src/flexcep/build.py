@@ -6,8 +6,8 @@ MILP over all scenarios with the expectation constraints kept hard.
 expectation constraints become slack columns, priced at zero when built.
 :func:`price_scenario_subproblem` is the one place that writes prices into a
 scenario model: multipliers on the slacks, weights on the first stage and,
-for progressive hedging, a proximal term. Its vectors follow the coordinate
-order of :func:`first_stage_info`.
+for progressive hedging, a proximal term. Its vectors are numpy arrays in the
+column order below.
 
 Column layout, which readers rely on: every model starts with the
 first-stage columns in ``first_stage_info(inst).coords`` order, so a
@@ -35,7 +35,6 @@ Formulation notes that matter when reading the rows:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -427,36 +426,34 @@ def build_scenario_subproblem(inst: PlanningInstance,
 
 
 def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
-                              index: VariableIndex, lam: Mapping[str, float],
+                              index: VariableIndex, lam: np.ndarray,
                               w: np.ndarray | None = None,
                               anchor: np.ndarray | None = None,
                               rho: np.ndarray | None = None) -> CanonicalModel:
     """``model`` with new prices; rows, bounds and operation costs are shared.
 
     ``model`` and ``index`` come from :func:`build_scenario_subproblem`; the
-    scenario is read from ``index``. ``lam`` maps expectation handles to
-    multipliers (>= 0, missing ones are 0) and becomes the slack costs. ``w``,
-    ``anchor`` and ``rho`` are vectors in ``first_stage_info(inst).coords``
-    order: first-stage costs become unit cost plus ``w`` (no ``w`` means zero
-    weights), and when ``anchor`` and ``rho`` are both given the proximal
+    scenario is read from ``index``. ``lam`` holds one multiplier (>= 0) per
+    slack column and becomes the slack costs. ``w``, ``anchor`` and ``rho``
+    are vectors in ``first_stage_info(inst).coords`` order: first-stage costs
+    become unit cost plus ``w`` (no ``w`` means zero weights), and when ``anchor`` and ``rho`` are both given the proximal
     terms ``rho_i/2 (x_i - anchor_i)^2`` are added and the model is named
     ``-pha-``, else ``-lr-``. Pricing overwrites rather than adds, so
     re-pricing a priced model equals pricing the base. A model whose columns
     do not follow the layout above is rejected.
     """
     handles = enumerate_expectation_constraints(inst)
-    known = {h.handle for h in handles}
-    for handle, val in lam.items():
-        if handle not in known:
-            raise ModelError(f"multiplier for unknown constraint handle '{handle}'")
-        if val < 0:
-            raise ModelError(f"multiplier for '{handle}' must be >= 0, got {val!r}")
     info = first_stage_info(inst)
     n_fs = len(info.coords)
-    for label, vec in (("w", w), ("anchor", anchor), ("rho", rho)):
-        if vec is not None and np.shape(vec) != (n_fs,):
-            raise ModelError(f"{label} must have one entry per first-stage coordinate "
-                             f"({n_fs}), got shape {np.shape(vec)}")
+    for label, vec, size in (("lam", lam, len(handles)), ("w", w, n_fs),
+                             ("anchor", anchor, n_fs), ("rho", rho, n_fs)):
+        if vec is not None and np.shape(vec) != (size,):
+            raise ModelError(f"{label} must have shape ({size},), got shape {np.shape(vec)}")
+    negative = np.flatnonzero(np.asarray(lam) < 0)
+    if negative.size:
+        c = negative[0]
+        raise ModelError(f"multiplier for '{handles[c].handle}' must be >= 0, "
+                         f"got {float(lam[c])!r}")
     if (anchor is None) != (rho is None):
         raise ModelError("the proximal term needs both an anchor and rho")
     if rho is not None and not np.all(np.asarray(rho) > 0):
@@ -473,7 +470,7 @@ def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,
 
     obj = model.obj.copy()
     obj[:n_fs] = info.unit_cost if w is None else info.unit_cost + w
-    obj[n - len(sigma):] = [float(lam.get(h.handle, 0.0)) for h in handles]
+    obj[n - len(sigma):] = lam
 
     quad: tuple[QuadTerm, ...] = ()
     mode = "lr"

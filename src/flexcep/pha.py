@@ -41,12 +41,11 @@ model is built before the first iteration; every hedging and lower-bound
 solve then re-prices it (or, for an LP sweep, its relaxation) without
 touching its rows. Only the dual spoke's master, a small LP over the
 multipliers, weights and cut values, is assembled anew at each of its
-steps. The weights ``w``, the consensus ``x_bar`` (the proximal anchor),
-``rho`` and every candidate are numpy vectors in
-``first_stage_info(inst).coords`` order, the order of every model's leading
-columns (see :mod:`flexcep.build`): a solution's first stage is ``x[:n]``
-and its slacks are the tail. The multipliers ``lam`` are keyed by
-expectation handle.
+steps. Every hedging quantity is a numpy array in model column order (see
+:mod:`flexcep.build`; shapes in :class:`PHAState`): first-stage vectors, the
+rows of the copies ``x`` and weights ``w`` included, follow the models'
+leading columns, so a solution's first stage is ``x[:n]``; the multipliers
+``lam`` and expected slacks ``sigma_bar`` follow its slack tail.
 
 Boxes follow one rule per mode. In integer mode, every iteration takes each
 scenario's own first stage, in scenario order, as its hub solve returns;
@@ -70,12 +69,10 @@ incumbent with a gap, never as proven optimal.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -154,16 +151,22 @@ def _relative_gap(lower: float | None, upper: float | None) -> float | None:
 
 @dataclass
 class PHAState:
-    """The run state the hedging steps share; returned at the end."""
+    """The run state the hedging steps share; returned at the end.
+
+    With ``S`` scenarios, ``n`` first-stage coordinates and ``m`` expectation
+    constraints: ``probabilities`` has shape (S,), ``x`` and ``w`` (S, n),
+    ``mw_scale`` and ``x_bar`` (n,), ``lam`` and ``sigma_bar`` (m,).
+    ``x_bar`` is None until the first hub sweep completes.
+    """
 
     mw_scale: np.ndarray
-    probabilities: dict[str, float]
+    probabilities: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    lam: np.ndarray
+    sigma_bar: np.ndarray
     iteration: int = 0
-    x: dict[str, np.ndarray] = field(default_factory=dict)
     x_bar: np.ndarray | None = None
-    w: dict[str, np.ndarray] = field(default_factory=dict)
-    lam: dict[str, float] = field(default_factory=dict)
-    sigma_bar: dict[str, float] = field(default_factory=dict)
     best_lower: float | None = None
     incumbent: tuple | None = None  # (objective, index, x, source) of the best candidate
     termination: str = ""
@@ -176,20 +179,18 @@ class PHAState:
 
 def consensus_metric(state: PHAState) -> float:
     """Probability-weighted RMS spread of MW-scaled first-stage copies."""
-    if state.x_bar is None or not state.x:
+    if state.x_bar is None:
         return math.inf
     acc = 0.0
-    for scen_id, xv in state.x.items():
+    for p, xv in zip(state.probabilities, state.x):
         dev = state.mw_scale * (xv - state.x_bar)
-        acc += state.probabilities[scen_id] * float(dev @ dev)
+        acc += p * float(dev @ dev)
     return math.sqrt(acc)
 
 
-def sigma_violation(sigma_bar: Mapping[str, float]) -> float:
+def sigma_violation(sigma_bar: np.ndarray) -> float:
     """One-sided violation norm: satisfied constraints (sigma <= 0) count as 0."""
-    if not sigma_bar:
-        return 0.0
-    return max(0.0, max(sigma_bar.values()))
+    return float(np.max(sigma_bar, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +202,14 @@ def _rho_vector(cfg: PHAConfig, info: FirstStageInfo) -> np.ndarray:
     return cfg.rho_scale * np.maximum(info.unit_cost, 1.0)
 
 
-def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> dict[str, float]:
-    """Per-handle subgradient steps: price ceiling over slack scale."""
-    return {h: cfg.beta_scale * price / sigma_scale
-            for h, (price, sigma_scale) in _price_scales(inst).items()}
+def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> np.ndarray:
+    """Per-constraint subgradient steps: price ceiling over slack scale."""
+    prices, sigma_scales = _price_scales(inst)
+    return cfg.beta_scale * prices / sigma_scales
 
 
-def _price_scales(inst: PlanningInstance) -> dict[str, tuple[float, float]]:
-    """Per handle in slack-tail order: ``(price ceiling, slack scale)``.
+def _price_scales(inst: PlanningInstance) -> tuple[np.ndarray, np.ndarray]:
+    """``(price ceilings, slack scales)``, one entry per constraint in slack-tail order.
 
     For a tranche handle the slack is horizon energy (MWh); the price ceiling
     is the annualized shed cost. For a policy handle the slack is in the
@@ -218,7 +219,7 @@ def _price_scales(inst: PlanningInstance) -> dict[str, tuple[float, float]]:
     annual = inst.annualization_days
     tau_t = inst.period_length_h * inst.num_periods
     price_energy = annual * max(inst.shed_cost, 1.0)
-    out: dict[str, tuple[float, float]] = {}
+    prices, sigma_scales = [], []
     for spec in enumerate_expectation_constraints(inst):
         if spec.kind == TIER_RELIABILITY:
             d = inst.load_tech(spec.load_tech)
@@ -226,7 +227,7 @@ def _price_scales(inst: PlanningInstance) -> dict[str, tuple[float, float]]:
             phi = d.tiers.phi[spec.tier - 1]
             units = inst.bus(spec.bus).build_limit_load.get(spec.load_tech, 0.0)
             sigma_scale = max(phi * width * d.unit_size_mw * tau_t * units, 1.0)
-            out[spec.handle] = (price_energy, sigma_scale)
+            prices.append(price_energy)
         else:
             max_coef = max([abs(v) for v in (*spec.q.values(), *spec.r.values())] or [1.0])
             gen_mw = sum(b.build_limit_gen.get(g.id, b.existing_gen.get(g.id, 0.0))
@@ -234,8 +235,9 @@ def _price_scales(inst: PlanningInstance) -> dict[str, tuple[float, float]]:
             load_mw = sum(b.build_limit_load.get(d.id, 0.0) * d.unit_size_mw
                           for b in inst.buses for d in inst.load_techs)
             sigma_scale = max(abs(spec.threshold), max_coef * (gen_mw + load_mw) * tau_t, 1.0)
-            out[spec.handle] = (price_energy / max(max_coef, 1e-9), sigma_scale)
-    return out
+            prices.append(price_energy / max(max_coef, 1e-9))
+        sigma_scales.append(sigma_scale)
+    return np.array(prices), np.array(sigma_scales)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +245,19 @@ def _price_scales(inst: PlanningInstance) -> dict[str, tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_bases(inst: PlanningInstance) -> dict[str, tuple]:
-    """One Lagrangian model per scenario, built once and re-priced per solve."""
-    return {s.id: build_scenario_subproblem(inst, s.id) for s in inst.scenarios}
+def _scenario_bases(inst: PlanningInstance) -> list[tuple]:
+    """One Lagrangian model per scenario, in scenario order, built once and
+    re-priced per solve."""
+    return [build_scenario_subproblem(inst, s.id) for s in inst.scenarios]
 
 
-def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
-                     w: Mapping[str, np.ndarray], solver: SolverConfig, workers: int,
+def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
+                     solver: SolverConfig, workers: int,
                      anchor: np.ndarray | None = None, rho: np.ndarray | None = None):
     """Price every scenario's base and solve it; yield the results in scenario order.
 
-    ``w`` maps scenario ids to weight vectors (a missing scenario has zero
-    weights); ``anchor`` and ``rho``, when given, add the proximal term.
+    ``w`` has one row of weights per scenario; ``anchor`` and ``rho``, when
+    given, add the proximal term.
     Results are handed over one at a time: serially, each scenario is solved
     when the caller asks for its result; in a thread pool, the workers go on
     with the remaining scenarios while the caller handles a result. A caller
@@ -267,26 +270,23 @@ def _solve_scenarios(inst, bases: Mapping[str, tuple], lam: Mapping[str, float],
     removes and re-inserts its filter, and another thread's warning could
     escape between.
     """
-    def run_one(scen_id: str):
-        base, index = bases[scen_id]
-        model = price_scenario_subproblem(inst, base, index, lam, w.get(scen_id),
-                                          anchor, rho)
+    def run_one(scen, base: tuple, w_s: np.ndarray):
+        model = price_scenario_subproblem(inst, *base, lam, w_s, anchor, rho)
         res = solve(model, solver)
         if res.status == INFEASIBLE:
             raise PHAError(
-                f"scenario subproblem '{scen_id}' is infeasible; the relaxation "
+                f"scenario subproblem '{scen.id}' is infeasible; the relaxation "
                 "should always be feasible, so the instance or model is inconsistent")
         if res.status not in (OPTIMAL, FEASIBLE_WITH_GAP):
-            raise PHAError(f"scenario subproblem '{scen_id}' failed: {res.status}")
+            raise PHAError(f"scenario subproblem '{scen.id}' failed: {res.status}")
         return res
 
-    ids = [s.id for s in inst.scenarios]
     with highs_option_passthrough():
-        if workers > 1 and len(ids) > 1:
+        if workers > 1 and len(bases) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(run_one, ids)
+                yield from pool.map(run_one, inst.scenarios, bases, w)
         else:
-            yield from map(run_one, ids)
+            yield from map(run_one, inst.scenarios, bases, w)
 
 
 def _sweep_lower(inst: PlanningInstance, solved: list) -> float | None:
@@ -303,11 +303,10 @@ def _sweep_lower(inst: PlanningInstance, solved: list) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
-                           w: Mapping[str, np.ndarray],
+def lagrangian_lower_bound(inst: PlanningInstance, lam: np.ndarray, w: np.ndarray,
                            solver: SolverConfig | None = None,
                            workers: int = 1,
-                           bases: Mapping[str, tuple] | None = None,
+                           bases: list[tuple] | None = None,
                            ) -> tuple[float | None, list[np.ndarray | None]]:
     """Valid lower bound on the extensive form from dualized multipliers.
 
@@ -316,30 +315,32 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: Mapping[str, float],
     proven lower bounds, or None when some solve proves none (see
     ``solvers.proven_lower_bound``), and each scenario's solution vector (or
     None) in scenario order, first stage leading and slacks closing.
-    Requires ``lam >= 0`` elementwise and weights whose probability-weighted
-    sum is zero. ``w`` maps scenario ids to weight vectors in
-    ``first_stage_info`` order; a missing scenario has zero weights.
-    ``bases`` maps scenario ids to built subproblems (as ``run_pha`` keeps
-    them, relaxed in convex mode); when omitted they are built here. A
-    scenario solve that fails raises PHAError, as in a hedging sweep.
+    ``lam`` (m,) holds multipliers >= 0 in slack-tail order; ``w`` (S, n)
+    holds one row of weights per scenario and must be balanced,
+    ``sum_s p_s w_s = 0``. ``bases`` lists the built subproblems in scenario
+    order (as ``run_pha`` keeps them, relaxed in convex mode); when omitted
+    they are built here. A scenario solve that fails raises PHAError, as in
+    a hedging sweep.
     """
     solver = solver or SolverConfig()
-    probabilities = {s.id: s.probability for s in inst.scenarios}
-    unknown = sorted(set(w) - set(probabilities))
-    if unknown:
-        raise ValueError(f"weights for unknown scenario '{unknown[0]}'")
-    _check_weight_balance(probabilities, w)
+    _check_weight_balance(inst, w)
     if bases is None:
         bases = _scenario_bases(inst)
+    elif len(bases) != len(inst.scenarios):
+        raise ValueError(f"bases must list {len(inst.scenarios)} subproblems, one per "
+                         f"scenario, got {len(bases)}")
     solved = list(_solve_scenarios(inst, bases, lam, w, solver, workers))
     return _sweep_lower(inst, solved), [res.x for res in solved]
 
 
-def _check_weight_balance(probabilities: Mapping[str, float],
-                          w: Mapping[str, np.ndarray]) -> None:
-    """Raise ValueError unless ``sum_w pi_w w_w = 0``, relative to the largest weight."""
-    total = sum(probabilities[s] * np.asarray(v, dtype=float) for s, v in w.items())
-    scale = max([1.0] + [float(np.max(np.abs(v), initial=0.0)) for v in w.values()])
+def _check_weight_balance(inst: PlanningInstance, w: np.ndarray) -> None:
+    """Raise ValueError unless ``w`` has shape (S, n) and ``sum_s p_s w_s = 0``,
+    relative to the largest weight. The sum runs one scenario at a time."""
+    shape = (len(inst.scenarios), len(first_stage_info(inst).coords))
+    if np.shape(w) != shape:
+        raise ValueError(f"w must have shape {shape}, got shape {np.shape(w)}")
+    total = sum(s.probability * w_s for s, w_s in zip(inst.scenarios, w))
+    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
     worst = float(np.max(np.abs(total), initial=0.0))
     if worst > 1e-8 * scale:
         raise ValueError(f"weights are not balanced: max |sum pi*w| = {worst!r}")
@@ -375,19 +376,16 @@ class _DualSpoke:
     """
 
     def __init__(self, inst: PlanningInstance, info: FirstStageInfo,
-                 bases: Mapping[str, tuple], solver: SolverConfig, workers: int):
+                 bases: list[tuple], solver: SolverConfig, workers: int):
         self.inst, self.solver, self.workers = inst, solver, workers
         self.bases = bases
         self.integer = bool(info.integer.any())
-        self.relaxed = {sid: (relax_integrality(model), index)
-                        for sid, (model, index) in bases.items()}
-        scales = _price_scales(inst)
-        self.handles = list(scales)
-        self.lam_scale = np.array([price for price, _ in scales.values()])
+        self.relaxed = [(relax_integrality(model), index) for model, index in bases]
+        self.lam_scale, _ = _price_scales(inst)
         self.w_scale = np.maximum(info.unit_cost, 1.0)
         self.p = np.array([s.probability for s in inst.scenarios])
         n_scen, n = len(inst.scenarios), len(info.coords)
-        self.lam = np.zeros(len(self.handles))  # the centre
+        self.lam = np.zeros(self.lam_scale.size)  # the centre
         self.w = np.zeros((n_scen, n))
         self.value: float | None = None  # proven bound at the centre, in this phase
         self.best: float | None = None  # best bound any sweep proved
@@ -398,7 +396,7 @@ class _DualSpoke:
         # the bundle: cut k bounds scenario scen[k] by const + g_lam . lam + g_w . w_scen
         self.scen = np.zeros(0, dtype=np.int64)
         self.const = np.zeros(0)
-        self.g_lam = np.zeros((0, len(self.handles)))
+        self.g_lam = np.zeros((0, self.lam.size))
         self.g_w = np.zeros((0, n))
         self.exact = np.zeros(0, dtype=bool)
         self.idle = np.zeros(0, dtype=np.int64)
@@ -480,9 +478,8 @@ class _DualSpoke:
             self.lp_sweeps += 1
         try:
             bound, xs = lagrangian_lower_bound(
-                self.inst, dict(zip(self.handles, map(float, lam))),
-                {s.id: w[i] for i, s in enumerate(self.inst.scenarios)},
-                self.solver, self.workers, bases=self.relaxed if relaxed else self.bases)
+                self.inst, lam, w, self.solver, self.workers,
+                bases=self.relaxed if relaxed else self.bases)
         except (PHAError, BackendCrashError):
             return None
         self._add_cuts(xs, exact=not (relaxed and self.integer))
@@ -491,11 +488,10 @@ class _DualSpoke:
         return bound
 
     def _add_cuts(self, xs: list, exact: bool) -> None:
-        n, n_lam = self.g_w.shape[1], len(self.handles)
-        for i, (s, x) in enumerate(zip(self.inst.scenarios, xs)):
+        n, n_lam = self.g_w.shape[1], self.lam.size
+        for i, ((base, _), x) in enumerate(zip(self.bases, xs)):
             if x is None:
                 continue
-            base = self.bases[s.id][0]
             self.scen = np.append(self.scen, i)
             self.const = np.append(self.const, float(base.obj @ x))
             self.g_lam = np.vstack([self.g_lam, x[x.size - n_lam:]])
@@ -522,7 +518,7 @@ class _DualSpoke:
         returns no optimum gives None.
         """
         n_scen, n = self.w.shape
-        n_lam, n_cut = len(self.handles), len(self.const)
+        n_lam, n_cut = self.lam.size, len(self.const)
         at_centre = (self.const + self.g_lam @ self.lam
                      + np.einsum("ki,ki->k", self.g_w, self.w[self.scen]))
         theta = np.full(n_scen, np.inf)
@@ -587,7 +583,7 @@ def _consensus_band(state: PHAState) -> tuple[np.ndarray, np.ndarray]:
     """Convex mode's box ``(lo, hi)``: a trust region spanning the scenario
     disagreement, ``x_bar +- max_s |x_s - x_bar|``, so near-consensus residue
     cannot push the evaluation over a feasibility cliff."""
-    spread = np.max([np.abs(x - state.x_bar) for x in state.x.values()], axis=0)
+    spread = np.max(np.abs(state.x - state.x_bar), axis=0)
     return state.x_bar - spread, state.x_bar + spread
 
 
@@ -672,24 +668,24 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
         continuous = np.zeros_like(info.integer)
         continuous.setflags(write=False)
         info = replace(info, integer=continuous)
-        bases = {sid: (relax_integrality(model), index)
-                 for sid, (model, index) in bases.items()}
+        bases = [(relax_integrality(model), index) for model, index in bases]
     rho = _rho_vector(cfg, info)
     beta = _beta_scales(cfg, inst)
+    first_stage = (len(inst.scenarios), len(info.coords))
     state = PHAState(mw_scale=info.mw_scale.copy(),
-                     probabilities={s.id: s.probability for s in inst.scenarios})
-    state.lam = {h.handle: 0.0 for h in enumerate_expectation_constraints(inst)}
-    state.w = {s.id: np.zeros(len(info.coords)) for s in inst.scenarios}
-    ef = functools.cache(lambda: build_extensive_form(inst))  # built at first use only
+                     probabilities=np.array([s.probability for s in inst.scenarios]),
+                     x=np.zeros(first_stage), w=np.zeros(first_stage),
+                     lam=np.zeros(beta.size), sigma_bar=np.zeros(beta.size))
+    ef = build_extensive_form(inst)
     spoke = _DualSpoke(inst, info, bases, solver, cfg.workers)
     tried: set[bytes] = set()  # every box seen this run, rejected and infeasible ones too
     trace: list[TraceRow] = []
     t_start = time.perf_counter()
     integer = bool(info.integer.any())
 
-    def scenario_candidate(scen_id: str) -> None:
-        _candidate_step(inst, state, solver, tried, ef, f"scenario {scen_id}",
-                        *_scenario_box(info, state.x[scen_id]))
+    def scenario_candidate(i: int) -> None:
+        _candidate_step(inst, state, solver, tried, ef, f"scenario {inst.scenarios[i].id}",
+                        *_scenario_box(info, state.x[i]))
 
     for _ in range(cfg.max_iterations):
         try:
@@ -721,16 +717,16 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
     return _assemble_report(inst, state, trace), state
 
 
-def _hub_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAState,
-              rho: np.ndarray, beta: Mapping[str, float], solver: SolverConfig,
+def _hub_step(inst: PlanningInstance, bases: list[tuple], state: PHAState,
+              rho: np.ndarray, beta: np.ndarray, solver: SolverConfig,
               workers: int, on_solved=None) -> list:
     """Solve one hedging sweep; update ``iteration``, ``x``, ``x_bar``, ``w``,
     ``sigma_bar`` and ``lam``.
 
     ``state.iteration`` advances before the sweep. As each scenario's solve
-    returns, in scenario order, ``state.x`` takes its first stage and
-    ``on_solved(scen_id)``, when given, runs: integer mode's candidate step
-    consumes the sweep scenario by scenario. The other updates wait for the
+    returns, in scenario order, row ``i`` of ``state.x`` takes its first
+    stage and ``on_solved(i)``, when given, runs: integer mode's candidate
+    step consumes the sweep scenario by scenario. The other updates wait for the
     whole sweep; a failed scenario solve raises PHAError and leaves them
     undone. Without a consensus to anchor on yet, the sweep has no proximal
     term.
@@ -740,19 +736,18 @@ def _hub_step(inst: PlanningInstance, bases: Mapping[str, tuple], state: PHAStat
                              anchor=state.x_bar, rho=None if state.x_bar is None else rho)
     solved = []
     with contextlib.closing(sweep):
-        for scen, res in zip(inst.scenarios, sweep):
+        for i, res in enumerate(sweep):
             solved.append(res)
-            state.x[scen.id] = res.x[:rho.size].copy()
+            state.x[i] = res.x[:rho.size]
             if on_solved is not None:
-                on_solved(scen.id)
-    state.sigma_bar = dict.fromkeys(state.lam, 0.0)  # handles in slack-tail order
-    for scen, res in zip(inst.scenarios, solved):
-        for h, val in zip(state.sigma_bar, res.x[res.x.size - len(state.sigma_bar):]):
-            state.sigma_bar[h] += scen.probability * float(val)
-    state.x_bar = sum(state.probabilities[s.id] * state.x[s.id] for s in inst.scenarios)
-    for s in inst.scenarios:
-        state.w[s.id] = state.w[s.id] + rho * (state.x[s.id] - state.x_bar)
-    state.lam = {h: max(0.0, state.lam[h] + beta[h] * state.sigma_bar[h]) for h in state.lam}
+                on_solved(i)
+    m = state.lam.size
+    state.sigma_bar = np.zeros(m)
+    for p, res in zip(state.probabilities, solved):
+        state.sigma_bar += p * res.x[res.x.size - m:]
+    state.x_bar = sum(p * x for p, x in zip(state.probabilities, state.x))
+    state.w = state.w + rho * (state.x - state.x_bar)
+    state.lam = np.maximum(state.lam + beta * state.sigma_bar, 0.0)
     return solved
 
 
@@ -776,14 +771,14 @@ def _candidate_step(inst: PlanningInstance, state: PHAState, solver: SolverConfi
 
     In integer mode the hub step calls this once per scenario, as that
     scenario's solve returns; in convex mode it runs after the sweep on
-    ``INCUMBENT_SCHEDULE`` and in the final iteration. ``ef()`` is the
+    ``INCUMBENT_SCHEDULE`` and in the final iteration. ``ef`` is the
     extensive form to re-bound.
     """
     key = lo.tobytes() + hi.tobytes()
     if key in tried:
         return
     tried.add(key)
-    evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef())
+    evaluated = exact_candidate_evaluation(inst, lo, hi, solver, ef=ef)
     if evaluated is not None and (state.best_upper is None
                                   or evaluated[0] < state.best_upper):
         state.incumbent = (*evaluated, f"{source} @ iteration {state.iteration}")
@@ -795,7 +790,9 @@ def _assemble_report(inst, state: PHAState, trace) -> SolveReport:
             instance_name=inst.name, method="pha", status=NO_INCUMBENT,
             objective=None, lower_bound=state.best_lower, gap=None,
             termination=state.termination, costs=None,
-            trace=tuple(trace), sigma_bar=dict(state.sigma_bar))
+            trace=tuple(trace),
+            sigma_bar={h.handle: float(v) for h, v in
+                       zip(enumerate_expectation_constraints(inst), state.sigma_bar)})
     _, index, x, source = state.incumbent
     return report_from_solution(
         inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,

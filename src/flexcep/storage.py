@@ -193,11 +193,11 @@ def load_instance(path) -> PlanningInstance:
             f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        _check_identifiers(doc, path)
+        _check_identifiers(doc)
         inst = instance_from_dict(doc, base_dir=base_dir)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        if isinstance(exc, (InstanceFormatError, InvalidInstanceError)):
-            raise
         raise InstanceFormatError(f"{path}: malformed instance: {exc}") from exc
     violations = validate_instance(inst)
     if violations:
@@ -213,7 +213,7 @@ _IDENTIFIER_FIELDS = (
 )
 
 
-def _check_identifiers(doc: dict, path) -> None:
+def _check_identifiers(doc: dict) -> None:
     """Reject an identifier given as a JSON array or object, which cannot key a set or dict."""
     for section, keys in _IDENTIFIER_FIELDS:
         for i, entry in enumerate(doc.get(section, ())):
@@ -222,11 +222,14 @@ def _check_identifiers(doc: dict, path) -> None:
                 if isinstance(value, (list, dict)):
                     shape = "array" if isinstance(value, list) else "object"
                     raise InstanceFormatError(
-                        f"{path}: {section}[{i}].{key}: identifier must be a string, "
+                        f"{section}[{i}].{key}: identifier must be a string, "
                         f"not a JSON {shape}")
 
 
 def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
+    name = doc.get("name", "instance")
+    if not isinstance(name, str):
+        raise InstanceFormatError("name: must be a JSON string")
     gens = tuple(GenTech(
         id=g["id"], integrality=g["integrality"],
         **_numbers(g, f"gen_techs[{g['id']}]", "fixed_cost", "variable_cost",
@@ -261,7 +264,7 @@ def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
         **_numbers(p, f"policies[{p['handle']}]", threshold=0.0),
     ) for p in doc.get("policies", ()))
     return PlanningInstance(
-        name=doc.get("name", "instance"),
+        name=name,
         buses=buses, gen_techs=gens, storage_techs=stos, load_techs=loads,
         branches=branches, scenarios=scenarios, expectation_policies=policies,
         **_numbers(doc, "", "period_length_h", "shed_cost", annualization_days=365.0,

@@ -97,13 +97,12 @@ def test_criterion_1(oracle_sweep):
 def test_criterion_2(g1, g1_ef_solution, solver):
     rng = np.random.default_rng(2024)
     info = first_stage_info(g1)
-    handles = [h.handle for h in enumerate_expectation_constraints(g1)]
-    probs = {s.id: s.probability for s in g1.scenarios}
+    handles = enumerate_expectation_constraints(g1)
+    probs = [s.probability for s in g1.scenarios]
     for draw in range(20):
-        lam = {h: float(rng.uniform(0.0, 1e5)) for h in handles}
-        raw = {sid: rng.normal(0.0, 2e3, len(info.coords)) for sid in probs}
-        mean = sum(probs[sid] * raw[sid] for sid in probs)
-        w = {sid: raw[sid] - mean for sid in probs}
+        lam = rng.uniform(0.0, 1e5, len(handles))
+        raw = rng.normal(0.0, 2e3, (len(probs), len(info.coords)))
+        w = raw - sum(p * r for p, r in zip(probs, raw))
         lb, _ = lagrangian_lower_bound(g1, lam, w, solver)
         assert lb <= g1_ef_solution.objective + 1e-6, (draw, lb)
 
@@ -188,8 +187,9 @@ def test_criterion_7(solver):
     report, state = run_pha(inst, cfg, solver)
     assert report.status == NO_INCUMBENT
     assert state.best_upper is None
-    assert state.sigma_bar["netzero"] > 1.0  # bounded away from zero
-    assert state.lam["netzero"] > 0.0
+    netzero = [h.handle for h in enumerate_expectation_constraints(inst)].index("netzero")
+    assert state.sigma_bar[netzero] > 1.0  # bounded away from zero
+    assert state.lam[netzero] > 0.0
     lams = [t.lower_bound for t in report.trace]
     assert all(np.isfinite(v) for v in lams)
 
@@ -221,8 +221,8 @@ def test_criterion_9(oracle_sweep, milp_pha_runs, g1, solver):
     # weight balance is asserted by the engine every iteration; re-check the
     # final states of the MILP runs here
     for gen, seed, bf, report, state in milp_pha_runs:
-        total = sum(state.probabilities[s] * state.w[s] for s in state.w)
-        scale = max(1.0, max(float(np.max(np.abs(state.w[s]))) for s in state.w))
+        total = sum(p * w for p, w in zip(state.probabilities, state.w))
+        scale = max(1.0, float(np.max(np.abs(state.w))))
         assert float(np.max(np.abs(total))) <= 1e-8 * scale
     # tier-width bookkeeping: tranche caps sum exactly to installed capacity
     for d in g1.load_techs:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,21 @@ from invariants import (
     check_solution_invariants,
     row_coeffs,
 )
+
+
+def _no_lam(inst):
+    """Zero multipliers: one per expectation constraint."""
+    return np.zeros(len(enumerate_expectation_constraints(inst)))
+
+
+# wrong shapes for a vector of size k; a dict keyed by handle has shape ()
+WRONG_SHAPES = {
+    "longer": lambda k: np.zeros(k + 1),
+    "shorter": lambda k: np.zeros(k - 1),
+    "column": lambda k: np.zeros((k, 1)),
+    "row": lambda k: np.zeros((1, k)),
+    "dict": lambda k: {"bogus": 1.0},
+}
 
 
 def expected_column_count(inst):
@@ -142,31 +158,37 @@ class TestSubproblems:
         with pytest.raises(ModelError, match="scenario"):
             build_scenario_subproblem(g1, "nope")
 
-    def test_unknown_handle_rejected(self, g1):
+    @pytest.mark.parametrize("label", ["lam", "w"])
+    @pytest.mark.parametrize("wrong", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
+    def test_wrong_shaped_prices_rejected(self, g1, label, wrong):
         base, index = build_scenario_subproblem(g1, "s1")
-        with pytest.raises(ModelError, match="handle"):
-            price_scenario_subproblem(g1, base, index, {"bogus": 1.0})
+        size = {"lam": len(_no_lam(g1)), "w": len(first_stage_info(g1).coords)}[label]
+        prices = {"lam": _no_lam(g1), "w": None, label: wrong(size)}
+        with pytest.raises(ModelError, match=rf"^{label} must have shape \({size},\)"):
+            price_scenario_subproblem(g1, base, index, prices["lam"], prices["w"])
 
     def test_negative_multiplier_rejected(self, g1):
         base, index = build_scenario_subproblem(g1, "s1")
-        handle = enumerate_expectation_constraints(g1)[0].handle
-        with pytest.raises(ModelError, match=">= 0"):
-            price_scenario_subproblem(g1, base, index, {handle: -1.0})
+        handle = enumerate_expectation_constraints(g1)[1].handle
+        lam = _no_lam(g1)
+        lam[1] = -1.0
+        with pytest.raises(ModelError, match=re.escape(f"'{handle}' must be >= 0, got -1.0")):
+            price_scenario_subproblem(g1, base, index, lam)
 
     def test_pha_needs_full_rho_and_anchor(self, g1):
         base, index = build_scenario_subproblem(g1, "s1")
         n = len(first_stage_info(g1).coords)
         ones = np.ones(n)
         bad = [
-            ("anchor must have one entry", {"anchor": np.ones(n - 1), "rho": ones}),
-            ("rho must have one entry", {"anchor": ones, "rho": np.ones(n - 1)}),
-            ("rho must have one entry", {"anchor": ones, "rho": np.ones((n, 1))}),
+            ("anchor must have shape", {"anchor": np.ones(n - 1), "rho": ones}),
+            ("rho must have shape", {"anchor": ones, "rho": np.ones(n - 1)}),
+            ("rho must have shape", {"anchor": ones, "rho": np.ones((n, 1))}),
             ("both an anchor and rho", {"anchor": ones}),
             ("both an anchor and rho", {"rho": ones}),
         ]
         for match, prices in bad:
             with pytest.raises(ModelError, match=match):
-                price_scenario_subproblem(g1, base, index, {}, **prices)
+                price_scenario_subproblem(g1, base, index, _no_lam(g1), **prices)
 
     def test_ef_closes_with_expectation_rows(self, g1, g1_ef):
         # one >= row per handle, in handle order; re-derived from the data:
@@ -243,14 +265,14 @@ class TestSubproblems:
         info = first_stage_info(g1)
         anchor = np.array([lr_res.x[lr_index.column(c)] for c in info.coords])
         rho = np.full(len(info.coords), 123.0)
-        pha_model = price_scenario_subproblem(g1, lr_model, lr_index, {},
+        pha_model = price_scenario_subproblem(g1, lr_model, lr_index, _no_lam(g1),
                                               anchor=anchor, rho=rho)
         assert objective_value(pha_model, lr_res.x) == pytest.approx(
             objective_value(lr_model, lr_res.x), rel=1e-12)
 
     def test_weak_duality_at_uniform_tier_multipliers(self, g1, g1_ef_solution,
                                                       solver_cfg):
-        lam = {h.handle: 0.1 for h in enumerate_expectation_constraints(g1)}
+        lam = np.full(len(enumerate_expectation_constraints(g1)), 0.1)
         total = 0.0
         for scen in g1.scenarios:
             base, index = build_scenario_subproblem(g1, scen.id)
@@ -279,7 +301,7 @@ def _prices(inst, mode, seed):
     rng = np.random.default_rng(seed)
     info = first_stage_info(inst)
     handles = enumerate_expectation_constraints(inst)
-    lam = {h.handle: float(rng.uniform(0.0, 5e3)) for h in handles}
+    lam = rng.uniform(0.0, 5e3, len(handles))
     prices = {"w": rng.normal(0.0, 1e3, len(info.coords))}
     if mode == "pha":
         prices["anchor"] = rng.uniform(info.lb, info.ub)
@@ -303,7 +325,7 @@ class TestRepricing:
             fs = [index.column(c) for c in info.coords]
             assert np.array_equal(priced.obj[fs], info.unit_cost + prices["w"])
             assert [priced.obj[index.column(("sigma", h.handle, scen.id))]
-                    for h in handles] == [lam[h.handle] for h in handles]
+                    for h in handles] == list(lam)
             rest = np.ones(base.num_vars, dtype=bool)
             rest[fs] = False
             rest[index.columns_of_kind("sigma")] = False
@@ -334,19 +356,18 @@ class TestRepricing:
 
     def test_pricing_with_nothing_returns_the_base(self, g1):
         base, index = build_scenario_subproblem(g1, "s1")
-        assert_same_model(price_scenario_subproblem(g1, base, index, {}), base)
+        assert_same_model(price_scenario_subproblem(g1, base, index, _no_lam(g1)), base)
 
     def test_spec_errors_raise_on_the_repricing_path(self, g1):
         base, index = build_scenario_subproblem(g1, "s1")
         n = len(first_stage_info(g1).coords)
-        ones = np.ones(n)
-        handle = enumerate_expectation_constraints(g1)[0].handle
+        ones, zero = np.ones(n), _no_lam(g1)
         bad = [
-            ("handle", {"bogus": 1.0}, {}),
-            (">= 0", {handle: -1.0}, {}),
-            ("w must have one entry", {}, {"w": np.ones(n + 1)}),
-            ("rho must be > 0", {}, {"anchor": ones, "rho": np.r_[0.0, np.ones(n - 1)]}),
-            ("rho must be > 0", {}, {"anchor": ones, "rho": -ones}),
+            ("lam must have shape", np.r_[zero, 1.0], {}),
+            (">= 0", np.r_[-1.0, zero[1:]], {}),
+            ("w must have shape", zero, {"w": np.ones(n + 1)}),
+            ("rho must be > 0", zero, {"anchor": ones, "rho": np.r_[0.0, np.ones(n - 1)]}),
+            ("rho must be > 0", zero, {"anchor": ones, "rho": -ones}),
         ]
         for match, lam, prices in bad:
             with pytest.raises(ModelError, match=match):
@@ -355,4 +376,4 @@ class TestRepricing:
     def test_extensive_form_is_not_a_scenario_subproblem(self, g1, g1_ef):
         model, index = g1_ef
         with pytest.raises(ModelError, match="not a scenario subproblem"):
-            price_scenario_subproblem(g1, model, index, {})
+            price_scenario_subproblem(g1, model, index, _no_lam(g1))

@@ -124,8 +124,11 @@ class TestValidate:
          "load_techs[dac].mandate.min_units: must be a whole number"),
         (lambda doc: doc["load_techs"][0].update(mandate={"min_units": 1, "equality": "no"}),
          "load_techs[dac].mandate.equality: must be true or false"),
+        (lambda doc: doc.update(name=[1]), "name: must be a JSON string"),
+        (lambda doc: doc.update(name=5), "name: must be a JSON string"),
     ], ids=["true_shed_cost", "string_shed_cost", "string_probability", "true_tier_breakpoint",
-            "null_demand", "fractional_min_units", "string_equality"])
+            "null_demand", "fractional_min_units", "string_equality", "array_name",
+            "number_name"])
     def test_non_number_is_invalid(self, tmp_path, capsys, edit, line):
         with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
             doc = json.load(fh)
@@ -133,7 +136,7 @@ class TestValidate:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         assert main(["validate", "--instance", str(p)]) == EXIT_INVALID
-        assert capsys.readouterr().out.splitlines() == [line]
+        assert capsys.readouterr().out.splitlines() == [f"{p}: {line}"]
 
     def test_whole_float_min_units_is_valid(self, tmp_path):
         with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:

@@ -2,7 +2,9 @@ import dataclasses
 import filecmp
 import functools
 import io
+import math
 import os
+import re
 import threading
 import warnings
 
@@ -48,31 +50,45 @@ def _single_scenario_inflexible(seed=1):
                                expectation_policies=())
 
 
+def _zero_prices(inst):
+    """``(lam, w)`` at zero: shapes (m,) and (S, n)."""
+    m = len(enumerate_expectation_constraints(inst))
+    return np.zeros(m), np.zeros((len(inst.scenarios), len(first_stage_info(inst).coords)))
+
+
+def _handle_index(inst, handle):
+    return [h.handle for h in enumerate_expectation_constraints(inst)].index(handle)
+
+
 class TestConsensusMetric:
     def _state(self, xs, probs, scales=None):
-        n = len(next(iter(xs.values())))
-        state = PHAState(mw_scale=np.array(scales or [1.0] * n), probabilities=probs)
-        state.x = {k: np.asarray(v, dtype=float) for k, v in xs.items()}
-        state.x_bar = sum(probs[k] * state.x[k] for k in xs)
+        x, p = np.asarray(xs, dtype=float), np.asarray(probs, dtype=float)
+        state = PHAState(mw_scale=np.array(scales or [1.0] * x.shape[1]), probabilities=p,
+                         x=x, w=np.zeros_like(x), lam=np.zeros(0), sigma_bar=np.zeros(0))
+        state.x_bar = sum(p_s * x_s for p_s, x_s in zip(p, x))
         return state
 
     def test_identical_copies_give_zero(self):
-        state = self._state({"a": [2.0, 3.0], "b": [2.0, 3.0]}, {"a": 0.5, "b": 0.5})
+        state = self._state([[2.0, 3.0], [2.0, 3.0]], [0.5, 0.5])
         assert consensus_metric(state) == 0.0
 
     def test_two_equiprobable_scalars(self):
-        state = self._state({"a": [0.0], "b": [2.0]}, {"a": 0.5, "b": 0.5})
+        state = self._state([[0.0], [2.0]], [0.5, 0.5])
         assert consensus_metric(state) == pytest.approx(1.0)
 
     def test_mw_scaling_applies(self):
-        state = self._state({"a": [0.0], "b": [2.0]}, {"a": 0.5, "b": 0.5},
-                            scales=[10.0])
+        state = self._state([[0.0], [2.0]], [0.5, 0.5], scales=[10.0])
         assert consensus_metric(state) == pytest.approx(10.0)
 
+    def test_no_consensus_before_the_first_sweep(self):
+        state = self._state([[0.0], [2.0]], [0.5, 0.5])
+        state.x_bar = None
+        assert consensus_metric(state) == math.inf
+
     def test_sigma_violation_one_sided(self):
-        assert sigma_violation({"a": -5.0, "b": -1.0}) == 0.0
-        assert sigma_violation({"a": -5.0, "b": 0.25}) == 0.25
-        assert sigma_violation({}) == 0.0
+        assert sigma_violation(np.array([-5.0, -1.0])) == 0.0
+        assert sigma_violation(np.array([-5.0, 0.25])) == 0.25
+        assert sigma_violation(np.zeros(0)) == 0.0
 
 
 class TestSingleScenario:
@@ -94,10 +110,13 @@ class TestWeightBalance:
         # every lower-bound sweep checks the balance; re-check the final state
         report, state = run_pha(g1, PHAConfig(max_iterations=4, gap_threshold=1e-9),
                                 solver_cfg)
-        total = sum(state.probabilities[s] * state.w[s] for s in state.w)
-        assert float(np.max(np.abs(total))) <= 1e-8 * max(
-            1.0, max(float(np.max(np.abs(state.w[s]))) for s in state.w))
-        assert all(v >= 0.0 for v in state.lam.values())
+        n_scen, n = len(g1.scenarios), len(first_stage_info(g1).coords)
+        assert state.w.shape == state.x.shape == (n_scen, n)
+        total = sum(p * w for p, w in zip(state.probabilities, state.w))
+        assert float(np.max(np.abs(total))) <= 1e-8 * max(1.0, float(np.max(np.abs(state.w))))
+        assert state.lam.shape == state.sigma_bar.shape == (
+            len(enumerate_expectation_constraints(g1)),)
+        assert np.all(state.lam >= 0.0)
 
 
 class TestLagrangianBound:
@@ -106,39 +125,60 @@ class TestLagrangianBound:
         from flexcep.build import build_extensive_form
         from flexcep.solvers import solve
         ef = solve(build_extensive_form(inst)[0], solver_cfg)
-        lb, _ = lagrangian_lower_bound(inst, {}, {}, solver_cfg)
+        lb, _ = lagrangian_lower_bound(inst, *_zero_prices(inst), solver_cfg)
         assert lb == pytest.approx(ef.objective, rel=1e-7)
         assert lb <= ef.objective + 1e-6
 
     def test_zero_multipliers_bound_g1(self, g1, g1_ef_solution, solver_cfg):
-        lb, _ = lagrangian_lower_bound(g1, {}, {}, solver_cfg)
+        lb, _ = lagrangian_lower_bound(g1, *_zero_prices(g1), solver_cfg)
         assert lb <= g1_ef_solution.objective + 1e-6
 
     def test_negative_multiplier_rejected(self, g1):
-        with pytest.raises(ValueError, match=">= 0"):
-            lagrangian_lower_bound(g1, {"netzero": -1.0}, {})
+        lam, w = _zero_prices(g1)
+        lam[_handle_index(g1, "netzero")] = -1.0
+        with pytest.raises(ValueError, match="'netzero' must be >= 0"):
+            lagrangian_lower_bound(g1, lam, w)
 
     def test_unbalanced_weights_rejected(self, g1):
-        n = len(first_stage_info(g1).coords)
-        w = {"s1": np.r_[100.0, np.zeros(n - 1)], "s2": np.r_[100.0, np.zeros(n - 1)]}
+        lam, w = _zero_prices(g1)
+        w[:, 0] = 100.0
         with pytest.raises(ValueError, match="balanced"):
-            lagrangian_lower_bound(g1, {}, w)
+            lagrangian_lower_bound(g1, lam, w)
 
-    def test_weights_for_unknown_scenario_rejected(self, g1):
-        w = {"nope": np.zeros(len(first_stage_info(g1).coords))}
-        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
-            lagrangian_lower_bound(g1, {}, w)
+    # wrong shapes for (lam, w) of shapes (m,) and (S, n); dicts keyed by
+    # handle or scenario id have shape ()
+    @pytest.mark.parametrize("wrong", [
+        ("lam", lambda m, s, n: np.zeros(m + 1)),
+        ("lam", lambda m, s, n: np.zeros((m, 1))),
+        ("lam", lambda m, s, n: {"netzero": 1.0}),
+        ("w", lambda m, s, n: np.zeros((s + 1, n))),
+        ("w", lambda m, s, n: np.zeros((s, n - 1))),
+        ("w", lambda m, s, n: np.zeros(n)),
+        ("w", lambda m, s, n: {"nope": np.zeros(n)}),
+    ], ids=["lam-longer", "lam-column", "lam-dict", "w-more-rows", "w-fewer-columns",
+            "w-vector", "w-dict"])
+    def test_wrong_shaped_prices_rejected(self, g1, wrong):
+        label, make = wrong
+        prices = dict(zip(("lam", "w"), _zero_prices(g1)))
+        expected = str(prices[label].shape)
+        prices[label] = make(*prices["lam"].shape, *prices["w"].shape)
+        with pytest.raises(ValueError, match=f"^{label} must have shape {re.escape(expected)}"):
+            lagrangian_lower_bound(g1, prices["lam"], prices["w"])
+
+    def test_bases_must_list_every_scenario(self, g1):
+        bases = pha_module._scenario_bases(g1)
+        with pytest.raises(ValueError, match="bases must list 2 subproblems"):
+            lagrangian_lower_bound(g1, *_zero_prices(g1), bases=bases[:1])
 
     def test_random_draw_sweep_stays_below_optimum(self, g1, g1_oracle, solver_cfg):
         rng = np.random.default_rng(11)
         info = first_stage_info(g1)
-        handles = [h.handle for h in enumerate_expectation_constraints(g1)]
-        probs = {s.id: s.probability for s in g1.scenarios}
+        handles = enumerate_expectation_constraints(g1)
+        probs = [s.probability for s in g1.scenarios]
         for _ in range(5):
-            lam = {h: float(rng.uniform(0.0, 5e4)) for h in handles}
-            draw = {sid: rng.normal(0.0, 1e3, len(info.coords)) for sid in probs}
-            mean = sum(probs[sid] * draw[sid] for sid in probs)
-            w = {sid: draw[sid] - mean for sid in probs}
+            lam = rng.uniform(0.0, 5e4, len(handles))
+            draw = rng.normal(0.0, 1e3, (len(probs), len(info.coords)))
+            w = draw - sum(p * d for p, d in zip(probs, draw))
             lb, _ = lagrangian_lower_bound(g1, lam, w, solver_cfg)
             assert lb <= g1_oracle.objective + 1e-6
 
@@ -147,13 +187,14 @@ class TestLagrangianBound:
         # a stopped solve's objective is an upper value, not a bound from below
         stopped = SolveResult(status=FEASIBLE_WITH_GAP, objective=1e15)
         monkeypatch.setattr(pha_module, "solve", lambda *args, **kwargs: stopped)
-        assert lagrangian_lower_bound(g1, {}, {}, solver_cfg)[0] is None
+        assert lagrangian_lower_bound(g1, *_zero_prices(g1), solver_cfg)[0] is None
 
         # neither the hub's first sweep nor any spoke sweep proves a bound
         spoke = pha_module._DualSpoke(g1, first_stage_info(g1), pha_module._scenario_bases(g1),
                                       solver_cfg, 1)
-        state = PHAState(mw_scale=np.ones(1), probabilities={"s1": 0.5, "s2": 0.5},
-                         iteration=1)
+        state = PHAState(mw_scale=np.ones(1), probabilities=np.full(2, 0.5),
+                         x=np.zeros((2, 1)), w=np.zeros((2, 1)), lam=np.zeros(0),
+                         sigma_bar=np.zeros(0), iteration=1)
         pha_module._dual_step(spoke, state, [stopped] * 2, final=False)
         assert state.best_lower is None
         # a bound an earlier sweep proved survives a sweep that proves none
@@ -299,7 +340,7 @@ class TestDualSpoke:
         n_scen = len(g1.scenarios)
         # every Lagrangian solve but the hub's first sweep is a spoke sweep
         assert len(scenario_solves) == n_scen * (1 + len(calls))
-        relaxed = [not any(model.var_integer.any() for model, _ in bases.values())
+        relaxed = [not any(model.var_integer.any() for model, _ in bases)
                    for bases in calls]
         if relax:
             assert relaxed == [True] * 3  # one LP sweep in each of iterations 2-4
@@ -323,8 +364,7 @@ class TestDualSpoke:
                                            gap_threshold=1e-9), solver_cfg)
         spoke = spokes[-1]
         assert not spoke.lp_phase
-        lam = dict(zip(spoke.handles, spoke.lam))
-        w = {s.id: spoke.w[i] for i, s in enumerate(inst.scenarios)}
+        lam, w = spoke.lam, spoke.w
         relaxed, _ = lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=spoke.relaxed)
         integer, _ = lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=spoke.bases)
         assert relaxed <= integer + 1e-9 * abs(integer)
@@ -341,15 +381,14 @@ class TestWeakDualityPastOracleSize:
         reps = data.draw(st.integers(1, 2))
         inst, optimum = _tiled_with_optimum(gen, n_scen, reps)
         info = first_stage_info(inst)
-        handles = [h.handle for h in enumerate_expectation_constraints(inst)]
+        handles = enumerate_expectation_constraints(inst)
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         rng = np.random.default_rng(seed)
-        lam = {h: float(rng.uniform(0.0, 1e5)) * data.draw(st.sampled_from([0.0, 1.0]))
-               for h in handles}
-        raw = rng.normal(0.0, 1.0, (n_scen, len(info.coords)))
-        raw *= np.maximum(info.unit_cost, 1.0)
-        raw -= np.mean(raw, axis=0)  # equiprobable scenarios: sum_s p_s w_s = 0
-        w = {s.id: raw[i] for i, s in enumerate(inst.scenarios)}
+        lam = np.array([float(rng.uniform(0.0, 1e5)) * data.draw(st.sampled_from([0.0, 1.0]))
+                        for _ in handles])
+        w = rng.normal(0.0, 1.0, (n_scen, len(info.coords)))
+        w *= np.maximum(info.unit_cost, 1.0)
+        w -= np.mean(w, axis=0)  # equiprobable scenarios: sum_s p_s w_s = 0
         lb, solutions = lagrangian_lower_bound(inst, lam, w)
         assert lb <= optimum + 1e-9 * abs(optimum)
         assert len(solutions) == n_scen and all(x is not None for x in solutions)
@@ -448,7 +487,7 @@ class TestRunPha:
         r1, s1 = run_pha(g1, cfg, solver_cfg)
         r2, s2 = run_pha(g1, cfg, solver_cfg)
         assert r1.trace == r2.trace
-        assert s1.lam == s2.lam
+        assert np.array_equal(s1.lam, s2.lam)
         assert np.array_equal(s1.x_bar, s2.x_bar)
 
     def test_hub_and_dual_steps_ignore_the_candidate_step(self, g1, solver_cfg, monkeypatch):
@@ -460,7 +499,7 @@ class TestRunPha:
         monkeypatch.setattr(pha_module, "_candidate_step", lambda *args, **kwargs: None)
         bare, s_bare = run_pha(g1, cfg, solver_cfg)
         assert [r.lower_bound for r in bare.trace] == [r.lower_bound for r in full.trace]
-        assert s_bare.lam == s_full.lam
+        assert np.array_equal(s_bare.lam, s_full.lam)
         assert np.array_equal(s_bare.x_bar, s_full.x_bar)
         assert bare.status == NO_INCUMBENT
         assert s_bare.best_upper is None
@@ -478,9 +517,8 @@ class TestRunPha:
         bare, s_bare = run_pha(inst, cfg, solver_cfg)
         assert s_full.best_lower is not None and s_bare.best_lower is None
         assert np.array_equal(s_bare.x_bar, s_full.x_bar)
-        assert s_bare.w.keys() == s_full.w.keys()
-        assert all(np.array_equal(s_bare.w[sid], s_full.w[sid]) for sid in s_full.w)
-        assert s_bare.lam == s_full.lam
+        assert np.array_equal(s_bare.w, s_full.w)
+        assert np.array_equal(s_bare.lam, s_full.lam)
         assert s_full.incumbent is not None
         assert s_bare.incumbent[0] == s_full.incumbent[0]
         assert np.array_equal(s_bare.incumbent[2], s_full.incumbent[2])
@@ -588,7 +626,7 @@ class TestRunPha:
         pooled, s2 = run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9,
                                            workers=2), solver_cfg)
         assert serial.trace == pooled.trace
-        assert s1.lam == s2.lam
+        assert np.array_equal(s1.lam, s2.lam)
 
     def test_unreachable_policy_keeps_multiplier_growing(self, solver_cfg):
         inst = g1_variant(1, policy_threshold=-2000.0)
@@ -596,8 +634,9 @@ class TestRunPha:
         report, state = run_pha(inst, cfg, solver_cfg)
         assert report.status == NO_INCUMBENT
         assert state.best_upper is None
-        assert state.sigma_bar["netzero"] > 100.0
-        assert state.lam["netzero"] > 0.0
+        netzero = _handle_index(inst, "netzero")
+        assert state.sigma_bar[netzero] > 100.0
+        assert state.lam[netzero] > 0.0
         assert all(np.isfinite(t.lower_bound) for t in report.trace)
 
     def test_lower_bound_monotone_in_state(self, g1, solver_cfg):
@@ -722,12 +761,14 @@ class TestHighsOptions:
     def test_pooled_sweeps_leak_no_warning_and_restore_the_filters(self, g1, solver_cfg):
         one = np.ones(len(first_stage_info(g1).coords))
         p1, p2 = (s.probability for s in g1.scenarios)
-        weights = {"s1": 2.0 * p2 * one, "s2": -2.0 * p1 * one}  # sum_s p_s w_s = 0
+        weights = np.array([2.0 * p2 * one, -2.0 * p1 * one])  # sum_s p_s w_s = 0
         before = list(warnings.filters)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inside = list(warnings.filters)
-            lagrangian_lower_bound(g1, {"netzero": 1.0}, weights, solver_cfg, workers=2)
+            lam, _ = _zero_prices(g1)
+            lam[_handle_index(g1, "netzero")] = 1.0
+            lagrangian_lower_bound(g1, lam, weights, solver_cfg, workers=2)
             assert warnings.filters == inside
             run_pha(g1, PHAConfig(max_iterations=3, gap_threshold=1e-9, workers=2),
                     solver_cfg)

@@ -33,10 +33,10 @@ from test_pha import FIXTURES, _tiled_with_optimum
 def split_lp(inst, bases):
     """``(value, lam, w)`` of the split LP over the relaxed ``bases``."""
     n = len(first_stage_info(inst).coords)
-    handles = [h.handle for h in enumerate_expectation_constraints(inst)]
+    h = len(enumerate_expectation_constraints(inst))
     p = np.array([s.probability for s in inst.scenarios])
-    models = [relax_integrality(bases[s.id][0]) for s in inst.scenarios]
-    k, h = len(models), len(handles)
+    models = [relax_integrality(model) for model, _ in bases]
+    k = len(models)
     starts = np.cumsum([0] + [m.num_vars for m in models])  # z follows the last block
     cols = starts[-1] + n
     blocks = sparse.hstack([sparse.block_diag([m.a for m in models]),
@@ -66,10 +66,10 @@ def split_lp(inst, bases):
         method="highs-ipm")
     assert res.status == 0, res.message
     value = res.fun
-    lam = {c: max(0.0, -float(v)) for c, v in zip(handles, res.ineqlin.marginals[-h:])}
+    lam = np.maximum(-res.ineqlin.marginals[-h:], 0.0)
     w = -res.eqlin.marginals[int(eq.sum()):].reshape(k, n) / p[:, None]
     w -= p @ w  # exact balance: sum_s p_s w_s = 0
-    return value, lam, {s.id: w[i] for i, s in enumerate(inst.scenarios)}
+    return value, lam, w
 
 
 @pytest.fixture(scope="module", params=["G2 seed 1", "tiled G2, S=3"])
@@ -91,7 +91,7 @@ def test_split_lp_value_is_the_relaxed_ef_optimum(case):
 
 def test_lagrangian_at_the_split_lp_duals(case):
     inst, bases, (value, lam, w) = case
-    relaxed = {sid: (relax_integrality(model), index) for sid, (model, index) in bases.items()}
+    relaxed = [(relax_integrality(model), index) for model, index in bases]
     lp, _ = pha.lagrangian_lower_bound(inst, lam, w, bases=relaxed)
     assert lp == pytest.approx(value, rel=1e-6)
     integer, _ = pha.lagrangian_lower_bound(inst, lam, w, bases=bases)

@@ -97,6 +97,13 @@ class TestInstanceRoundTrip:
         with pytest.raises(InstanceFormatError, match="schema_version"):
             load_instance(p)
 
+    def test_missing_name_defaults_to_instance(self, g1, tmp_path):
+        doc = instance_to_dict(g1)
+        del doc["name"]
+        p = tmp_path / "unnamed.json"
+        p.write_text(json.dumps(doc))
+        assert load_instance(p).name == "instance"
+
     def test_parse_error_reports_position(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{"schema_version": 1,\n  "name": oops}')
