@@ -39,13 +39,18 @@ incumbent never waits for the iteration's lower-bound sweeps.
 Every scenario model is assembled once per run. Each scenario's Lagrangian
 model is built before the first iteration; every hedging and lower-bound
 solve then re-prices it (or, for an LP sweep, its relaxation) without
-touching its rows. Only the dual spoke's master, a small LP over the
-multipliers, weights and cut values, is assembled anew at each of its
-steps. Every hedging quantity is a numpy array in model column order (see
-:mod:`flexcep.build`; shapes in :class:`PHAState`): first-stage vectors, the
-rows of the copies ``x`` and weights ``w`` included, follow the models'
-leading columns, so a solution's first stage is ``x[:n]``; the multipliers
-``lam`` and expected slacks ``sigma_bar`` follow its slack tail.
+touching its rows. An LP sweep's re-priced relaxations differ from the last
+sweep's in their costs only, so the dual spoke keeps each scenario's last
+optimal basis and starts that scenario's next LP from it
+(``solvers.solve_warm_lp``, a fresh HiGHS instance per solve); hub sweeps,
+MILP sweeps, master LPs and candidate LPs are solved cold by ``solve``.
+Only the dual spoke's master, a small LP over the multipliers, weights and
+cut values, is assembled anew at each of its steps. Every hedging quantity
+is a numpy array in model column order (see :mod:`flexcep.build`; shapes in
+:class:`PHAState`): first-stage vectors, the rows of the copies ``x`` and
+weights ``w`` included, follow the models' leading columns, so a solution's
+first stage is ``x[:n]``; the multipliers ``lam`` and expected slacks
+``sigma_bar`` follow its slack tail.
 
 Boxes follow one rule per mode. In integer mode, every iteration takes each
 scenario's own first stage, in scenario order, as its hub solve returns;
@@ -104,7 +109,8 @@ from .core import (
 )
 from .report import SolveReport, TraceRow, report_from_solution
 from .solvers import (BackendCrashError, SolverConfig, highs_option_passthrough,
-                      proven_lower_bound, solve, solver_output_to_stderr)
+                      proven_lower_bound, solve, solve_warm_lp, solver_output_to_stderr,
+                      warm_lp_available)
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
@@ -253,11 +259,17 @@ def _scenario_bases(inst: PlanningInstance) -> list[tuple]:
 
 def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
                      solver: SolverConfig, workers: int,
-                     anchor: np.ndarray | None = None, rho: np.ndarray | None = None):
+                     anchor: np.ndarray | None = None, rho: np.ndarray | None = None,
+                     warm: list | None = None):
     """Price every scenario's base and solve it; yield the results in scenario order.
 
     ``w`` has one row of weights per scenario; ``anchor`` and ``rho``, when
-    given, add the proximal term.
+    given, add the proximal term. ``warm``, for relaxed bases only, holds one
+    start basis (or None) per scenario: each LP is then solved from its
+    scenario's basis by ``solve_warm_lp``, and once the whole sweep has been
+    solved ``warm`` holds the new optimal bases; a sweep that raises leaves it
+    as it was, so a pooled sweep starts where a serial one would. Without
+    scipy's HiGHS binding the LPs go through ``solve`` as if ``warm`` were None.
     Results are handed over one at a time: serially, each scenario is solved
     when the caller asks for its result; in a thread pool, the workers go on
     with the remaining scenarios while the caller handles a result. A caller
@@ -270,9 +282,15 @@ def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
     removes and re-inserts its filter, and another thread's warning could
     escape between.
     """
-    def run_one(scen, base: tuple, w_s: np.ndarray):
+    warm_start = warm is not None and warm_lp_available()
+    found = [None] * len(bases)  # each worker writes its own scenario's slot
+
+    def run_one(i: int, scen, base: tuple, w_s: np.ndarray):
         model = price_scenario_subproblem(inst, *base, lam, w_s, anchor, rho)
-        res = solve(model, solver)
+        if warm_start:
+            res, found[i] = solve_warm_lp(model, solver, warm[i])
+        else:
+            res = solve(model, solver)
         if res.status == INFEASIBLE:
             raise PHAError(
                 f"scenario subproblem '{scen.id}' is infeasible; the relaxation "
@@ -284,9 +302,11 @@ def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
     with highs_option_passthrough():
         if workers > 1 and len(bases) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(run_one, inst.scenarios, bases, w)
+                yield from pool.map(run_one, range(len(bases)), inst.scenarios, bases, w)
         else:
-            yield from map(run_one, inst.scenarios, bases, w)
+            yield from map(run_one, range(len(bases)), inst.scenarios, bases, w)
+    if warm_start:
+        warm[:] = found
 
 
 def _sweep_lower(inst: PlanningInstance, solved: list) -> float | None:
@@ -307,6 +327,7 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: np.ndarray, w: np.ndarra
                            solver: SolverConfig | None = None,
                            workers: int = 1,
                            bases: list[tuple] | None = None,
+                           warm: list | None = None,
                            ) -> tuple[float | None, list[np.ndarray | None]]:
     """Valid lower bound on the extensive form from dualized multipliers.
 
@@ -319,8 +340,14 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: np.ndarray, w: np.ndarra
     holds one row of weights per scenario and must be balanced,
     ``sum_s p_s w_s = 0``. ``bases`` lists the built subproblems in scenario
     order (as ``run_pha`` keeps them, relaxed in convex mode); when omitted
-    they are built here. A scenario solve that fails raises PHAError, as in
-    a hedging sweep.
+    they are built here. ``warm``, given with relaxed ``bases`` only, holds
+    one simplex start basis (or None) per scenario; each LP then starts from
+    its scenario's basis, and a sweep that succeeds leaves the new optimal
+    bases in ``warm`` (see ``solvers.solve_warm_lp``; without scipy's HiGHS
+    binding the LPs are solved cold by ``solve``). A warm start may end at
+    another optimal vertex, so the solutions can differ, never the bound
+    beyond round-off. A scenario solve that fails raises PHAError, as in a
+    hedging sweep.
     """
     solver = solver or SolverConfig()
     _check_weight_balance(inst, w)
@@ -329,7 +356,10 @@ def lagrangian_lower_bound(inst: PlanningInstance, lam: np.ndarray, w: np.ndarra
     elif len(bases) != len(inst.scenarios):
         raise ValueError(f"bases must list {len(inst.scenarios)} subproblems, one per "
                          f"scenario, got {len(bases)}")
-    solved = list(_solve_scenarios(inst, bases, lam, w, solver, workers))
+    if warm is not None and len(warm) != len(bases):
+        raise ValueError(f"warm must hold {len(bases)} bases, one per scenario, "
+                         f"got {len(warm)}")
+    solved = list(_solve_scenarios(inst, bases, lam, w, solver, workers, warm=warm))
     return _sweep_lower(inst, solved), [res.x for res in solved]
 
 
@@ -381,6 +411,7 @@ class _DualSpoke:
         self.bases = bases
         self.integer = bool(info.integer.any())
         self.relaxed = [(relax_integrality(model), index) for model, index in bases]
+        self.warm = [None] * len(bases)  # each relaxed LP's last optimal basis
         self.lam_scale, _ = _price_scales(inst)
         self.w_scale = np.maximum(info.unit_cost, 1.0)
         self.p = np.array([s.probability for s in inst.scenarios])
@@ -471,15 +502,18 @@ class _DualSpoke:
     def _sweep(self, lam: np.ndarray, w: np.ndarray, relaxed: bool) -> float | None:
         """One ``lagrangian_lower_bound`` call at ``(lam, w)``; its bound, or None.
 
-        A sweep that fails keeps the last bound: the hub and the incumbent do
-        not depend on it, so it must not end the run.
+        A relaxed sweep starts each scenario's LP from its basis in
+        ``self.warm`` and leaves the new ones there. A sweep that fails keeps
+        the last bound and bases: the hub and the incumbent do not depend on
+        it, so it must not end the run.
         """
         if relaxed and self.integer:
             self.lp_sweeps += 1
         try:
             bound, xs = lagrangian_lower_bound(
                 self.inst, lam, w, self.solver, self.workers,
-                bases=self.relaxed if relaxed else self.bases)
+                bases=self.relaxed if relaxed else self.bases,
+                warm=self.warm if relaxed else None)
         except (PHAError, BackendCrashError):
             return None
         self._add_cuts(xs, exact=not (relaxed and self.integer))

@@ -5,7 +5,14 @@ piecewise-linear outer approximation (tangent cuts on an epigraph variable,
 ``PWL_SEGMENTS`` per term), and the reported objective is always re-evaluated
 against the original model so it is exact for the returned point.
 
-LPs and MILPs alike go through one ``scipy.optimize.milp`` call.
+LPs and MILPs alike go through one ``scipy.optimize.milp`` call in
+:func:`solve`. The one other entry point, :func:`solve_warm_lp`, is for LPs
+that are solved again and again with new prices, such as the dual spoke's
+relaxed sweeps: it drives scipy's private HiGHS binding
+(``scipy.optimize._highspy``) directly, so that a re-solve can start from
+the last optimal basis, and it builds a fresh HiGHS instance for every call.
+This module is the only one that reads the binding; when it is missing,
+:func:`warm_lp_available` says so and callers fall back to :func:`solve`.
 Two departures from HiGHS's defaults are decided here, by the kind of model:
 
 - Every model with integer columns runs without HiGHS's primal heuristics
@@ -41,6 +48,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+try:  # scipy's private binding; without it every LP goes through milp
+    from scipy.optimize._highspy import _core as _highspy
+except ImportError:
+    _highspy = None
 
 from .canonical import (
     EQ,
@@ -306,3 +318,62 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
         x = res.x[: model.num_vars].copy()
         res = replace(res, x=x, objective=objective_value(model, x))
     return res
+
+
+def warm_lp_available() -> bool:
+    """Whether :func:`solve_warm_lp` can run: scipy's private HiGHS binding imported."""
+    return _highspy is not None
+
+
+def solve_warm_lp(model: CanonicalModel, cfg: SolverConfig | None = None,
+                  basis=None) -> tuple[SolveResult, object | None]:
+    """Solve an LP on HiGHS's simplex from ``basis``; return the result and the optimal basis.
+
+    ``basis`` is one this function returned for an LP of the same shape,
+    typically the same LP before it was re-priced, or None for a cold start
+    with presolve, as in :func:`solve`. Each call makes its own HiGHS
+    instance through scipy's private binding and drops it before it
+    returns; the basis it hands back is a copy, so calls from worker threads
+    share nothing. Statuses map as in :func:`solve`, and the basis is None
+    unless the LP is optimal. HiGHS logs nothing, so nothing reaches fd 1.
+
+    Raises ValueError for a model with integer columns or quadratic terms
+    and for a basis that does not fit the model, and
+    :class:`BackendCrashError` when HiGHS fails. Callers check
+    :func:`warm_lp_available` first.
+    """
+    cfg = cfg or SolverConfig()
+    model.check()
+    if model.var_integer.any() or model.quad:
+        raise ValueError("a warm start solves LPs only; the model has integer "
+                         "columns or quadratic terms")
+    h = _highspy
+    highs = h._Highs()
+    for option, value in (("output_flag", False), ("time_limit", cfg.time_limit_s),
+                          ("presolve", "on")):
+        highs.setOptionValue(option, value)
+    (lo, hi), a, n = _row_bounds(model), model.a, model.num_vars
+    loaded = highs.passModel(
+        n, model.num_rows, a.nnz, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMinimize),
+        0.0, model.obj, model.var_lb, model.var_ub, lo, hi,
+        a.indptr[:-1], a.indices, a.data, np.zeros(n, dtype=np.int32))
+    if loaded == h.HighsStatus.kError:
+        raise BackendCrashError("HiGHS rejected the model")
+    # a valid basis also skips presolve
+    if basis is not None and highs.setBasis(basis) == h.HighsStatus.kError:
+        raise ValueError("the basis does not fit the model")
+    ran = highs.run()
+    status = highs.getModelStatus()
+    ended = {h.HighsModelStatus.kOptimal: OPTIMAL,
+             h.HighsModelStatus.kTimeLimit: LIMIT_REACHED,
+             h.HighsModelStatus.kIterationLimit: LIMIT_REACHED,
+             h.HighsModelStatus.kInfeasible: INFEASIBLE,
+             h.HighsModelStatus.kUnbounded: UNBOUNDED}
+    if ran == h.HighsStatus.kError or status not in ended:
+        raise BackendCrashError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    if ended[status] != OPTIMAL:
+        return SolveResult(status=ended[status]), None
+    optimal = highs.getBasis()
+    res = SolveResult(status=OPTIMAL, objective=float(highs.getInfo().objective_function_value),
+                      x=np.array(highs.getSolution().col_value))
+    return res, optimal if optimal.valid else None

@@ -151,14 +151,18 @@ def test_every_definition_has_a_caller_in_the_package():
 
 def uses_by_function(source: str, names: set[str]) -> list[str]:
     """Top-level function (or ``<module>``) of each place that reads one of
-    ``names`` as a name, an attribute or a string constant."""
+    ``names`` as a name, an attribute, a string constant or a part of an
+    imported module's dotted path."""
     found = []
     for node in ast.parse(source).body:
         owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         for sub in ast.walk(node):
             if (isinstance(sub, ast.Name) and sub.id in names
                     or isinstance(sub, ast.Attribute) and sub.attr in names
-                    or isinstance(sub, ast.Constant) and sub.value in names):
+                    or isinstance(sub, ast.Constant) and sub.value in names
+                    or isinstance(sub, ast.ImportFrom)
+                    and names & set((sub.module or "").split("."))
+                    or isinstance(sub, ast.alias) and names & set(sub.name.split("."))):
                 found.append(owner)
     return found
 
@@ -169,6 +173,11 @@ def test_use_finder_names_the_enclosing_function():
               "def other():\n    return 'catch_warnings'\n"
               "catch_warnings = None\n")
     assert uses_by_function(source, {"catch_warnings"}) == ["helper", "other", "<module>"]
+    source = ("from scipy.optimize._highspy import _core\n"
+              "def loader():\n    import scipy.optimize._highspy._core as core\n"
+              "def aliased():\n    from scipy.optimize import _highspy\n"
+              "def unrelated():\n    from scipy.optimize import milp\n")
+    assert uses_by_function(source, {"_highspy"}) == ["<module>", "loader", "aliased"]
 
 
 def test_warning_filters_are_entered_in_one_helper_only():
@@ -179,6 +188,15 @@ def test_warning_filters_are_entered_in_one_helper_only():
             for owner in uses_by_function(p.read_text(encoding="utf-8"),
                                           {"catch_warnings", "Unrecognized options detected"})}
     assert uses == {"solvers.highs_option_passthrough"}
+
+
+def test_the_private_highs_binding_is_read_in_solvers_only():
+    # one module decides whether scipy's private binding is there and falls
+    # back without it; a second reader would need its own tested fallback
+    uses = {(p.stem, owner)
+            for p in PACKAGE.glob("*.py")
+            for owner in uses_by_function(p.read_text(encoding="utf-8"), {"_highspy"})}
+    assert uses and {module for module, _ in uses} == {"solvers"}
 
 
 # the package reads no environment variable

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import flexcep.pha as pha_module
 import flexcep.solvers as solvers_module
 from flexcep import storage
-from flexcep.build import build_extensive_form, first_stage_info
-from flexcep.canonical import FEASIBLE_WITH_GAP, LIMIT_REACHED, SolveResult, relax_integrality
+from flexcep.build import build_extensive_form, first_stage_info, price_scenario_subproblem
+from flexcep.canonical import (FEASIBLE_WITH_GAP, LIMIT_REACHED, OPTIMAL, SolveResult,
+                               relax_integrality)
 from flexcep.cli import RunManifest, cmd_compare_flexibility, cmd_solve, parse_variant
 from flexcep.core import Scenario, enumerate_expectation_constraints
 from flexcep.oracle import brute_force_optimum, g1_variant, generate
@@ -33,7 +34,7 @@ from flexcep.pha import (
     run_pha,
     sigma_violation,
 )
-from flexcep.solvers import NO_PRIMAL_HEURISTICS, BackendCrashError, solve
+from flexcep.solvers import NO_PRIMAL_HEURISTICS, BackendCrashError, solve, solve_warm_lp
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -230,19 +231,30 @@ def _tiled_with_optimum(gen: str, n_scenarios: int, period_reps: int):
 def _failing_spoke_sweeps(monkeypatch, failure):
     """Make every scenario solve of the dual spoke's sweeps fail after the
     hub's first sweep: return ``LIMIT_REACHED``, or raise as HiGHS's
-    "Solve error" does."""
-    original = pha_module.solve
+    "Solve error" does. Cold solves and warm LP solves fail alike."""
+    original, warm_original = pha_module.solve, pha_module.solve_warm_lp
     lagrangian = []
 
-    def failing(model, cfg=None, **kwargs):
+    def fails(model) -> bool:
         if "-lr-" in model.name:
             lagrangian.append(model.name)
             if len(lagrangian) > 2:  # past the hub's first sweep of two scenarios
                 if failure == "limit":
-                    return SolveResult(status=LIMIT_REACHED)
+                    return True
                 raise BackendCrashError("scipy.milp failed: Solve error")
+        return False
+
+    def failing(model, cfg=None, **kwargs):
+        if fails(model):
+            return SolveResult(status=LIMIT_REACHED)
         return original(model, cfg, **kwargs)
+
+    def failing_warm(model, cfg=None, basis=None):
+        if fails(model):
+            return SolveResult(status=LIMIT_REACHED), None
+        return warm_original(model, cfg, basis)
     monkeypatch.setattr(pha_module, "solve", failing)
+    monkeypatch.setattr(pha_module, "solve_warm_lp", failing_warm)
     return lagrangian
 
 
@@ -324,6 +336,7 @@ class TestDualSpoke:
         # the benchmark times the lower bound by hooking this module global
         calls, scenario_solves = [], []
         original, solve_original = pha_module.lagrangian_lower_bound, pha_module.solve
+        warm_original = pha_module.solve_warm_lp
 
         def counting(*args, **kwargs):
             calls.append(kwargs["bases"])
@@ -333,8 +346,14 @@ class TestDualSpoke:
             if "-lr-" in model.name:
                 scenario_solves.append(model.name)
             return solve_original(model, cfg, **kwargs)
+
+        def solving_warm(model, cfg=None, basis=None):
+            if "-lr-" in model.name:
+                scenario_solves.append(model.name)
+            return warm_original(model, cfg, basis)
         monkeypatch.setattr(pha_module, "lagrangian_lower_bound", counting)
         monkeypatch.setattr(pha_module, "solve", solving)
+        monkeypatch.setattr(pha_module, "solve_warm_lp", solving_warm)
         run_pha(g1, PHAConfig(max_iterations=4, gap_threshold=1e-9,
                               relax_integrality=relax), solver_cfg)
         n_scen = len(g1.scenarios)
@@ -370,6 +389,98 @@ class TestDualSpoke:
         assert relaxed <= integer + 1e-9 * abs(integer)
         assert state.best_lower >= integer - 1e-9 * abs(integer)
         assert integer <= optimum * (1 + 1e-9)
+
+
+FIXTURE_FILES = [f"{gen}/seed{seed}.json" for gen in ("G1", "G2", "G3") for seed in (1, 2, 3)]
+
+
+def _price_walk(inst, steps: int):
+    """``steps`` successive balanced ``(lam, w)`` points of a random walk from
+    zero, each step 5% of the price ceilings and unit costs, as the dual
+    spoke's trial points move."""
+    info = first_stage_info(inst)
+    p = np.array([s.probability for s in inst.scenarios])
+    lam_scale, _ = pha_module._price_scales(inst)
+    w_scale = np.maximum(info.unit_cost, 1.0)
+    rng = np.random.default_rng(7)
+    lam, w = _zero_prices(inst)
+    for _ in range(steps):
+        lam = np.maximum(lam + 0.05 * lam_scale * rng.normal(size=lam.shape), 0.0)
+        w = w + 0.05 * w_scale * rng.normal(size=w.shape)
+        w = w - p @ w
+        yield lam, w
+
+
+def _relaxed_fixture(path):
+    inst = storage.load_instance(os.path.join(FIXTURES, path))
+    return inst, [(relax_integrality(model), index)
+                  for model, index in pha_module._scenario_bases(inst)]
+
+
+class TestWarmSweeps:
+    """The dual spoke's relaxed sweeps start each scenario LP from its last basis."""
+
+    @pytest.mark.parametrize("path", FIXTURE_FILES)
+    def test_warm_solves_match_cold_ones(self, path, solver_cfg):
+        inst, relaxed = _relaxed_fixture(path)
+        bases = [None] * len(relaxed)  # carried forward one scenario at a time
+        warm = [None] * len(relaxed)  # carried forward by the sweeps
+        for lam, w in _price_walk(inst, 4):
+            for i, (model, index) in enumerate(relaxed):
+                lp = price_scenario_subproblem(inst, model, index, lam, w[i])
+                cold = solve(lp, solver_cfg)
+                res, bases[i] = solve_warm_lp(lp, solver_cfg, bases[i])
+                assert res.status == cold.status == OPTIMAL
+                assert res.objective == pytest.approx(cold.objective, rel=1e-9)
+            bound, _ = lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed,
+                                              warm=warm)
+            cold_bound, _ = lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed)
+            assert bound == pytest.approx(cold_bound, rel=1e-9)
+            assert None not in warm
+
+    @pytest.mark.parametrize("path", FIXTURE_FILES)
+    def test_without_the_binding_the_sweeps_go_through_solve(self, path, solver_cfg,
+                                                             monkeypatch):
+        inst, relaxed = _relaxed_fixture(path)
+        points = list(_price_walk(inst, 3))
+        warm = [None] * len(relaxed)
+        expected = [lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed,
+                                           warm=warm)[0] for lam, w in points]
+        monkeypatch.setattr(solvers_module, "_highspy", None)
+        names = []
+        original = pha_module.solve
+
+        def recording(model, cfg=None, **kwargs):
+            names.append(model.name)
+            return original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "solve", recording)
+        cold = [None] * len(relaxed)
+        bounds = [lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed,
+                                         warm=cold)[0] for lam, w in points]
+        assert bounds == pytest.approx(expected, rel=1e-9)
+        assert len(names) == len(points) * len(relaxed)
+        assert cold == [None] * len(relaxed)
+
+    def test_a_failed_sweep_keeps_the_bases(self, solver_cfg, monkeypatch):
+        inst, relaxed = _relaxed_fixture("G1/seed1.json")
+        lam, w = next(_price_walk(inst, 1))
+        warm = [None] * len(relaxed)
+        lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed, warm=warm)
+        before = list(warm)
+        original = pha_module.solve_warm_lp
+
+        def failing_last(model, cfg=None, basis=None):
+            if model.name.endswith(inst.scenarios[-1].id):
+                return SolveResult(status=LIMIT_REACHED), None
+            return original(model, cfg, basis)
+        monkeypatch.setattr(pha_module, "solve_warm_lp", failing_last)
+        with pytest.raises(PHAError, match="failed: limit_reached"):
+            lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed, warm=warm)
+        assert all(a is b for a, b in zip(warm, before))
+
+    def test_one_basis_slot_per_scenario(self, g1):
+        with pytest.raises(ValueError, match="warm must hold 2 bases"):
+            lagrangian_lower_bound(g1, *_zero_prices(g1), warm=[None])
 
 
 class TestWeakDualityPastOracleSize:
@@ -538,12 +649,17 @@ class TestRunPha:
     def test_integrality_of_every_solve_follows_the_mode(self, g1, solver_cfg,
                                                           monkeypatch, relax):
         seen = []
-        original = pha_module.solve
+        original, warm_original = pha_module.solve, pha_module.solve_warm_lp
 
         def recording(model, cfg=None, **kwargs):
             seen.append((model.name, bool(model.var_integer.any())))
             return original(model, cfg, **kwargs)
+
+        def recording_warm(model, cfg=None, basis=None):
+            seen.append((model.name, bool(model.var_integer.any())))
+            return warm_original(model, cfg, basis)
         monkeypatch.setattr(pha_module, "solve", recording)
+        monkeypatch.setattr(pha_module, "solve_warm_lp", recording_warm)
         cfg = PHAConfig(max_iterations=3, gap_threshold=1e-9, relax_integrality=relax)
         run_pha(g1, cfg, solver_cfg)
         n_scen = len(g1.scenarios)

@@ -1,3 +1,4 @@
+import types
 import warnings
 
 import numpy as np
@@ -6,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
 
+from flexcep.build import build_extensive_form
 from flexcep.canonical import (
     EQ,
     GE,
     INF,
+    INFEASIBLE,
     LE,
+    LIMIT_REACHED,
+    OPTIMAL,
+    UNBOUNDED,
     ModelBuilder,
     ModelError,
     QuadTerm,
+    SolveResult,
     objective_value,
     relax_integrality,
 )
@@ -25,8 +32,11 @@ from flexcep.solvers import (
     _tangent_points,
     expand_quadratic,
     highs_option_passthrough,
+    proven_lower_bound,
     solve,
+    solve_warm_lp,
 )
+from flexcep.oracle import generate
 
 from invariants import assert_same_model, row_coeffs
 
@@ -102,6 +112,80 @@ def test_backends_agree_across_fixture_suite():
 def test_a_highs_failure_raises(model, crashing_highs):
     with pytest.raises(BackendCrashError, match="^scipy.milp failed: Solve error$"):
         solve(model)
+
+
+class TestWarmLP:
+    """``solve_warm_lp``: one HiGHS instance per call, started from a given basis."""
+
+    def test_a_warm_restart_matches_the_cold_solve(self):
+        lp = relax_integrality(build_extensive_form(generate("G3", 1))[0])
+        cold = solve(lp)
+        first, basis = solve_warm_lp(lp)
+        again, basis_again = solve_warm_lp(lp, basis=basis)
+        assert first.status == again.status == cold.status == OPTIMAL
+        assert basis is not None and basis_again is not None
+        for res in (first, again):
+            assert res.objective == pytest.approx(cold.objective, rel=1e-9)
+            assert res.objective == pytest.approx(objective_value(lp, res.x), rel=1e-9)
+            assert proven_lower_bound(res) == res.objective
+
+    def test_infeasible_and_unbounded(self):
+        mb = ModelBuilder()
+        x = mb.add_var(lb=0.0, ub=1.0, obj=1.0)
+        y = mb.add_var(lb=0.0, ub=1.0, obj=1.0)
+        mb.add_row([(x, 1.0), (y, 1.0)], GE, 3.0)
+        assert solve_warm_lp(mb.freeze()) == (SolveResult(status=INFEASIBLE), None)
+        mb = ModelBuilder()
+        x = mb.add_var(lb=0.0, ub=INF, obj=-1.0)
+        y = mb.add_var(lb=0.0, ub=1.0, obj=1.0)
+        mb.add_row([(x, 1.0), (y, -1.0)], GE, 0.0)
+        assert solve_warm_lp(mb.freeze()) == (SolveResult(status=UNBOUNDED), None)
+
+    def test_a_time_limit_it_cannot_meet_proves_nothing(self):
+        lp = relax_integrality(build_extensive_form(generate("G3", 1))[0])
+        res, basis = solve_warm_lp(lp, SolverConfig(time_limit_s=1e-9))
+        assert res.status == LIMIT_REACHED and basis is None
+        assert proven_lower_bound(res) is None
+
+    @pytest.mark.parametrize("how", ["run fails", "no model status"])
+    def test_a_highs_failure_raises(self, how, monkeypatch):
+        binding = solvers_module._highspy
+
+        class Failing(binding._Highs):
+            def run(self):
+                if how == "run fails":
+                    return binding.HighsStatus.kError
+                return binding.HighsStatus.kOk  # never solved: status kNotset
+        monkeypatch.setattr(solvers_module, "_highspy",
+                            types.SimpleNamespace(**{**vars(binding), "_Highs": Failing}))
+        with pytest.raises(BackendCrashError, match="^HiGHS failed: "):
+            solve_warm_lp(_min_x_geq(2.5))
+
+    def test_a_basis_that_does_not_fit_is_rejected(self):
+        _, basis = solve_warm_lp(_min_x_geq(2.5))
+        mb = ModelBuilder()
+        x = mb.add_var(lb=0.0, ub=100.0, obj=1.0)
+        y = mb.add_var(lb=0.0, ub=100.0, obj=1.0)
+        mb.add_row([(x, 1.0), (y, 1.0)], GE, 2.5)
+        with pytest.raises(ValueError, match="basis does not fit"):
+            solve_warm_lp(mb.freeze(), basis=basis)  # one column too few
+        _, wider = solve_warm_lp(mb.freeze())
+        with pytest.raises(ValueError, match="basis does not fit"):
+            solve_warm_lp(_min_x_geq(2.5), basis=wider)  # one column too many
+
+    @pytest.mark.parametrize("model", [_min_x_geq(2.5, integer=True),
+                                       _with_quad(_min_x_geq(2.5), (0, 1.0, 3.0))],
+                             ids=["integer", "quadratic"])
+    def test_only_lps(self, model):
+        with pytest.raises(ValueError, match="LPs only"):
+            solve_warm_lp(model)
+
+    def test_nothing_reaches_fd1(self, capfd):
+        lp = relax_integrality(build_extensive_form(generate("G1", 1))[0])
+        _, basis = solve_warm_lp(lp)
+        solve_warm_lp(lp, basis=basis)
+        solve_warm_lp(lp, SolverConfig(time_limit_s=1e-9))
+        assert capfd.readouterr().out == ""
 
 
 def test_config_validation():
