@@ -38,9 +38,10 @@ def _freeze(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Violation:
-    """One structural defect found by :func:`validate_instance`."""
+    """One structural defect found by :func:`validate_instance`; violations
+    sort by path, then message."""
 
     path: str
     message: str
@@ -331,6 +332,29 @@ def _check_id(out, path, value):
     return True
 
 
+# Fields that key the validator's sets and dicts, by attribute of the instance.
+_IDENTIFIER_FIELDS = (
+    ("buses", ("id",)), ("gen_techs", ("id",)), ("storage_techs", ("id",)),
+    ("load_techs", ("id",)), ("branches", ("id", "from_bus", "to_bus")),
+    ("scenarios", ("id",)), ("expectation_policies", ("handle",)),
+)
+
+
+def _unhashable_identifiers(inst) -> list[Violation]:
+    """``_check_id``'s violation for each identifier that cannot be hashed,
+    named by its position."""
+    out: list[Violation] = []
+    for section, keys in _IDENTIFIER_FIELDS:
+        for i, item in enumerate(getattr(inst, section)):
+            for key in keys:
+                value = getattr(item, key)
+                try:
+                    hash(value)
+                except TypeError:
+                    _check_id(out, f"{section}[{i}].{key}", value)
+    return out
+
+
 def _check_unique(out, path, ids, what):
     seen = set()
     for i in ids:
@@ -388,9 +412,13 @@ def validate_instance(inst: PlanningInstance) -> list[Violation]:
     empty list means the instance is valid.
 
     Violations are data, not errors: all of them are collected and returned in
-    deterministic order (lexicographic by path, then message).
+    deterministic order (lexicographic by path, then message). The one
+    exception is an identifier that cannot key a set or dict, a list say:
+    every other check keys by identifiers, so only those are reported.
     """
-    out: list[Violation] = []
+    out = _unhashable_identifiers(inst)
+    if out:
+        return sorted(out)
     _check_finite(out, "", inst)
 
     if not inst.buses:
@@ -503,6 +531,8 @@ def validate_instance(inst: PlanningInstance) -> list[Violation]:
         if s.demand.ndim != 2 or s.demand.shape[0] != n_bus:
             out.append(Violation(path + ".demand",
                                  f"expected shape ({n_bus}, n_periods), got {s.demand.shape}"))
+        elif s.demand.shape[1] == 0:
+            out.append(Violation(path + ".demand", "at least one period is required"))
         elif np.any(s.demand < 0):
             out.append(Violation(path + ".demand", "must be >= 0"))
         if s.availability.ndim != 3 or s.availability.shape[:2] != (n_bus, n_gen):
@@ -536,8 +566,7 @@ def validate_instance(inst: PlanningInstance) -> list[Violation]:
             if tech not in load_ids:
                 out.append(Violation(path + f".r[{tech}]", "unknown load tech"))
 
-    out.sort(key=lambda v: (v.path, v.message))
-    return out
+    return sorted(out)
 
 
 def _validate_bus_maps(out, path, b: Bus, gen_ids, storage_ids, load_ids, inst):

@@ -109,8 +109,7 @@ from .core import (
 )
 from .report import SolveReport, TraceRow, report_from_solution
 from .solvers import (BackendCrashError, SolverConfig, highs_option_passthrough,
-                      proven_lower_bound, solve, solve_warm_lp, solver_output_to_stderr,
-                      warm_lp_available)
+                      proven_lower_bound, solve, solve_warm_lp, solver_output_to_stderr)
 
 NO_INCUMBENT = "no_feasible_incumbent"
 
@@ -268,8 +267,7 @@ def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
     start basis (or None) per scenario: each LP is then solved from its
     scenario's basis by ``solve_warm_lp``, and once the whole sweep has been
     solved ``warm`` holds the new optimal bases; a sweep that raises leaves it
-    as it was, so a pooled sweep starts where a serial one would. Without
-    scipy's HiGHS binding the LPs go through ``solve`` as if ``warm`` were None.
+    as it was, so a pooled sweep starts where a serial one would.
     Results are handed over one at a time: serially, each scenario is solved
     when the caller asks for its result; in a thread pool, the workers go on
     with the remaining scenarios while the caller handles a result. A caller
@@ -282,12 +280,11 @@ def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
     removes and re-inserts its filter, and another thread's warning could
     escape between.
     """
-    warm_start = warm is not None and warm_lp_available()
     found = [None] * len(bases)  # each worker writes its own scenario's slot
 
     def run_one(i: int, scen, base: tuple, w_s: np.ndarray):
         model = price_scenario_subproblem(inst, *base, lam, w_s, anchor, rho)
-        if warm_start:
+        if warm is not None:
             res, found[i] = solve_warm_lp(model, solver, warm[i])
         else:
             res = solve(model, solver)
@@ -305,7 +302,7 @@ def _solve_scenarios(inst, bases: list[tuple], lam: np.ndarray, w: np.ndarray,
                 yield from pool.map(run_one, range(len(bases)), inst.scenarios, bases, w)
         else:
             yield from map(run_one, range(len(bases)), inst.scenarios, bases, w)
-    if warm_start:
+    if warm is not None:
         warm[:] = found
 
 
@@ -823,10 +820,7 @@ def _assemble_report(inst, state: PHAState, trace) -> SolveReport:
         return SolveReport(
             instance_name=inst.name, method="pha", status=NO_INCUMBENT,
             objective=None, lower_bound=state.best_lower, gap=None,
-            termination=state.termination, costs=None,
-            trace=tuple(trace),
-            sigma_bar={h.handle: float(v) for h, v in
-                       zip(enumerate_expectation_constraints(inst), state.sigma_bar)})
+            termination=state.termination, costs=None, trace=tuple(trace))
     _, index, x, source = state.incumbent
     return report_from_solution(
         inst, index, x, method="pha", status=FEASIBLE_WITH_GAP,

@@ -7,13 +7,13 @@ consistency check on the optimization layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .canonical import VariableIndex
-from .core import PlanningInstance, enumerate_expectation_constraints
+from .core import PlanningInstance
 from .build import expectation_terms
 
 
@@ -97,11 +97,7 @@ class SolveReport:
     reliability: tuple[ReliabilityRow, ...] = ()
     policies: tuple[PolicyRow, ...] = ()
     trace: tuple[TraceRow, ...] = ()
-    sigma_bar: Mapping[str, float] = field(default_factory=dict)
     incumbent_source: str | None = None  # e.g. "scenario s3 @ iteration 5"
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_bar", dict(self.sigma_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +214,19 @@ def reliability_rows(inst: PlanningInstance, x_first: Mapping,
     return tuple(rows)
 
 
-def _expected_lhs(inst: PlanningInstance, spec, x_first: Mapping, value) -> tuple[float, float]:
-    """``(expected lhs, rhs)`` of one expectation constraint in its >= form."""
-    fs_terms, scen_terms, rhs = expectation_terms(inst, spec)
-    lhs = sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
-    for scen in inst.scenarios:
-        lhs += scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
-    return lhs, rhs
-
-
 def policy_rows(inst: PlanningInstance, x_first: Mapping,
                 value) -> tuple[PolicyRow, ...]:
     """Expected-output policy totals in their original <= orientation."""
     rows: list[PolicyRow] = []
     for spec in inst.expectation_policies:
-        # the >= form is the policy negated; negating back is exact
-        lhs = -_expected_lhs(inst, spec, x_first, value)[0]
+        fs_terms, scen_terms, _ = expectation_terms(inst, spec)
+        ge = sum(v * x_first.get(c, 0.0) for c, v in fs_terms)
+        for scen in inst.scenarios:
+            ge += scen.probability * sum(v * value(c) for c, v in scen_terms(scen.id))
+        lhs = -ge  # the >= form is the policy negated; negating back is exact
         rows.append(PolicyRow(handle=spec.handle, lhs=lhs, threshold=spec.threshold,
                               sigma_bar=lhs - spec.threshold))
     return tuple(rows)
-
-
-def sigma_bar_of_solution(inst: PlanningInstance, x_first: Mapping,
-                          value) -> dict[str, float]:
-    """Expected slack per expectation handle; positive means violated."""
-    out: dict[str, float] = {}
-    for spec in enumerate_expectation_constraints(inst):
-        lhs, rhs = _expected_lhs(inst, spec, x_first, value)
-        out[spec.handle] = rhs - lhs
-    return out
 
 
 def extract_first_stage(index: VariableIndex, x: np.ndarray) -> dict:
@@ -291,6 +271,5 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
         reliability=reliability_rows(inst, x_first, value),
         policies=policy_rows(inst, x_first, value),
         trace=tuple(trace),
-        sigma_bar=sigma_bar_of_solution(inst, x_first, value),
         incumbent_source=incumbent_source,
     )

@@ -12,7 +12,7 @@ relaxed sweeps: it drives scipy's private HiGHS binding
 (``scipy.optimize._highspy``) directly, so that a re-solve can start from
 the last optimal basis, and it builds a fresh HiGHS instance for every call.
 This module is the only one that reads the binding; when it is missing,
-:func:`warm_lp_available` says so and callers fall back to :func:`solve`.
+:func:`solve_warm_lp` falls back to :func:`solve` itself.
 Two departures from HiGHS's defaults are decided here, by the kind of model:
 
 - Every model with integer columns runs without HiGHS's primal heuristics
@@ -320,11 +320,6 @@ def solve(model: CanonicalModel, cfg: SolverConfig | None = None,
     return res
 
 
-def warm_lp_available() -> bool:
-    """Whether :func:`solve_warm_lp` can run: scipy's private HiGHS binding imported."""
-    return _highspy is not None
-
-
 def solve_warm_lp(model: CanonicalModel, cfg: SolverConfig | None = None,
                   basis=None) -> tuple[SolveResult, object | None]:
     """Solve an LP on HiGHS's simplex from ``basis``; return the result and the optimal basis.
@@ -336,11 +331,12 @@ def solve_warm_lp(model: CanonicalModel, cfg: SolverConfig | None = None,
     returns; the basis it hands back is a copy, so calls from worker threads
     share nothing. Statuses map as in :func:`solve`, and the basis is None
     unless the LP is optimal. HiGHS logs nothing, so nothing reaches fd 1.
+    Without scipy's private binding the LP goes through :func:`solve`, cold,
+    and the basis is None.
 
     Raises ValueError for a model with integer columns or quadratic terms
     and for a basis that does not fit the model, and
-    :class:`BackendCrashError` when HiGHS fails. Callers check
-    :func:`warm_lp_available` first.
+    :class:`BackendCrashError` when HiGHS fails.
     """
     cfg = cfg or SolverConfig()
     model.check()
@@ -348,6 +344,8 @@ def solve_warm_lp(model: CanonicalModel, cfg: SolverConfig | None = None,
         raise ValueError("a warm start solves LPs only; the model has integer "
                          "columns or quadratic terms")
     h = _highspy
+    if h is None:
+        return solve(model, cfg), None
     highs = h._Highs()
     for option, value in (("output_flag", False), ("time_limit", cfg.time_limit_s),
                           ("presolve", "on")):

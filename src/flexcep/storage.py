@@ -12,8 +12,10 @@ policy coefficients are per MWh, thresholds per representative horizon.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import os
 from typing import Mapping
 
@@ -314,45 +316,48 @@ def _load_from_dict(d: dict) -> LargeLoadTech:
 
 def _scenario_from_dict(s: dict, bus_ids, gen_ids, base_dir) -> Scenario:
     sid = s["id"]
-    demand_src = s["demand"]
-    avail_src = s["availability"]
-    if isinstance(demand_src, dict) and "csv" in demand_src:
-        demand = _read_demand_csv(os.path.join(base_dir, demand_src["csv"]), bus_ids, sid)
-    else:
-        try:
-            demand = np.array([[_number(v, f"scenarios[{sid}].demand.{b}")
-                                for v in demand_src[b]] for b in bus_ids])
-        except KeyError as exc:
-            raise InstanceFormatError(
-                f"scenarios[{sid}].demand: missing series for bus {exc}") from exc
-        except InstanceFormatError:
-            raise
-        except ValueError as exc:
-            raise InstanceFormatError(
-                f"scenarios[{sid}].demand: series lengths disagree across buses "
-                f"({exc})") from exc
-    if isinstance(avail_src, dict) and "csv" in avail_src:
-        avail = _read_availability_csv(os.path.join(base_dir, avail_src["csv"]),
-                                       bus_ids, gen_ids, sid)
-    else:
-        try:
-            avail = np.array([[[_number(v, f"scenarios[{sid}].availability.{b}.{g}")
-                                 for v in avail_src[b][g]] for g in gen_ids]
-                              for b in bus_ids])
-        except KeyError as exc:
-            raise InstanceFormatError(
-                f"scenarios[{sid}].availability: missing series for {exc}") from exc
-        except InstanceFormatError:
-            raise
-        except ValueError as exc:
-            raise InstanceFormatError(
-                f"scenarios[{sid}].availability: series lengths disagree "
-                f"({exc})") from exc
+    where = f"scenarios[{sid}]"
+    demand = _series(s["demand"], [(b,) for b in bus_ids], f"{where}.demand", base_dir)
+    avail = _series(s["availability"], [(b, g) for b in bus_ids for g in gen_ids],
+                    f"{where}.availability", base_dir)
+    avail = avail.reshape(len(bus_ids), len(gen_ids), avail.shape[1])
     return Scenario(id=sid, demand=demand, availability=avail,
-                    **_numbers(s, f"scenarios[{sid}]", "probability"))
+                    **_numbers(s, where, "probability"))
 
 
-def _read_csv_table(path, table_name):
+def _series(src, keys, where: str, base_dir) -> np.ndarray:
+    """The time series ``keys`` name, as a ``(len(keys), periods)`` array.
+
+    Inline, row i is the list at ``src[k0][k1]...`` for ``keys[i] = (k0, k1,
+    ...)``; in the CSV file ``{"csv": path}`` names, relative to
+    ``base_dir``, it is the column headed ``k0:k1...``, one row per period.
+    A file with a header and no rows gives zero periods.
+    """
+    if isinstance(src, dict) and "csv" in src:
+        path = os.path.join(base_dir, src["csv"])
+        header, rows = _read_csv_table(path, where)
+        expected = [":".join(map(str, key)) for key in keys]
+        if header != expected:
+            raise InstanceFormatError(
+                f"{where}: '{path}' columns {header} do not match {expected}")
+        series = [[row[i] for row in rows] for i in range(len(keys))]
+    else:
+        series = []
+        for key in keys:
+            name = ".".join(map(str, key))
+            try:
+                values = functools.reduce(operator.getitem, key, src)
+            except KeyError as exc:
+                raise InstanceFormatError(f"{where}: missing series for {name}") from exc
+            series.append([_number(v, f"{where}.{name}") for v in values])
+    lengths = sorted({len(row) for row in series})
+    if len(lengths) > 1:
+        raise InstanceFormatError(f"{where}: series lengths disagree ({lengths})")
+    return np.array(series, dtype=float).reshape(len(keys), lengths[0] if lengths else 0)
+
+
+def _read_csv_table(path, table_name) -> tuple[list[str], list[list[float]]]:
+    """The header and the rows of numbers of a CSV file, one row per period."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -372,32 +377,7 @@ def _read_csv_table(path, table_name):
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise InstanceFormatError(f"{table_name}: '{path}' line {i}: {exc}") from exc
-    return header, np.array(rows)  # rows: one per period
-
-
-def _read_demand_csv(path, bus_ids, sid) -> np.ndarray:
-    table = f"scenarios[{sid}].demand"
-    header, rows = _read_csv_table(path, table)
-    if header != list(bus_ids):
-        raise InstanceFormatError(
-            f"{table}: '{path}' columns {header} do not match buses {list(bus_ids)}")
-    return rows.T.copy()  # (bus, period)
-
-
-def _read_availability_csv(path, bus_ids, gen_ids, sid) -> np.ndarray:
-    table = f"scenarios[{sid}].availability"
-    header, rows = _read_csv_table(path, table)
-    expected = [f"{b}:{g}" for b in bus_ids for g in gen_ids]
-    if header != expected:
-        raise InstanceFormatError(
-            f"{table}: '{path}' columns do not match expected bus:tech pairs {expected}")
-    n_t = rows.shape[0]
-    out = np.zeros((len(bus_ids), len(gen_ids), n_t))
-    for col, name in enumerate(header):
-        bi = col // len(gen_ids)
-        gi = col % len(gen_ids)
-        out[bi, gi, :] = rows[:, col]
-    return out
+    return header, rows
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,42 @@ class TestValidate:
         assert main(["validate", "--instance", str(p)]) == EXIT_INVALID
         assert capsys.readouterr().out.splitlines() == ["scenarios[s1].demand: must be finite"]
 
+    @pytest.mark.parametrize("field,header,lines", [
+        ("demand", ["B1", "B2"],
+         ["scenarios: all scenarios must share the same period count",
+          "scenarios[s1].availability: period count differs from demand",
+          "scenarios[s1].demand: at least one period is required"]),
+        ("availability", ["B1:gas", "B1:solar", "B2:gas", "B2:solar"],
+         ["scenarios[s1].availability: period count differs from demand"]),
+    ])
+    def test_header_only_csv_is_invalid(self, tmp_path, capsys, field, header, lines):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        (tmp_path / "series.csv").write_text(",".join(header) + "\n")
+        doc["scenarios"][0][field] = {"csv": "series.csv"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", str(p)]) == EXIT_INVALID
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_zero_periods_are_invalid(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        scen = doc["scenarios"][0]
+        scen.update(probability=1.0, demand={b: [] for b in scen["demand"]},
+                    availability={b: {g: [] for g in gens}
+                                  for b, gens in scen["availability"].items()})
+        doc["scenarios"] = [scen]
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        for argv in (["validate"], ["solve", "--method", "ef", "--out", out],
+                     ["solve", "--method", "pha", "--out", out]):
+            assert main([*argv, "--instance", str(p)]) == EXIT_INVALID
+            assert capsys.readouterr().out.splitlines() == [
+                "scenarios[s1].demand: at least one period is required"]
+        assert not os.path.exists(out)
+
     def test_latin1_byte_is_invalid(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "G1", "seed1.json"), "rb") as fh:
             raw = fh.read().replace(b'"G1-seed1"', b'"G1-seed1 caf\xe9"', 1)

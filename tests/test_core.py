@@ -299,6 +299,19 @@ class TestValidationMessages:
                          "user policies must be expected_output; tier specs are generated"
                          ) in validate_instance(inst)
 
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in storage._IDENTIFIER_FIELDS for key in keys])
+    def test_unhashable_identifier_of_an_instance_built_in_python(self, section, key):
+        # a file's unhashable identifier is a format error (storage._check_identifiers)
+        attribute = {"policies": "expectation_policies"}.get(section, section)
+        inst = generate("G2", 1)
+        items = getattr(inst, attribute)
+        first = dataclasses.replace(items[0], **{key: ["B1"]})
+        inst = dataclasses.replace(inst, **{attribute: (first, *items[1:])})
+        assert validate_instance(inst) == [
+            Violation(f"{attribute}[0].{key}",
+                      "identifier must be non-empty and match [A-Za-z0-9_.-]+")]
+
     def test_non_finite_numbers_of_instances_built_in_python(self):
         inst = generate("G2", 1)
         gas = dataclasses.replace(inst.gen_techs[0], variable_cost=float("nan"))

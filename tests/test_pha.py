@@ -448,12 +448,12 @@ class TestWarmSweeps:
                                            warm=warm)[0] for lam, w in points]
         monkeypatch.setattr(solvers_module, "_highspy", None)
         names = []
-        original = pha_module.solve
+        original = solvers_module.solve
 
         def recording(model, cfg=None, **kwargs):
             names.append(model.name)
             return original(model, cfg, **kwargs)
-        monkeypatch.setattr(pha_module, "solve", recording)
+        monkeypatch.setattr(solvers_module, "solve", recording)
         cold = [None] * len(relaxed)
         bounds = [lagrangian_lower_bound(inst, lam, w, solver_cfg, bases=relaxed,
                                          warm=cold)[0] for lam, w in points]
