@@ -101,7 +101,7 @@ class GenTech:
     integrality: str  # INTEGER_UNITS or CONTINUOUS
     fixed_cost: float  # $/MW/y
     variable_cost: float  # $/MWh
-    emission_factor: float = 0.0  # output-metric units per MWh generated
+    emission_factor: float = 0.0  # kept in the file, read by nothing; policies set q
     unit_size_mw: float | None = None  # required iff integer_units
 
     @property
@@ -141,7 +141,7 @@ class LargeLoadTech:
     fixed_cost: float  # $/unit/y
     variable_cost: float  # $/MWh consumed; < 0 only with an equality mandate
     tiers: TierSpec
-    capture_factor: float = 0.0  # output-metric units per MWh consumed
+    capture_factor: float = 0.0  # kept in the file, read by nothing; policies set r
     mandate: Mandate | None = None
 
 

@@ -453,11 +453,11 @@ class _DualSpoke:
                 self.value = self.best
             return
         if not self.lp_phase:
-            self._step(relaxed=not self.integer)
+            self._step()
             return
         if not final:
             for _ in range(LP_SWEEPS_PER_ITERATION):
-                if self.lp_sweeps >= LP_SWEEP_CAP or not self._step(relaxed=True):
+                if self.lp_sweeps >= LP_SWEEP_CAP or not self._step():
                     break
             else:
                 return
@@ -465,9 +465,9 @@ class _DualSpoke:
         self.lp_phase = False
         self._keep_cuts(self.exact)
         self.value = None
-        self._step(relaxed=False)
+        self._step()
 
-    def _step(self, relaxed: bool) -> bool:
+    def _step(self) -> bool:
         """One bundle step; False when the model predicts no ascent worth a sweep.
 
         While the centre's value is unknown the step sweeps the centre. Else
@@ -477,7 +477,7 @@ class _DualSpoke:
         halves the box and keeps the centre.
         """
         if self.value is None:
-            self.value = self._sweep(self.lam, self.w, relaxed)
+            self.value = self._sweep(self.lam, self.w)
             return True
         trial = self._master()
         if trial is None:
@@ -486,7 +486,7 @@ class _DualSpoke:
         lam, w, predicted = trial
         if predicted < ASCENT_TOL * max(abs(self.value), 1.0):
             return False
-        bound = self._sweep(lam, w, relaxed)
+        bound = self._sweep(lam, w)
         if bound is not None and bound - self.value >= SERIOUS_STEP * predicted:
             self.lam, self.w, self.value = lam, w, bound
             self.box = min(2.0 * self.box, BOX_MAX)
@@ -496,15 +496,18 @@ class _DualSpoke:
 
     # -- sweeps and cuts ------------------------------------------------------
 
-    def _sweep(self, lam: np.ndarray, w: np.ndarray, relaxed: bool) -> float | None:
+    def _sweep(self, lam: np.ndarray, w: np.ndarray) -> float | None:
         """One ``lagrangian_lower_bound`` call at ``(lam, w)``; its bound, or None.
 
-        A relaxed sweep starts each scenario's LP from its basis in
-        ``self.warm`` and leaves the new ones there. A sweep that fails keeps
-        the last bound and bases: the hub and the incumbent do not depend on
-        it, so it must not end the run.
+        The sweep is relaxed in the LP phase and in convex mode; it then
+        starts each scenario's LP from its basis in ``self.warm`` and leaves
+        the new ones there. Only the LP phase's sweeps count as LP sweeps and
+        give inexact cuts. A sweep that fails keeps the last bound and bases:
+        the hub and the incumbent do not depend on it, so it must not end
+        the run.
         """
-        if relaxed and self.integer:
+        relaxed = self.lp_phase or not self.integer
+        if self.lp_phase:
             self.lp_sweeps += 1
         try:
             bound, xs = lagrangian_lower_bound(
@@ -513,7 +516,7 @@ class _DualSpoke:
                 warm=self.warm if relaxed else None)
         except (PHAError, BackendCrashError):
             return None
-        self._add_cuts(xs, exact=not (relaxed and self.integer))
+        self._add_cuts(xs, exact=not self.lp_phase)
         if bound is not None:
             self.best = bound if self.best is None else max(self.best, bound)
         return bound

@@ -7,7 +7,7 @@ consistency check on the optimization layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,53 +105,44 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def investment_cost(inst: PlanningInstance, x_first: Mapping) -> CostBreakdown:
-    """Annualized investment cost of a first-stage assignment (by coordinate)."""
-    line = sum(l.fixed_cost * x_first.get(("xL", l.id), 0.0)
-               for l in inst.candidate_branches())
-    gen = sum(g.fixed_cost * g.capacity_per_unit * x_first.get(("xG", b.id, g.id), 0.0)
-              for b in inst.buses for g in inst.gen_techs)
-    sto = sum(s.fixed_cost * x_first.get(("xS", b.id, s.id), 0.0)
-              for b in inst.buses for s in inst.storage_techs)
-    load = sum(d.fixed_cost * x_first.get(("xD", b.id, d.id), 0.0)
-               for b in inst.buses for d in inst.load_techs)
-    return CostBreakdown(invest_transmission=line, invest_generation=gen,
-                         invest_storage=sto, invest_load=load)
-
-
-def operation_cost(inst: PlanningInstance, scen_id: str, value) -> CostBreakdown:
-    """Annualized operation cost of one scenario; ``value(coord)`` reads primals."""
-    tau = inst.period_length_h
-    T = inst.num_periods
-    scale = inst.annualization_days * tau
-    shed = gen = sto = load = 0.0
-    for b in inst.buses:
-        for t in range(T):
-            shed += inst.shed_cost * value(("psh", b.id, t, scen_id))
-        for g in inst.gen_techs:
-            for t in range(T):
-                gen += g.variable_cost * value(("pG", b.id, g.id, t, scen_id))
-        for s in inst.storage_techs:
-            for t in range(T):
-                sto += s.variable_cost * value(("pSdch", b.id, s.id, t, scen_id))
-        for d in inst.load_techs:
-            for k in range(1, len(d.tiers) + 1):
-                for t in range(T):
-                    load += d.variable_cost * value(("pDK", b.id, d.id, k, t, scen_id))
-    return CostBreakdown(op_shedding=scale * shed, op_generation=scale * gen,
-                         op_storage=scale * sto, op_load=scale * load)
-
-
-def expected_operation_cost(inst: PlanningInstance, value) -> CostBreakdown:
-    """Probability-weighted sum of per-scenario operation costs."""
-    acc = {"op_shedding": 0.0, "op_generation": 0.0, "op_storage": 0.0, "op_load": 0.0}
+def cost_breakdown(inst: PlanningInstance, x_first: Mapping, value) -> CostBreakdown:
+    """Annualized investment cost of the first-stage assignment ``x_first`` (by
+    coordinate) and probability-weighted annualized operation cost of the
+    scenarios, whose primals ``value(coord)`` reads."""
+    buses, periods = inst.buses, range(inst.num_periods)
+    costs = {
+        "invest_transmission": sum(l.fixed_cost * x_first.get(("xL", l.id), 0.0)
+                                   for l in inst.candidate_branches()),
+        "invest_generation": sum(
+            g.fixed_cost * g.capacity_per_unit * x_first.get(("xG", b.id, g.id), 0.0)
+            for b in buses for g in inst.gen_techs),
+        "invest_storage": sum(s.fixed_cost * x_first.get(("xS", b.id, s.id), 0.0)
+                              for b in buses for s in inst.storage_techs),
+        "invest_load": sum(d.fixed_cost * x_first.get(("xD", b.id, d.id), 0.0)
+                           for b in buses for d in inst.load_techs),
+        "op_shedding": 0.0, "op_generation": 0.0, "op_storage": 0.0, "op_load": 0.0,
+    }
+    scale = inst.annualization_days * inst.period_length_h
     for scen in inst.scenarios:
-        c = operation_cost(inst, scen.id, value)
-        acc["op_shedding"] += scen.probability * c.op_shedding
-        acc["op_generation"] += scen.probability * c.op_generation
-        acc["op_storage"] += scen.probability * c.op_storage
-        acc["op_load"] += scen.probability * c.op_load
-    return CostBreakdown(**acc)
+        w = scen.id
+        shed = gen = sto = load = 0.0
+        for b in buses:
+            for t in periods:
+                shed += inst.shed_cost * value(("psh", b.id, t, w))
+            for g in inst.gen_techs:
+                for t in periods:
+                    gen += g.variable_cost * value(("pG", b.id, g.id, t, w))
+            for s in inst.storage_techs:
+                for t in periods:
+                    sto += s.variable_cost * value(("pSdch", b.id, s.id, t, w))
+            for d in inst.load_techs:
+                for k in range(1, len(d.tiers) + 1):
+                    for t in periods:
+                        load += d.variable_cost * value(("pDK", b.id, d.id, k, t, w))
+        for key, total in zip(("op_shedding", "op_generation", "op_storage", "op_load"),
+                              (shed, gen, sto, load)):
+            costs[key] += scen.probability * (scale * total)
+    return CostBreakdown(**costs)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +245,6 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
     """Assemble the full report for a solved model's primal vector."""
     x_first = extract_first_stage(index, x)
     value = value_reader(index, x)
-    op = expected_operation_cost(inst, value)
-    costs = replace(investment_cost(inst, x_first), op_shedding=op.op_shedding,
-                    op_generation=op.op_generation, op_storage=op.op_storage,
-                    op_load=op.op_load)
     return SolveReport(
         instance_name=inst.name,
         method=method,
@@ -266,7 +253,7 @@ def report_from_solution(inst: PlanningInstance, index: VariableIndex, x: np.nda
         lower_bound=lower_bound,
         gap=gap,
         termination=termination,
-        costs=costs,
+        costs=cost_breakdown(inst, x_first, value),
         buildout=buildout_rows(inst, x_first),
         reliability=reliability_rows(inst, x_first, value),
         policies=policy_rows(inst, x_first, value),

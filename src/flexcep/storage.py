@@ -21,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import core
 from .core import (
     EXISTING,
     EXPECTED_OUTPUT,
@@ -207,12 +208,10 @@ def load_instance(path) -> PlanningInstance:
     return inst
 
 
-# Fields that key the validator's sets and dicts, by section of the document.
-_IDENTIFIER_FIELDS = (
-    ("buses", ("id",)), ("gen_techs", ("id",)), ("storage_techs", ("id",)),
-    ("load_techs", ("id",)), ("branches", ("id", "from_bus", "to_bus")),
-    ("scenarios", ("id",)), ("policies", ("handle",)),
-)
+# core's identifier fields by section of the document, which names
+# ``expectation_policies`` ``policies``
+_IDENTIFIER_FIELDS = tuple(({"expectation_policies": "policies"}.get(section, section), keys)
+                           for section, keys in core._IDENTIFIER_FIELDS)
 
 
 def _check_identifiers(doc: dict) -> None:
@@ -320,7 +319,9 @@ def _scenario_from_dict(s: dict, bus_ids, gen_ids, base_dir) -> Scenario:
     demand = _series(s["demand"], [(b,) for b in bus_ids], f"{where}.demand", base_dir)
     avail = _series(s["availability"], [(b, g) for b in bus_ids for g in gen_ids],
                     f"{where}.availability", base_dir)
-    avail = avail.reshape(len(bus_ids), len(gen_ids), avail.shape[1])
+    # with no gen columns the availability has no periods of its own
+    avail = avail.reshape(len(bus_ids), len(gen_ids),
+                          avail.shape[1] if gen_ids else demand.shape[1])
     return Scenario(id=sid, demand=demand, availability=avail,
                     **_numbers(s, where, "probability"))
 
@@ -393,59 +394,39 @@ def _csv_cell(value) -> str:
     return fmt_num(value)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(c) for c in row) + "\n")
-
-
 def save_report(report: SolveReport, out_dir) -> list[str]:
-    """Write the report file set; returns the written paths."""
+    """Write the report file set; returns the written paths.
+
+    A costs row names a ``CostBreakdown`` attribute, with ``_total`` on its
+    two subtotals.
+    """
+    c = report.costs
+    costs = [] if c is None else [(name, getattr(c, name.removesuffix("_total"))) for name in (
+        "invest_transmission", "invest_generation", "invest_storage", "invest_load",
+        "investment_total", "op_shedding", "op_generation", "op_storage", "op_load",
+        "operation_total", "total")]
+    files = (
+        ("buildout.csv", ("bus", "kind", "tech", "existing", "built", "built_mw"),
+         [(r.bus, r.kind, r.tech, r.existing, r.built, r.built_mw) for r in report.buildout]),
+        ("costs.csv", ("component", "value"), costs),
+        ("reliability.csv",
+         ("bus", "tech", "tier", "required_phi", "achieved", "width", "units"),
+         [(r.bus, r.tech, r.tier, r.required_phi, r.achieved, r.width, r.units)
+          for r in report.reliability]),
+        ("emissions.csv", ("handle", "lhs", "threshold", "sigma_bar"),
+         [(r.handle, r.lhs, r.threshold, r.sigma_bar) for r in report.policies]),
+        ("trace.csv", ("iteration", "consensus_metric", "max_abs_sigma_bar",
+                       "lower_bound", "upper_bound", "wall_time_s"),
+         [(r.iteration, r.consensus, r.sigma_violation, r.lower_bound, r.upper_bound,
+           r.wall_time_s) for r in report.trace]),
+    )
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-
-    p = os.path.join(out_dir, "buildout.csv")
-    _write_csv(p, ["bus", "kind", "tech", "existing", "built", "built_mw"],
-               [(r.bus, r.kind, r.tech, r.existing, r.built, r.built_mw)
-                for r in report.buildout])
-    paths.append(p)
-
-    p = os.path.join(out_dir, "costs.csv")
-    c = report.costs
-    rows = []
-    if c is not None:
-        rows = [
-            ("invest_transmission", c.invest_transmission),
-            ("invest_generation", c.invest_generation),
-            ("invest_storage", c.invest_storage),
-            ("invest_load", c.invest_load),
-            ("investment_total", c.investment),
-            ("op_shedding", c.op_shedding),
-            ("op_generation", c.op_generation),
-            ("op_storage", c.op_storage),
-            ("op_load", c.op_load),
-            ("operation_total", c.operation),
-            ("total", c.total),
-        ]
-    _write_csv(p, ["component", "value"], rows)
-    paths.append(p)
-
-    p = os.path.join(out_dir, "reliability.csv")
-    _write_csv(p, ["bus", "tech", "tier", "required_phi", "achieved", "width", "units"],
-               [(r.bus, r.tech, r.tier, r.required_phi, r.achieved, r.width, r.units)
-                for r in report.reliability])
-    paths.append(p)
-
-    p = os.path.join(out_dir, "emissions.csv")
-    _write_csv(p, ["handle", "lhs", "threshold", "sigma_bar"],
-               [(r.handle, r.lhs, r.threshold, r.sigma_bar) for r in report.policies])
-    paths.append(p)
-
-    p = os.path.join(out_dir, "trace.csv")
-    _write_csv(p, ["iteration", "consensus_metric", "max_abs_sigma_bar",
-                   "lower_bound", "upper_bound", "wall_time_s"],
-               [(r.iteration, r.consensus, r.sigma_violation, r.lower_bound,
-                 r.upper_bound, r.wall_time_s) for r in report.trace])
-    paths.append(p)
+    for name, header, rows in files:
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_csv_cell, row)) + "\n")
+        paths.append(path)
     return paths

@@ -30,7 +30,7 @@ from flexcep.cli import (
 from flexcep.core import FULL_FLEX, INFLEXIBLE, Mandate
 from flexcep.oracle import DAC_MID_FLEX, generate
 from flexcep.pha import PHAConfig
-from flexcep.storage import instance_to_dict, save_instance
+from flexcep.storage import instance_to_dict, load_instance, save_instance
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -194,6 +194,29 @@ class TestValidate:
             assert capsys.readouterr().out.splitlines() == [
                 "scenarios[s1].demand: at least one period is required"]
         assert not os.path.exists(out)
+
+    def test_instance_without_generation_techs(self, tmp_path, capsys):
+        # storage, shedding and large loads only: availability has no columns
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        doc["gen_techs"] = []
+        for bus in doc["buses"]:
+            bus.update(existing_gen={}, build_limit_gen={})
+        for scen in doc["scenarios"]:
+            scen["availability"] = {b: {} for b in scen["availability"]}
+        for policy in doc["policies"]:
+            policy["q"] = {}
+        p = tmp_path / "no-gen.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--instance", str(p)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        out = str(tmp_path / "out")
+        assert main(["solve", "--instance", str(p), "--method", "ef", "--out", out]) == EXIT_OK
+        inst = load_instance(str(p))
+        assert inst.scenarios[0].availability.shape == (2, 0, inst.num_periods)
+        save_instance(inst, tmp_path / "a.json")
+        save_instance(load_instance(str(tmp_path / "a.json")), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
     def test_latin1_byte_is_invalid(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "G1", "seed1.json"), "rb") as fh:

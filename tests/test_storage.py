@@ -215,6 +215,25 @@ class TestReportFiles:
         assert float(total_line[0].split(",")[1]) == pytest.approx(
             g1_ef_solution.objective, rel=1e-8)
 
+    @pytest.mark.parametrize("gen", ["G1", "G2", "G3"])
+    def test_each_cost_component_matches_the_objective_by_column_kind(self, gen):
+        # the total alone would not notice two components trading places
+        inst = generate(gen, 1)
+        model, index = build_extensive_form(inst)
+        res = solve(model, SolverConfig())
+        costs = report_from_solution(inst, index, res.x, "ef", res.status,
+                                     res.objective).costs
+        priced = model.obj * res.x
+        kinds = {"invest_transmission": "xL", "invest_generation": "xG",
+                 "invest_storage": "xS", "invest_load": "xD", "op_shedding": "psh",
+                 "op_generation": "pG", "op_storage": "pSdch", "op_load": "pDK"}
+        for field, kind in kinds.items():
+            expected = priced[index.columns_of_kind(kind)].sum()
+            assert getattr(costs, field) == pytest.approx(expected, rel=1e-9), field
+        others = np.ones(model.num_vars, dtype=bool)
+        others[index.columns_of_kind(*kinds.values())] = False
+        assert not model.obj[others].any()
+
     def test_inflexible_reliability_audit(self, inflexible_report, tmp_path):
         _, report = inflexible_report
         assert report.reliability, "built loads must produce audit rows"
