@@ -1,19 +1,22 @@
 """Builders translating a planning instance into solver-ready models.
 
-Two builders share one formulation core. :func:`build_extensive_form` is the
-MILP over all scenarios with the expectation constraints kept hard.
-:func:`build_scenario_subproblem` is one scenario's Lagrangian model: the
-expectation constraints become slack columns, priced at zero when built.
-:func:`price_scenario_subproblem` is the one place that writes prices into a
-scenario model: multipliers on the slacks, weights on the first stage and,
-for progressive hedging, a proximal term. Its vectors are numpy arrays in the
-column order below.
+Two builders share one assembly: the first stage, one operation block per
+scenario, then the mandate rows. Each adds only its own tail.
+:func:`build_extensive_form` is the MILP over all scenarios with the
+expectation constraints kept hard. :func:`build_scenario_subproblem` is one
+scenario's Lagrangian model: the expectation constraints become slack
+columns, priced at zero when built. :func:`price_scenario_subproblem` is the
+one place that writes prices into a scenario model: multipliers on the
+slacks, weights on the first stage and, for progressive hedging, a proximal
+term. Its vectors are numpy arrays in the column order below.
 
-Column layout, which readers rely on: every model starts with the
-first-stage columns in ``first_stage_info(inst).coords`` order, so a
-first-stage vector ``v`` lines up with columns ``0..n-1``; each scenario
-subproblem ends with its slack columns in ``enumerate_expectation_constraints``
-order.
+A model's column map (coordinate -> column, in column order) is its one
+record of its columns: its ``VariableIndex`` is built from the map, and a
+coordinate added twice raises ``ModelError``. Column layout, which readers
+rely on: every model starts with the first-stage columns in
+``first_stage_info(inst).coords`` order, so a first-stage vector ``v`` lines
+up with columns ``0..n-1``; each scenario subproblem ends with its slack
+columns in ``enumerate_expectation_constraints`` order.
 
 Formulation notes that matter when reading the rows:
 
@@ -57,6 +60,7 @@ from .core import (
     ExpectationConstraintSpec,
     InvalidInstanceError,
     PlanningInstance,
+    Scenario,
     enumerate_expectation_constraints,
     validate_instance,
 )
@@ -80,56 +84,32 @@ class FirstStageInfo:
 
 
 def first_stage_info(inst: PlanningInstance) -> FirstStageInfo:
-    coords: list[Coord] = []
-    lb: list[float] = []
-    ub: list[float] = []
-    integer: list[bool] = []
-    scale: list[float] = []
-    cost: list[float] = []
-
+    # one (coord, lb, ub, integer, mw_scale, unit_cost) record per coordinate
+    records: list[tuple[Coord, float, float, bool, float, float]] = []
     for l in inst.candidate_branches():
-        coords.append(("xL", l.id))
-        lb.append(0.0)
-        ub.append(1.0)
-        integer.append(True)
-        scale.append(l.capacity_mw)
-        cost.append(l.fixed_cost)
+        records.append((("xL", l.id), 0.0, 1.0, True, l.capacity_mw, l.fixed_cost))
     for b in inst.buses:
         for g in inst.gen_techs:
             cap = b.build_limit_gen.get(g.id)
             existing = b.existing_gen.get(g.id, 0.0)
             room = max(0.0, (cap - existing)) if cap is not None else 0.0
-            coords.append(("xG", b.id, g.id))
-            lb.append(0.0)
-            if g.is_integer:
-                ub.append(float(np.floor(room / g.unit_size_mw + 1e-9)))
-            else:
-                ub.append(room)
-            integer.append(g.is_integer)
-            scale.append(g.capacity_per_unit)
-            cost.append(g.fixed_cost * g.capacity_per_unit)
+            ub = float(np.floor(room / g.unit_size_mw + 1e-9)) if g.is_integer else room
+            records.append((("xG", b.id, g.id), 0.0, ub, g.is_integer, g.capacity_per_unit,
+                            g.fixed_cost * g.capacity_per_unit))
     for b in inst.buses:
         for s in inst.storage_techs:
             cap = b.build_limit_storage.get(s.id)
             existing = b.existing_storage.get(s.id, 0.0)
             room = max(0.0, (cap - existing)) if cap is not None else 0.0
-            coords.append(("xS", b.id, s.id))
-            lb.append(0.0)
-            ub.append(room)
-            integer.append(False)
-            scale.append(1.0)
-            cost.append(s.fixed_cost)
+            records.append((("xS", b.id, s.id), 0.0, room, False, 1.0, s.fixed_cost))
     for b in inst.buses:
         for d in inst.load_techs:
             units = b.build_limit_load.get(d.id, 0.0)
-            coords.append(("xD", b.id, d.id))
-            lb.append(0.0)
-            ub.append(float(round(units)))
-            integer.append(True)
-            scale.append(d.unit_size_mw)
-            cost.append(d.fixed_cost)
+            records.append((("xD", b.id, d.id), 0.0, float(round(units)), True,
+                            d.unit_size_mw, d.fixed_cost))
 
-    return FirstStageInfo(coords=tuple(coords), lb=read_only_array(lb),
+    coords, lb, ub, integer, scale, cost = zip(*records) if records else ((),) * 6
+    return FirstStageInfo(coords=coords, lb=read_only_array(lb),
                           ub=read_only_array(ub), integer=read_only_array(integer, bool),
                           mw_scale=read_only_array(scale), unit_cost=read_only_array(cost))
 
@@ -195,29 +175,40 @@ def _require_valid(inst: PlanningInstance) -> None:
         raise InvalidInstanceError(violations)
 
 
-def _add_first_stage(mb: ModelBuilder, info: FirstStageInfo,
-                     coords: list[Coord]) -> dict[Coord, int]:
+def _add_col(mb: ModelBuilder, cols: dict[Coord, int], coord: Coord, **var) -> int:
+    """Add ``coord``'s column to ``mb`` and to the column map ``cols``."""
+    if coord in cols:
+        raise ModelError(f"duplicate semantic coordinate {coord!r}")
+    cols[coord] = col = mb.add_var(**var)
+    return col
+
+
+def _assemble(inst: PlanningInstance, name: str,
+              blocks: list[tuple[Scenario, float]]) -> tuple[ModelBuilder, dict[Coord, int]]:
+    """The part both builders share: the first stage, one operation block per
+    ``(scenario, weight)`` in ``blocks`` and the mandate rows, in that order.
+
+    A block's costs are scaled by its weight times the annualization factor.
+    Returns the builder and the column map for the caller's tail.
+    """
+    mb = ModelBuilder(name=name)
     cols: dict[Coord, int] = {}
-    for i, coord in enumerate(info.coords):
-        col = mb.add_var(lb=float(info.lb[i]), ub=float(info.ub[i]),
-                         integer=bool(info.integer[i]), obj=float(info.unit_cost[i]))
-        cols[coord] = col
-        coords.append(coord)
-    return cols
-
-
-def _add_mandate_rows(mb: ModelBuilder, inst: PlanningInstance, cols: dict[Coord, int]) -> None:
+    info = first_stage_info(inst)
+    for coord, lb, ub, integer, cost in zip(info.coords, info.lb, info.ub, info.integer,
+                                            info.unit_cost):
+        _add_col(mb, cols, coord, lb=lb, ub=ub, integer=integer, obj=cost)
+    annual = inst.annualization_days * inst.period_length_h
+    for scen, weight in blocks:
+        _add_scenario_block(mb, inst, scen, cols, cost_scale=weight * annual)
     for d in inst.load_techs:
-        if d.mandate is None:
-            continue
-        terms = [(cols[("xD", b.id, d.id)], 1.0) for b in inst.buses]
-        sense = EQ if d.mandate.equality else GE
-        mb.add_row(terms, sense, float(d.mandate.min_units))
+        if d.mandate is not None:
+            mb.add_row([(cols[("xD", b.id, d.id)], 1.0) for b in inst.buses],
+                       EQ if d.mandate.equality else GE, float(d.mandate.min_units))
+    return mb, cols
 
 
-def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
-                        coords: list[Coord], cols: dict[Coord, int],
-                        cost_scale: float) -> None:
+def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen: Scenario,
+                        cols: dict[Coord, int], cost_scale: float) -> None:
     """Add scenario ``scen``'s operation variables, rows and objective terms.
 
     ``cost_scale`` multiplies every variable cost; it carries the annualization
@@ -229,39 +220,28 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
     w = scen.id
     spread = inst.big_m_angle_spread
     ref_bus = inst.reference_bus
-    bus_idx = {b.id: i for i, b in enumerate(inst.buses)}
-    gen_idx = {g.id: i for i, g in enumerate(inst.gen_techs)}
 
-    def new_var(coord, lb=0.0, ub=INF, obj=0.0):
-        col = mb.add_var(lb=lb, ub=ub, obj=obj)
-        cols[coord] = col
-        coords.append(coord)
-        return col
+    def new_var(coord, **var):
+        _add_col(mb, cols, coord, **var)
 
     for b in inst.buses:
         for g in inst.gen_techs:
             for t in range(T):
                 new_var(("pG", b.id, g.id, t, w), obj=cost_scale * g.variable_cost)
-    for b in inst.buses:
-        for s in inst.storage_techs:
-            for t in range(T):
-                new_var(("pS", b.id, s.id, t, w))
-    for b in inst.buses:
-        for s in inst.storage_techs:
-            for t in range(T):
-                new_var(("pSch", b.id, s.id, t, w))
-    for b in inst.buses:
-        for s in inst.storage_techs:
-            for t in range(T):
-                new_var(("pSdch", b.id, s.id, t, w), obj=cost_scale * s.variable_cost)
+    for kind in ("pS", "pSch", "pSdch"):  # level, charge, discharge: only discharge costs
+        for b in inst.buses:
+            for s in inst.storage_techs:
+                cost = cost_scale * s.variable_cost if kind == "pSdch" else 0.0
+                for t in range(T):
+                    new_var((kind, b.id, s.id, t, w), obj=cost)
     for b in inst.buses:
         for d in inst.load_techs:
             for k in range(1, len(d.tiers) + 1):
                 for t in range(T):
                     new_var(("pDK", b.id, d.id, k, t, w), obj=cost_scale * d.variable_cost)
-    for b in inst.buses:
+    for bi, b in enumerate(inst.buses):
         for t in range(T):
-            new_var(("psh", b.id, t, w), ub=float(scen.demand[bus_idx[b.id], t]),
+            new_var(("psh", b.id, t, w), ub=float(scen.demand[bi, t]),
                     obj=cost_scale * inst.shed_cost)
     for l in inst.branches:
         for t in range(T):
@@ -274,10 +254,8 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
                 new_var(("theta", b.id, t, w), lb=-spread / 2.0, ub=spread / 2.0)
 
     # generation availability caps
-    for b in inst.buses:
-        bi = bus_idx[b.id]
-        for g in inst.gen_techs:
-            gi = gen_idx[g.id]
+    for bi, b in enumerate(inst.buses):
+        for gi, g in enumerate(inst.gen_techs):
             existing = b.existing_gen.get(g.id, 0.0)
             for t in range(T):
                 alpha = float(scen.availability[bi, gi, t])
@@ -330,8 +308,7 @@ def _add_scenario_block(mb: ModelBuilder, inst: PlanningInstance, scen,
                     mb.add_row([(cols[("pDK", b.id, d.id, k, t, w)], 1.0), (xd, -cap)], LE, 0.0)
 
     # nodal balance
-    for b in inst.buses:
-        bi = bus_idx[b.id]
+    for bi, b in enumerate(inst.buses):
         for t in range(T):
             terms: list[tuple[int, float]] = []
             for g in inst.gen_techs:
@@ -362,22 +339,15 @@ def build_extensive_form(inst: PlanningInstance) -> tuple[CanonicalModel, Variab
     Its leading columns are the first stage in ``first_stage_info`` order.
     """
     _require_valid(inst)
-    info = first_stage_info(inst)
-    mb = ModelBuilder(name=f"{inst.name}-ef")
-    coords: list[Coord] = []
-    cols = _add_first_stage(mb, info, coords)
-    annual = inst.annualization_days * inst.period_length_h
-    for scen in inst.scenarios:
-        _add_scenario_block(mb, inst, scen, coords, cols,
-                            cost_scale=scen.probability * annual)
-    _add_mandate_rows(mb, inst, cols)
+    mb, cols = _assemble(inst, f"{inst.name}-ef",
+                         [(scen, scen.probability) for scen in inst.scenarios])
     for spec in enumerate_expectation_constraints(inst):
         fs_terms, scen_terms, rhs = expectation_terms(inst, spec)
         terms = [(cols[c], v) for c, v in fs_terms]
         for scen in inst.scenarios:
             terms.extend((cols[c], scen.probability * v) for c, v in scen_terms(scen.id))
         mb.add_row(terms, GE, rhs)
-    return mb.freeze(), VariableIndex(coords=tuple(coords))
+    return mb.freeze(), VariableIndex(coords=tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -403,26 +373,15 @@ def build_scenario_subproblem(inst: PlanningInstance,
     except KeyError:
         raise ModelError(f"unknown scenario id '{scenario_id}'") from None
 
-    info = first_stage_info(inst)
-    mb = ModelBuilder(name=f"{inst.name}-lr-{scen.id}")
-    coords: list[Coord] = []
-    cols = _add_first_stage(mb, info, coords)
-    annual = inst.annualization_days * inst.period_length_h
-    _add_scenario_block(mb, inst, scen, coords, cols, cost_scale=annual)
-    _add_mandate_rows(mb, inst, cols)
-
+    mb, cols = _assemble(inst, f"{inst.name}-lr-{scen.id}", [(scen, 1.0)])
     for c_spec in enumerate_expectation_constraints(inst):
         fs_terms, scen_terms, rhs = expectation_terms(inst, c_spec)
-        coord = ("sigma", c_spec.handle, scen.id)
-        col = mb.add_var(lb=-INF, ub=INF)
-        cols[coord] = col
-        coords.append(coord)
-        terms = [(col, 1.0)]
+        terms = [(_add_col(mb, cols, ("sigma", c_spec.handle, scen.id), lb=-INF), 1.0)]
         terms.extend((cols[c], v) for c, v in fs_terms)
         terms.extend((cols[c], v) for c, v in scen_terms(scen.id))
         mb.add_row(terms, EQ, rhs)
 
-    return mb.freeze(), VariableIndex(coords=tuple(coords))
+    return mb.freeze(), VariableIndex(coords=tuple(cols))
 
 
 def price_scenario_subproblem(inst: PlanningInstance, model: CanonicalModel,

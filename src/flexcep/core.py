@@ -18,6 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .canonical import read_only_array
+
 # Identifiers are embedded in CSV headers (``bus:tech`` columns) and in the
 # ``tier[bus,tech,k]`` handles, so the charset is restricted; ':' and ',' and
 # brackets stay available as separators.
@@ -30,12 +32,6 @@ CONTINUOUS = "continuous"
 
 TIER_RELIABILITY = "tier_reliability"
 EXPECTED_OUTPUT = "expected_output"
-
-
-def _freeze(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, order=True)
@@ -200,8 +196,8 @@ class Scenario:
     availability: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", _freeze(self.demand))
-        object.__setattr__(self, "availability", _freeze(self.availability))
+        object.__setattr__(self, "demand", read_only_array(self.demand))
+        object.__setattr__(self, "availability", read_only_array(self.availability))
 
     @property
     def num_periods(self) -> int:

@@ -141,10 +141,13 @@ class PHAConfig:
             raise ValueError("rho_scale and beta_scale must be finite and > 0")
         if not 0 < self.gap_threshold < math.inf:
             raise ValueError("gap_threshold must be finite and > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("max_iterations", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.relax_integrality, bool):
+            raise ValueError(f"relax_integrality must be True or False, "
+                             f"got {self.relax_integrality!r}")
 
 
 def _relative_gap(lower: float | None, upper: float | None) -> float | None:

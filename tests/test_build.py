@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import flexcep.build as build_module
 from flexcep.build import (
     build_extensive_form,
     build_scenario_subproblem,
@@ -285,15 +286,33 @@ class TestColumnLayout:
     @pytest.mark.parametrize("gen", ["G1", "G2", "G3"])
     def test_first_stage_leads_and_slacks_close(self, gen):
         inst = generate(gen, 1)
-        fs = first_stage_info(inst).coords
+        info = first_stage_info(inst)
+        fs, n = info.coords, len(info.coords)
         handles = enumerate_expectation_constraints(inst)
-        _, ef_index = build_extensive_form(inst)
-        assert ef_index.coords[:len(fs)] == fs
+        ef, ef_index = build_extensive_form(inst)
+        assert ef_index.coords[:n] == fs
+        models = [(ef, None)]
         for scen in inst.scenarios:
-            _, index = build_scenario_subproblem(inst, scen.id)
-            assert index.coords[:len(fs)] == fs
+            model, index = build_scenario_subproblem(inst, scen.id)
+            assert index.coords[:n] == fs
             assert index.coords[len(index) - len(handles):] == tuple(
                 ("sigma", h.handle, scen.id) for h in handles)
+            assert np.array_equal(model.obj[:n], info.unit_cost)
+            models.append((model, scen.id))
+        # the leading columns carry first_stage_info's boxes and integrality
+        for model, scen_id in models:
+            assert np.array_equal(model.var_lb[:n], info.lb), scen_id
+            assert np.array_equal(model.var_ub[:n], info.ub), scen_id
+            assert np.array_equal(model.var_integer[:n], info.integer), scen_id
+
+    def test_a_coordinate_added_twice_is_rejected(self, g1, monkeypatch):
+        # validation rejects repeated ids, so it is skipped to reach the builders
+        monkeypatch.setattr(build_module, "validate_instance", lambda inst: [])
+        twice = dataclasses.replace(g1, storage_techs=g1.storage_techs * 2)
+        with pytest.raises(ModelError, match="duplicate semantic coordinate"):
+            build_extensive_form(twice)
+        with pytest.raises(ModelError, match="duplicate semantic coordinate"):
+            build_scenario_subproblem(twice, twice.scenarios[0].id)
 
 
 def _prices(inst, mode, seed):

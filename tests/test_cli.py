@@ -12,6 +12,7 @@ import pytest
 
 import flexcep
 import flexcep.pha as pha_module
+from flexcep.build import first_stage_info
 from flexcep.canonical import LIMIT_REACHED, SolveResult
 from flexcep.cli import (
     EXIT_BACKEND,
@@ -214,6 +215,37 @@ class TestValidate:
         assert main(["solve", "--instance", str(p), "--method", "ef", "--out", out]) == EXIT_OK
         inst = load_instance(str(p))
         assert inst.scenarios[0].availability.shape == (2, 0, inst.num_periods)
+        save_instance(inst, tmp_path / "a.json")
+        save_instance(load_instance(str(tmp_path / "a.json")), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+    def test_instance_without_first_stage_coordinates(self, tmp_path, capsys):
+        # no techs, no policies and an existing branch: nothing to build
+        with open(os.path.join(FIXTURES, "G1", "seed1.json")) as fh:
+            doc = json.load(fh)
+        for key in ("gen_techs", "storage_techs", "load_techs", "policies"):
+            doc[key] = []
+        for bus in doc["buses"]:
+            bus.update(existing_gen={}, existing_storage={}, build_limit_gen={},
+                       build_limit_storage={}, build_limit_load={})
+        for scen in doc["scenarios"]:
+            scen["availability"] = {b: {} for b in scen["availability"]}
+        for branch in doc["branches"]:
+            branch["status"] = "existing"
+        p = tmp_path / "no-first-stage.json"
+        p.write_text(json.dumps(doc))
+        inst = load_instance(str(p))
+        info = first_stage_info(inst)
+        assert info.coords == ()
+        for field, dtype in (("lb", float), ("ub", float), ("integer", bool),
+                             ("mw_scale", float), ("unit_cost", float)):
+            assert getattr(info, field).shape == (0,) and getattr(info, field).dtype == dtype
+        assert main(["validate", "--instance", str(p)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        for method in ("ef", "pha"):
+            argv = ["solve", "--instance", str(p), "--method", method,
+                    "--out", str(tmp_path / method)]
+            assert main(argv + (["--max-iters", "5"] if method == "pha" else [])) == EXIT_OK
         save_instance(inst, tmp_path / "a.json")
         save_instance(load_instance(str(tmp_path / "a.json")), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()

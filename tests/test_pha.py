@@ -92,6 +92,24 @@ class TestConsensusMetric:
         assert sigma_violation(np.zeros(0)) == 0.0
 
 
+class TestPHAConfig:
+    @pytest.mark.parametrize("setting", [
+        {"relax_integrality": "no"}, {"relax_integrality": 0},
+        {"relax_integrality": np.True_}, {"relax_integrality": None},
+        {"max_iterations": 2.5}, {"max_iterations": 2.0}, {"max_iterations": True},
+        {"max_iterations": "3"}, {"workers": 2.0}, {"workers": True},
+        {"workers": np.float64(2)},
+    ], ids=repr)
+    def test_a_wrong_typed_setting_is_rejected_at_construction(self, setting):
+        (name, value), = setting.items()
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            PHAConfig(**setting)
+
+    def test_numpy_integers_count_as_integers(self):
+        cfg = PHAConfig(max_iterations=np.int64(3), workers=np.int32(2))
+        assert (cfg.max_iterations, cfg.workers) == (3, 2)
+
+
 class TestSingleScenario:
     def test_converges_immediately_to_ef_optimum(self, solver_cfg):
         inst = _single_scenario_inflexible()
