@@ -6,8 +6,10 @@ re-solve one instance under alternative flexibility assumptions for a load
 type.
 
 Exit codes: 0 solved/converged (or valid), 1 invalid instance, setting or
-command line, 2 I/O error, 3 stopped at a limit with an incumbent, 4 no feasible
-incumbent/infeasible, 5 solver backend failure or a failed hedging sweep.
+command line, 2 I/O error, 3 stopped short of the optimum with an incumbent
+(at a limit or a gap, or by a failed hedging sweep or a solver backend
+failure once PHA has an incumbent), 4 no feasible incumbent/infeasible, 5
+solver backend failure or a failed hedging sweep before any incumbent.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import dataclasses
 import sys
 
 from .build import build_extensive_form
-from .canonical import FEASIBLE_WITH_GAP, INFEASIBLE, LIMIT_REACHED, OPTIMAL
+from .canonical import FEASIBLE_WITH_GAP, OPTIMAL, UNBOUNDED
 from .core import (
     FULL_FLEX,
     INFLEXIBLE,
@@ -25,7 +27,7 @@ from .core import (
     TierSpec,
     compare_tiers,
 )
-from .pha import NO_INCUMBENT, PHAConfig, PHAError, run_pha
+from .pha import PHAConfig, PHAError, run_pha
 from .report import SolveReport, TraceRow, report_from_solution
 from .solvers import (BackendCrashError, SolverConfig, proven_lower_bound, solve,
                       solver_output_to_stderr)
@@ -104,10 +106,12 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
     try:
         with solver_output_to_stderr():
             if manifest.method == "ef":
-                report, code = _solve_ef(inst, manifest.solver)
+                report = _solve_ef(inst, manifest.solver)
             else:
-                report, code = _solve_pha(inst, manifest.pha, manifest.solver,
-                                          manifest.timing, out)
+                report, state = run_pha(inst, manifest.pha, manifest.solver,
+                                        collect_timing=manifest.timing)
+                if state.sweep_error:  # a later step failed; the incumbent found before stands
+                    print(f"hedging failure: {state.sweep_error}", file=out)
     except BackendCrashError as exc:
         print(f"solver backend failure: {exc}", file=out)
         return EXIT_BACKEND
@@ -120,40 +124,34 @@ def cmd_solve(manifest: RunManifest, out=None) -> int:
         print(f"cannot write reports to '{manifest.out_dir}': {exc}", file=out)
         return EXIT_IO
     _print_summary(report, out)
-    return code
+    return _exit_code(report)
 
 
-def _solve_ef(inst, solver: SolverConfig) -> tuple[SolveReport, int]:
+def _exit_code(report: SolveReport) -> int:
+    """The exit code of a solve that ended with ``report``."""
+    if report.objective is None:
+        return EXIT_BACKEND if report.status == UNBOUNDED else EXIT_NO_INCUMBENT
+    if report.termination in ("solved", "consensus", "bound_gap"):
+        return EXIT_OK
+    return EXIT_LIMIT
+
+
+def _solve_ef(inst, solver: SolverConfig) -> SolveReport:
     model, index = build_extensive_form(inst)
     res = solve(model, solver)
     termination = "solved" if res.status == OPTIMAL else res.status
     if res.status == OPTIMAL or res.status == FEASIBLE_WITH_GAP:
         lower = proven_lower_bound(res)
-        report = report_from_solution(
+        return report_from_solution(
             inst, index, res.x, method="ef", status=res.status,
             objective=res.objective, lower_bound=lower,
             gap=res.mip_gap if res.status == FEASIBLE_WITH_GAP else 0.0,
             termination=termination, incumbent_source="extensive form",
             trace=[TraceRow(iteration=0, consensus=0.0, sigma_violation=0.0,
                             lower_bound=lower, upper_bound=res.objective)])
-        return report, EXIT_OK if res.status == OPTIMAL else EXIT_LIMIT
-    report = SolveReport(
+    return SolveReport(
         instance_name=inst.name, method="ef", status=res.status, objective=None,
         lower_bound=None, gap=None, termination=res.status, costs=None)
-    code = EXIT_NO_INCUMBENT if res.status in (INFEASIBLE, LIMIT_REACHED) else EXIT_BACKEND
-    return report, code
-
-
-def _solve_pha(inst, cfg: PHAConfig, solver: SolverConfig, timing: bool,
-               out) -> tuple[SolveReport, int]:
-    report, state = run_pha(inst, cfg, solver, collect_timing=timing)
-    if report.status == NO_INCUMBENT:
-        return report, EXIT_NO_INCUMBENT
-    if report.termination in ("consensus", "bound_gap"):
-        return report, EXIT_OK
-    if state.sweep_error:  # a later sweep failed; the incumbent found before stands
-        print(f"hedging failure: {state.sweep_error}", file=out)
-    return report, EXIT_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,9 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
 
     Adjacent-and-comparable variants (same effective breakpoints, ordered
     reliabilities) are checked for cost monotonicity; a violation is a
-    warning, not an error.
+    warning, not an error. A variant whose solve stopped short of the
+    optimum has its gap in its row, and the exit code is then EXIT_LIMIT
+    unless some variant has no cost at all (EXIT_NO_INCUMBENT).
     """
     out = sys.stdout if out is None else out
     solver = solver or SolverConfig()
@@ -202,10 +202,11 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
         return EXIT_INVALID
 
     results = []
+    stopped_short = False
     with solver_output_to_stderr():
         for label, tiers in variants:
             try:
-                report, _ = _solve_ef(_with_tiers(inst, load_tech, tiers), solver)
+                report = _solve_ef(_with_tiers(inst, load_tech, tiers), solver)
             except InvalidInstanceError as exc:
                 results.append((label, tiers, None, None, f"invalid: {exc.violations[0]}"))
                 continue
@@ -216,8 +217,11 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
                 results.append((label, tiers, None, None, report.status))
                 continue
             emissions = sum(r.lhs for r in report.policies)
-            results.append((label, tiers, report.objective, emissions,
-                            _build_summary(report)))
+            summary = _build_summary(report)
+            if _exit_code(report) == EXIT_LIMIT:
+                stopped_short = True
+                summary += f" (stopped at gap {storage.fmt_num(report.gap)})"
+            results.append((label, tiers, report.objective, emissions, summary))
 
     print(f"{'variant':<16} {'total_cost':>16} {'emissions':>14}  build_summary", file=out)
     for label, _, cost, emissions, summary in results:
@@ -244,7 +248,7 @@ def cmd_compare_flexibility(instance_path: str, load_tech: str,
                       f"({storage.fmt_num(cj)} > {storage.fmt_num(ci)})", file=out)
     if any(cost is None for _, _, cost, _, _ in results):
         return EXIT_NO_INCUMBENT
-    return EXIT_OK
+    return EXIT_LIMIT if stopped_short else EXIT_OK
 
 
 def _with_tiers(inst, load_tech: str, tiers: TierSpec):

@@ -178,7 +178,7 @@ class PHAState:
     best_lower: float | None = None
     incumbent: tuple | None = None  # (objective, index, x, source) of the best candidate
     termination: str = ""
-    sweep_error: str = ""  # the PHAError message behind termination "sweep_failed"
+    sweep_error: str = ""  # the failure behind termination "sweep_failed"
 
     @property
     def best_upper(self) -> float | None:
@@ -204,16 +204,6 @@ def sigma_violation(sigma_bar: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Step-size scales
 # ---------------------------------------------------------------------------
-
-
-def _rho_vector(cfg: PHAConfig, info: FirstStageInfo) -> np.ndarray:
-    return cfg.rho_scale * np.maximum(info.unit_cost, 1.0)
-
-
-def _beta_scales(cfg: PHAConfig, inst: PlanningInstance) -> np.ndarray:
-    """Per-constraint subgradient steps: price ceiling over slack scale."""
-    prices, sigma_scales = _price_scales(inst)
-    return cfg.beta_scale * prices / sigma_scales
 
 
 def _price_scales(inst: PlanningInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -402,18 +392,20 @@ class _DualSpoke:
     relaxed and the integer Lagrangian; cuts from relaxed sweeps in integer
     mode (``exact`` False) hold for the relaxed one only.
 
-    Bounds come from sweeps only (``best``), never from the master.
+    Bounds come from sweeps only (``best``), never from the master. The box
+    is measured in ``lam_scale`` (m,) and ``w_scale`` (n,) units: the hub's
+    price ceilings and unit costs.
     """
 
     def __init__(self, inst: PlanningInstance, info: FirstStageInfo,
-                 bases: list[tuple], solver: SolverConfig, workers: int):
+                 bases: list[tuple], solver: SolverConfig, workers: int,
+                 lam_scale: np.ndarray, w_scale: np.ndarray):
         self.inst, self.solver, self.workers = inst, solver, workers
         self.bases = bases
         self.integer = bool(info.integer.any())
         self.relaxed = [(relax_integrality(model), index) for model, index in bases]
         self.warm = [None] * len(bases)  # each relaxed LP's last optimal basis
-        self.lam_scale, _ = _price_scales(inst)
-        self.w_scale = np.maximum(info.unit_cost, 1.0)
+        self.lam_scale, self.w_scale = lam_scale, w_scale
         self.p = np.array([s.probability for s in inst.scenarios])
         n_scen, n = len(inst.scenarios), len(info.coords)
         self.lam = np.zeros(self.lam_scale.size)  # the centre
@@ -672,10 +664,12 @@ def run_pha(inst: PlanningInstance, cfg: PHAConfig | None = None,
     bound gap falling below the threshold, or on the iteration cap. The
     report's solution is the best incumbent found; when no candidate was ever
     accepted the report says so instead of inventing one. A hub sweep whose
-    scenario solve fails raises PHAError while there is no incumbent; once
-    there is one, the run stops with termination ``sweep_failed`` and returns
-    it, with the trace of the iterations completed before and the PHAError's
-    message in ``PHAState.sweep_error``. Output that HiGHS
+    scenario solve fails raises PHAError, and a HiGHS crash in a hub sweep
+    or in a candidate's evaluation raises BackendCrashError, while there is
+    no incumbent; once there is one, the run stops with termination
+    ``sweep_failed`` and returns it, with the trace of the iterations
+    completed before and the error's message in ``PHAState.sweep_error``.
+    The dual spoke's own failures only cost it a bound. Output that HiGHS
     prints past ``sys.stdout`` goes to stderr for the whole run.
     """
     # one redirect around the run: per-solve ones would race in worker threads
@@ -706,15 +700,19 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
         continuous.setflags(write=False)
         info = replace(info, integer=continuous)
         bases = [(relax_integrality(model), index) for model, index in bases]
-    rho = _rho_vector(cfg, info)
-    beta = _beta_scales(cfg, inst)
+    # the step scales: price ceilings over slack scales for the multipliers,
+    # unit fixed costs for the first-stage weights
+    prices, sigma_scales = _price_scales(inst)
+    unit_scale = np.maximum(info.unit_cost, 1.0)
+    rho = cfg.rho_scale * unit_scale
+    beta = cfg.beta_scale * prices / sigma_scales
     first_stage = (len(inst.scenarios), len(info.coords))
     state = PHAState(mw_scale=info.mw_scale.copy(),
                      probabilities=np.array([s.probability for s in inst.scenarios]),
                      x=np.zeros(first_stage), w=np.zeros(first_stage),
                      lam=np.zeros(beta.size), sigma_bar=np.zeros(beta.size))
     ef = build_extensive_form(inst)
-    spoke = _DualSpoke(inst, info, bases, solver, cfg.workers)
+    spoke = _DualSpoke(inst, info, bases, solver, cfg.workers, prices, unit_scale)
     tried: set[bytes] = set()  # every box seen this run, rejected and infeasible ones too
     trace: list[TraceRow] = []
     t_start = time.perf_counter()
@@ -728,18 +726,18 @@ def _hedge(inst: PlanningInstance, cfg: PHAConfig, solver: SolverConfig,
         try:
             solved = _hub_step(inst, bases, state, rho, beta, solver, cfg.workers,
                                on_solved=scenario_candidate if integer else None)
-        except PHAError as exc:
+            metric, viol = consensus_metric(state), sigma_violation(state.sigma_bar)
+            converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
+            final = converged or state.iteration == cfg.max_iterations
+            if not integer and (state.iteration in INCUMBENT_SCHEDULE or final):
+                _candidate_step(inst, state, solver, tried, ef, "consensus",
+                                *_consensus_band(state))
+        except (PHAError, BackendCrashError) as exc:
             if state.incumbent is None:
                 raise
-            # keep the certified incumbent, and say which scenario failed
+            # keep the certified incumbent, and say what failed
             state.termination, state.sweep_error = "sweep_failed", str(exc)
             break
-        metric, viol = consensus_metric(state), sigma_violation(state.sigma_bar)
-        converged = metric < EPS_CONSENSUS and viol < EPS_SIGMA
-        final = converged or state.iteration == cfg.max_iterations
-        if not integer and (state.iteration in INCUMBENT_SCHEDULE or final):
-            _candidate_step(inst, state, solver, tried, ef, "consensus",
-                            *_consensus_band(state))
         _dual_step(spoke, state, solved, final)
         trace.append(TraceRow(
             iteration=state.iteration, consensus=metric, sigma_violation=viol,

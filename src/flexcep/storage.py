@@ -6,6 +6,12 @@ relative path. Serialization is canonical: fixed key order, UTF-8, LF line
 endings, and 9-significant-digit numeric formatting, so save(load(f)) is a
 fixed point and report directories are byte-stable.
 
+Each catalog record (gen, storage and load techs, branches, buses, policies)
+is written with the fields of its ``core`` dataclass in declaration order,
+but those its section's rule in ``_OMIT`` leaves out. A key that is optional
+in ``core`` and absent from the file takes ``core``'s default; this module
+restates none.
+
 Units are fixed by the schema: MW, MWh, hours, $/y, $/MWh; expected-output
 policy coefficients are per MWh, thresholds per representative horizon.
 """
@@ -17,13 +23,13 @@ import json
 import math
 import operator
 import os
+from dataclasses import fields, is_dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import core
 from .core import (
-    EXISTING,
     EXPECTED_OUTPUT,
     Branch,
     Bus,
@@ -107,22 +113,8 @@ def instance_to_dict(inst: PlanningInstance) -> dict:
         "annualization_days": inst.annualization_days,
         "big_m_angle_spread": inst.big_m_angle_spread,
     }
-    doc["gen_techs"] = [_gen_dict(g) for g in inst.gen_techs]
-    doc["storage_techs"] = [{
-        "id": s.id, "fixed_cost": s.fixed_cost, "variable_cost": s.variable_cost,
-        "duration_h": s.duration_h, "eff_charge": s.eff_charge,
-        "eff_discharge": s.eff_discharge,
-    } for s in inst.storage_techs]
-    doc["load_techs"] = [_load_dict(d) for d in inst.load_techs]
-    doc["branches"] = [_branch_dict(l) for l in inst.branches]
-    doc["buses"] = [{
-        "id": b.id,
-        "existing_gen": _num_map(b.existing_gen),
-        "existing_storage": _num_map(b.existing_storage),
-        "build_limit_gen": _num_map(b.build_limit_gen),
-        "build_limit_storage": _num_map(b.build_limit_storage),
-        "build_limit_load": _num_map(b.build_limit_load),
-    } for b in inst.buses]
+    for section in ("gen_techs", "storage_techs", "load_techs", "branches", "buses"):
+        doc[section] = [_record(r, _OMIT.get(section)) for r in getattr(inst, section)]
     doc["scenarios"] = [{
         "id": s.id,
         "probability": s.probability,
@@ -131,43 +123,34 @@ def instance_to_dict(inst: PlanningInstance) -> dict:
             b.id: {g.id: list(s.availability[i, j]) for j, g in enumerate(inst.gen_techs)}
             for i, b in enumerate(inst.buses)},
     } for s in inst.scenarios]
-    doc["policies"] = [{
-        "handle": p.handle,
-        "q": _num_map(p.q),
-        "r": _num_map(p.r),
-        "threshold": p.threshold,
-    } for p in inst.expectation_policies]
+    doc["policies"] = [_record(p, _OMIT["policies"]) for p in inst.expectation_policies]
     return doc
 
 
-def _num_map(mapping: Mapping[str, float]) -> dict:
-    return {k: mapping[k] for k in sorted(mapping)}
+# The fields a record of a section leaves out of the file. Read back, each
+# takes core's default; every policy in the file is an expected-output one.
+_OMIT = {
+    "gen_techs": lambda g: ("unit_size_mw",) if g.unit_size_mw is None else (),
+    "branches": lambda l: () if l.is_candidate else ("fixed_cost",),
+    "policies": lambda p: ("kind", "bus", "load_tech", "tier"),
+}
 
 
-def _gen_dict(g: GenTech) -> dict:
-    out = {"id": g.id, "integrality": g.integrality, "fixed_cost": g.fixed_cost,
-           "variable_cost": g.variable_cost, "emission_factor": g.emission_factor}
-    if g.unit_size_mw is not None:
-        out["unit_size_mw"] = g.unit_size_mw
-    return out
-
-
-def _load_dict(d: LargeLoadTech) -> dict:
-    out = {"id": d.id, "unit_size_mw": d.unit_size_mw, "fixed_cost": d.fixed_cost,
-           "variable_cost": d.variable_cost,
-           "tiers": {"u": list(d.tiers.u), "phi": list(d.tiers.phi)},
-           "capture_factor": d.capture_factor}
-    out["mandate"] = (None if d.mandate is None else
-                      {"min_units": d.mandate.min_units, "equality": d.mandate.equality})
-    return out
-
-
-def _branch_dict(l: Branch) -> dict:
-    out = {"id": l.id, "from_bus": l.from_bus, "to_bus": l.to_bus,
-           "susceptance": l.susceptance, "capacity_mw": l.capacity_mw,
-           "status": l.status}
-    if l.is_candidate:
-        out["fixed_cost"] = l.fixed_cost
+def _record(record, omit=None) -> dict:
+    """The fields of the core record ``record`` in declaration order, but
+    those ``omit(record)`` names: a nested record as an object, a map with
+    its keys sorted."""
+    skip = omit(record) if omit else ()
+    out = {}
+    for f in fields(record):
+        if f.name in skip:
+            continue
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            value = _record(value)
+        elif isinstance(value, Mapping):
+            value = {k: value[k] for k in sorted(value)}
+        out[f.name] = value
     return out
 
 
@@ -234,9 +217,7 @@ def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
     gens = tuple(GenTech(
         id=g["id"], integrality=g["integrality"],
         **_numbers(g, f"gen_techs[{g['id']}]", "fixed_cost", "variable_cost",
-                   emission_factor=0.0),
-        unit_size_mw=(_number(g["unit_size_mw"], f"gen_techs[{g['id']}].unit_size_mw")
-                      if g.get("unit_size_mw") is not None else None),
+                   optional=("emission_factor", "unit_size_mw")),
     ) for g in doc.get("gen_techs", ()))
     stos = tuple(StorageTech(
         id=s["id"], **_numbers(s, f"storage_techs[{s['id']}]", "fixed_cost", "variable_cost",
@@ -244,14 +225,13 @@ def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
     ) for s in doc.get("storage_techs", ()))
     loads = tuple(_load_from_dict(d) for d in doc.get("load_techs", ()))
     branches = tuple(Branch(
-        id=l["id"], from_bus=l["from_bus"], to_bus=l["to_bus"],
-        status=l.get("status", EXISTING),
-        **_numbers(l, f"branches[{l['id']}]", "susceptance", "capacity_mw", fixed_cost=0.0),
+        id=l["id"], from_bus=l["from_bus"], to_bus=l["to_bus"], **_optional(l, "status"),
+        **_numbers(l, f"branches[{l['id']}]", "susceptance", "capacity_mw",
+                   optional=("fixed_cost",)),
     ) for l in doc.get("branches", ()))
     buses = tuple(Bus(
-        id=b["id"], **{key: _number_map(b.get(key, {}), f"buses[{b['id']}].{key}") for key in (
-            "existing_gen", "existing_storage", "build_limit_gen", "build_limit_storage",
-            "build_limit_load")},
+        id=b["id"], **_number_maps(b, f"buses[{b['id']}]", "existing_gen", "existing_storage",
+                                   "build_limit_gen", "build_limit_storage", "build_limit_load"),
     ) for b in doc.get("buses", ()))
     bus_ids = [b.id for b in buses]
     gen_ids = [g.id for g in gens]
@@ -260,16 +240,15 @@ def instance_from_dict(doc: dict, base_dir: str = ".") -> PlanningInstance:
     policies = tuple(ExpectationConstraintSpec(
         kind=EXPECTED_OUTPUT,
         handle=p["handle"],
-        q=_number_map(p.get("q", {}), f"policies[{p['handle']}].q"),
-        r=_number_map(p.get("r", {}), f"policies[{p['handle']}].r"),
-        **_numbers(p, f"policies[{p['handle']}]", threshold=0.0),
+        **_number_maps(p, f"policies[{p['handle']}]", "q", "r"),
+        **_numbers(p, f"policies[{p['handle']}]", optional=("threshold",)),
     ) for p in doc.get("policies", ()))
     return PlanningInstance(
         name=name,
         buses=buses, gen_techs=gens, storage_techs=stos, load_techs=loads,
         branches=branches, scenarios=scenarios, expectation_policies=policies,
-        **_numbers(doc, "", "period_length_h", "shed_cost", annualization_days=365.0,
-                   big_m_angle_spread=2.0 * math.pi),
+        **_numbers(doc, "", "period_length_h", "shed_cost",
+                   optional=("annualization_days", "big_m_angle_spread")),
     )
 
 
@@ -281,35 +260,50 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _numbers(entry: dict, where: str, *required: str, **defaults: float) -> dict:
+# The optional keys whose core default is None, which a JSON null stands for too.
+_NULLABLE = ("unit_size_mw", "mandate")
+
+
+def _optional(entry: dict, *keys: str) -> dict:
+    """``entry``'s values under those of ``keys`` it sets. A key that is
+    absent, or null in ``_NULLABLE``, is left out, so that core's default
+    applies."""
+    return {key: entry[key] for key in keys
+            if key in entry and not (entry[key] is None and key in _NULLABLE)}
+
+
+def _numbers(entry: dict, where: str, *required: str, optional=()) -> dict:
     """``{key: float}`` of the JSON numbers ``entry`` holds under each required
-    key and each key of ``defaults``, whose value stands in when it is absent."""
-    values = {key: entry[key] for key in required}
-    values.update((key, entry.get(key, default)) for key, default in defaults.items())
+    key and each ``optional`` key it sets."""
+    values = {key: entry[key] for key in required} | _optional(entry, *optional)
     return {key: _number(v, f"{where}.{key}" if where else key) for key, v in values.items()}
 
 
-def _number_map(mapping: Mapping, where: str) -> dict:
-    return {k: _number(v, f"{where}.{k}") for k, v in mapping.items()}
+def _number_maps(entry: dict, where: str, *optional: str) -> dict:
+    """``{key: {name: float}}`` of the maps of JSON numbers ``entry`` sets
+    under the ``optional`` keys."""
+    return {key: {k: _number(v, f"{where}.{key}.{k}") for k, v in m.items()}
+            for key, m in _optional(entry, *optional).items()}
 
 
 def _load_from_dict(d: dict) -> LargeLoadTech:
     where = f"load_techs[{d['id']}]"
-    mandate = d.get("mandate")
-    if mandate is not None:
-        units = _number(mandate["min_units"], f"{where}.mandate.min_units")
+    extra = _optional(d, "mandate")
+    if extra:
+        m = extra["mandate"]
+        units = _number(m["min_units"], f"{where}.mandate.min_units")
         if units != int(units):  # int() rejects a non-finite count itself
             raise InstanceFormatError(f"{where}.mandate.min_units: must be a whole number")
-        equality = mandate.get("equality", False)
-        if not isinstance(equality, bool):
+        flags = _optional(m, "equality")
+        if not all(isinstance(v, bool) for v in flags.values()):
             raise InstanceFormatError(f"{where}.mandate.equality: must be true or false")
-        mandate = Mandate(min_units=int(units), equality=equality)
+        extra["mandate"] = Mandate(min_units=int(units), **flags)
     return LargeLoadTech(
-        id=d["id"], mandate=mandate,
+        id=d["id"], **extra,
         tiers=TierSpec(**{key: tuple(_number(v, f"{where}.tiers.{key}")
                                      for v in d["tiers"][key]) for key in ("u", "phi")}),
         **_numbers(d, where, "unit_size_mw", "fixed_cost", "variable_cost",
-                   capture_factor=0.0),
+                   optional=("capture_factor",)),
     )
 
 

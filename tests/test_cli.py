@@ -31,6 +31,7 @@ from flexcep.cli import (
 from flexcep.core import FULL_FLEX, INFLEXIBLE, Mandate
 from flexcep.oracle import DAC_MID_FLEX, generate
 from flexcep.pha import PHAConfig
+from flexcep.solvers import BackendCrashError
 from flexcep.storage import instance_to_dict, load_instance, save_instance
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -408,6 +409,20 @@ class TestCompareFlex:
                                        out=out) == EXIT_OK
         assert "not comparable" in out.getvalue()
 
+    def test_gap_limited_variants_exit_at_the_limit(self, capsys):
+        # at --gap 0.3 both extensive forms stop short of the optimum, as
+        # solve --method ef does on the same instance (exit 3)
+        code = main(["compare-flex", "--instance", os.path.join(FIXTURES, "G2", "seed1.json"),
+                     "--load-tech", "dac", "--variant", "inflexible", "--variant", "fullflex",
+                     "--gap", "0.3"])
+        assert code == EXIT_LIMIT
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.startswith("variant")
+        assert [row.split()[0] for row in rows] == ["inflexible", "fullflex"]
+        for row in rows:
+            gap = float(re.fullmatch(r".* \(stopped at gap (\S+)\)", row).group(1))
+            assert 0 < gap <= 0.3
+
     def test_unknown_load_tech_rejected(self, g1_path):
         out = io.StringIO()
         assert cmd_compare_flexibility(g1_path, "nope", [("a", INFLEXIBLE)],
@@ -507,6 +522,52 @@ class TestMainEntry:
                                                "reliability.csv", "trace.csv"]
         # one row: the iteration completed before the failure
         assert len((out_dir / "trace.csv").read_text().splitlines()) == 2
+
+    def test_highs_crash_in_a_later_hub_sweep_keeps_the_incumbent(
+            self, tmp_path, monkeypatch, capsys):
+        # HiGHS crashes in the proximal sweeps, from iteration 2 on: iteration
+        # 1 certifies a candidate first
+        original = pha_module.solve
+
+        def crashing(model, cfg=None, **kwargs):
+            if "-pha-" in model.name:
+                raise BackendCrashError("scipy.milp failed: Solve error")
+            return original(model, cfg, **kwargs)
+        monkeypatch.setattr(pha_module, "solve", crashing)
+        out_dir = tmp_path / "x"
+        code = main(["solve", "--instance", os.path.join(FIXTURES, "G1", "seed1.json"),
+                     "--method", "pha", "--out", str(out_dir)])
+        assert code == EXIT_LIMIT
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "hedging failure: scipy.milp failed: Solve error"
+        assert "termination: sweep_failed" in lines
+        assert "incumbent:   scenario s1 @ iteration 1" in lines
+        assert sorted(os.listdir(out_dir)) == ["buildout.csv", "costs.csv", "emissions.csv",
+                                               "reliability.csv", "trace.csv"]
+        assert len((out_dir / "trace.csv").read_text().splitlines()) == 2
+
+    def test_highs_crash_in_a_later_candidate_keeps_the_incumbent(
+            self, tmp_path, monkeypatch, capsys):
+        # the first candidate is certified; evaluating the second crashes HiGHS
+        original = pha_module.exact_candidate_evaluation
+        calls = []
+
+        def crashing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise BackendCrashError("scipy.milp failed: Solve error")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(pha_module, "exact_candidate_evaluation", crashing)
+        out_dir = tmp_path / "x"
+        code = main(["solve", "--instance", os.path.join(FIXTURES, "G1", "seed1.json"),
+                     "--method", "pha", "--out", str(out_dir)])
+        assert code == EXIT_LIMIT
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "hedging failure: scipy.milp failed: Solve error"
+        assert "termination: sweep_failed" in lines
+        assert "incumbent:   scenario s1 @ iteration 1" in lines
+        assert sorted(os.listdir(out_dir)) == ["buildout.csv", "costs.csv", "emissions.csv",
+                                               "reliability.csv", "trace.csv"]
 
 
 SETTING_ERRORS = [

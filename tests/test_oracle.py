@@ -57,19 +57,16 @@ class TestGenerate:
             inst = load_instance(p)
             assert validate_instance(inst) == []
 
-    def test_committed_fixtures_match_generators(self):
-        # fixtures/ is regenerated from the seeded generators; keep it in sync
+    def test_committed_fixtures_match_generators(self, tmp_path):
+        # fixtures/ is what emit_fixtures writes, byte for byte; keep it in sync
         import pathlib
-        from flexcep.storage import load_instance
+        from flexcep.oracle import emit_fixtures
         root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-        for gen in ("G1", "G2", "G3"):
-            p = root / gen / "seed1.json"
-            assert p.exists(), f"missing fixture {p}"
-            inst = load_instance(p)
-            fresh = generate(gen, 1)
-            assert inst.name == fresh.name
-            assert np.allclose(inst.scenarios[0].demand, fresh.scenarios[0].demand,
-                               rtol=1e-8)
+        written = sorted(pathlib.Path(p).relative_to(tmp_path) for p in emit_fixtures(tmp_path))
+        committed = sorted(p.relative_to(root) for p in root.glob("*/seed*.json"))
+        assert len(committed) == 9 and committed == written
+        for rel in committed:
+            assert (root / rel).read_bytes() == (tmp_path / rel).read_bytes(), rel
 
 
 class TestBruteForce:

@@ -209,8 +209,10 @@ class TestLagrangianBound:
         assert lagrangian_lower_bound(g1, *_zero_prices(g1), solver_cfg)[0] is None
 
         # neither the hub's first sweep nor any spoke sweep proves a bound
-        spoke = pha_module._DualSpoke(g1, first_stage_info(g1), pha_module._scenario_bases(g1),
-                                      solver_cfg, 1)
+        info = first_stage_info(g1)
+        spoke = pha_module._DualSpoke(g1, info, pha_module._scenario_bases(g1), solver_cfg, 1,
+                                      pha_module._price_scales(g1)[0],
+                                      np.maximum(info.unit_cost, 1.0))
         state = PHAState(mw_scale=np.ones(1), probabilities=np.full(2, 0.5),
                          x=np.zeros((2, 1)), w=np.zeros((2, 1)), lam=np.zeros(0),
                          sigma_bar=np.zeros(0), iteration=1)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from flexcep.build import build_extensive_form
 from flexcep.core import (
+    Branch,
     InvalidInstanceError,
+    PlanningInstance,
     enumerate_expectation_constraints,
     validate_instance,
 )
@@ -87,6 +89,37 @@ class TestInstanceRoundTrip:
             save_instance(load_instance(first), second)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
+
+    def test_every_optional_field_off_its_default_round_trips(self, tmp_path):
+        # the fixtures leave threshold, annualization_days and
+        # big_m_angle_spread at core's defaults, so this instance moves them
+        # and every other optional field; numbers keep 9 significant digits
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        base = load_instance(os.path.join(root, "fixtures", "G2", "seed1.json"))
+        rep = dataclasses.replace
+        inst = rep(
+            base, annualization_days=300.0, big_m_angle_spread=3.0,
+            gen_techs=tuple(rep(g, emission_factor=0.5) for g in base.gen_techs),
+            load_techs=tuple(rep(d, capture_factor=0.25) for d in base.load_techs),
+            branches=(*base.branches, Branch(id="L12x", from_bus="B1", to_bus="B2",
+                                             susceptance=50.0, capacity_mw=40.0)),
+            buses=(rep(base.buses[0], existing_storage={"battery": 5.0}), *base.buses[1:]),
+            expectation_policies=tuple(rep(p, threshold=-1500.0)
+                                       for p in base.expectation_policies))
+        assert validate_instance(inst) == []
+        assert {g.integrality for g in inst.gen_techs} == {"integer_units", "continuous"}
+        assert {l.status for l in inst.branches} == {"existing", "candidate"}
+        assert any(d.mandate is not None and d.mandate.equality for d in inst.load_techs)
+        p = tmp_path / "inst.json"
+        save_instance(inst, p)
+        again = load_instance(p)
+        for f in dataclasses.fields(PlanningInstance):
+            if f.name != "scenarios":
+                assert getattr(again, f.name) == getattr(inst, f.name), f.name
+        for a, b in zip(again.scenarios, inst.scenarios, strict=True):
+            assert (a.id, a.probability) == (b.id, b.probability)
+            assert np.array_equal(a.demand, b.demand)
+            assert np.array_equal(a.availability, b.availability)
 
     def test_schema_version_mismatch(self, g1, tmp_path):
         p = tmp_path / "g1.json"
